@@ -40,7 +40,6 @@ from .model_gaussian import (
     log_g,
     max_leakage_gaussian,
     mu0_expand,
-    weakest_adversary_leakage,
 )
 from .oracle import (
     OracleResult,
@@ -60,14 +59,9 @@ from .synth import (
 )
 from .whg import (
     WeightedHierGraph,
-    ancestor_leakage,
-    chain_rule_path,
-    edge_value,
     fast_search,
     first_layer,
     full_space_search,
-    gamma_set,
-    ic_pair,
     ir_value,
     load_synthetic_edges,
     search_synthetic,
@@ -92,26 +86,21 @@ __all__ = [
     "SearchSpaceExceeded",
     "SingularConditioning",
     "WeightedHierGraph",
-    "ancestor_leakage",
     "bayesian_gain",
-    "chain_rule_path",
     "conditional",
     "conditional_gaussian",
     "corr_sign_2x2",
     "distribution_to_json",
     "dp_exact",
-    "edge_value",
     "fast_search",
     "first_layer",
     "full_space_search",
     "g_function",
-    "gamma_set",
     "gaussian_model_to_json",
     "gen_covariance",
     "gen_discrete_corr",
     "gen_whg_edges",
     "global_sensitivity",
-    "ic_pair",
     "ir_value",
     "leakage_gaussian",
     "load_distribution",
@@ -130,5 +119,4 @@ __all__ = [
     "splitmix64",
     "summarize_layers",
     "transform_linear_query",
-    "weakest_adversary_leakage",
 ]

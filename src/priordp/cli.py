@@ -50,6 +50,9 @@ EXIT_NUMERIC = 4
 # library default of 18
 CLI_FULL_CAP = 15
 
+# the brute-force oracle enumerates every adversary, assignment and kink
+ORACLE_CAP = 8
+
 
 def _read_json(path: str):
     return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -307,6 +310,12 @@ def cmd_calibrate(args) -> int:
         if gs <= 0:
             raise ValueError("query has zero sensitivity; any lambda works")
         n = dist.n
+        cap = ORACLE_CAP if args.method == "oracle" else CLI_FULL_CAP
+        if n > cap and not args.force:
+            raise SearchSpaceExceeded(
+                f"calibrate --method {args.method} over n={n} exceeds cap {cap}; "
+                "pass --force to override"
+            )
 
         if args.method == "oracle":
             def leak(lam: float) -> float:
@@ -327,7 +336,7 @@ def cmd_calibrate(args) -> int:
 
         def leak(lam: float) -> float:
             scaled = GaussianModel(mu=model.mu, sigma=model.sigma, M=model.M, lam=lam)
-            return max_leakage_gaussian(scaled, force=True).leakage
+            return max_leakage_gaussian(scaled, force=args.force).leakage
 
     lo = gs / (10.0 * eps)
     hi = 10.0 * n * gs / eps
@@ -404,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--query", default=None)
-    p.add_argument("--cap", type=int, default=8)
+    p.add_argument("--cap", type=int, default=ORACLE_CAP)
     p.add_argument("--force", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle_check)
@@ -435,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="leakage evaluator for discrete inputs",
     )
     p.add_argument("--out", default=None)
+    p.add_argument("--force", action="store_true", help="override the size cap")
     p.set_defaults(func=cmd_calibrate)
     return parser
 

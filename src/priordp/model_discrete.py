@@ -126,6 +126,52 @@ class QuerySpec:
         return cls(tuple(float(t) for t in text.split(",")))
 
 
+def logsumexp(a, axis=None, b=None) -> np.ndarray | float:
+    """log(sum(b * exp(a))) over `axis` (all axes when None), for real input.
+
+    The arithmetic of scipy.special.logsumexp (scipy 1.17) without its
+    array-API dispatch: terms equal to the maximum are split out, the rest
+    summed as s, and the result is log1p(s/m) + log(m) + max, with the plain
+    log(sum(b * exp(a))) taken wherever that is not finite. Results are
+    bitwise equal to scipy's, at a fraction of its cost per call on the
+    small arrays the searches and the oracle reduce.
+    """
+    a = np.asarray(a, dtype=float)
+    if b is not None:
+        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+        b = np.atleast_1d(b)
+    a = np.atleast_1d(a)
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    if a.size == 0:
+        out = np.full(np.sum(a, axis=axis, keepdims=True).shape, -np.inf)
+    else:
+        with np.errstate(all="ignore"):
+            x = a if b is None else np.where(b == 0, -np.inf, a)
+            x_max = np.max(x, axis=axis, keepdims=True)
+            i_max = x == x_max
+            e = np.exp(np.where(i_max, -np.inf, x) - x_max)
+            if b is None:
+                # m counts the maxima and s >= 0, so no term turns negative
+                m = np.sum(i_max, axis=axis, keepdims=True, dtype=float)
+                s = np.sum(e, axis=axis, keepdims=True)
+                out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + x_max
+            else:
+                m = np.sum(b * i_max, axis=axis, keepdims=True, dtype=float)
+                s = np.sum(b * e, axis=axis, keepdims=True)
+                s = np.where(s == 0, s, s / m)
+                negative = np.sign(s + 1) * np.sign(m) < 0
+                s = np.where(s < -1, -s - 2, s)
+                out = np.log1p(s) + np.log(np.abs(m)) + x_max
+                out[negative] = np.nan
+            finite = np.isfinite(out)
+            if not finite.all():
+                b_exp_a = np.exp(a) if b is None else b * np.exp(a)
+                out_inf = np.log(np.sum(b_exp_a, axis=axis, keepdims=True))
+                out = np.where(finite, out, out_inf)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def marginal(dist: JointDistribution, subset: Iterable[int]) -> JointDistribution:
     """Marginal distribution over `subset` (result axes in sorted order)."""
     keep = sorted(set(int(i) for i in subset))

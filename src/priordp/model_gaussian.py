@@ -192,19 +192,6 @@ def leakage_gaussian(model: GaussianModel, i: int, K: Iterable[int]) -> float:
     return model.M / model.lam * abs(1.0 + exp.coef_i)
 
 
-def weakest_adversary_leakage(model: GaussianModel, i: int) -> float:
-    """Leakage of the no-prior adversary: |1 + sum_{j!=i} S_ij / S_ii| M/lambda.
-
-    Same arithmetic as leakage_gaussian(model, i, ()), written out because the
-    one-known-tuple conditioning reduces to this single ratio.
-    """
-    S = model.sigma
-    if S[i, i] <= 0.0:
-        raise SingularConditioning("attacked tuple has zero variance")
-    coef = (float(S[i, :].sum()) - float(S[i, i])) / float(S[i, i])
-    return model.M / model.lam * abs(1.0 + coef)
-
-
 def _log_erfcx(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)

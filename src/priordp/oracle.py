@@ -26,7 +26,6 @@ from itertools import product
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ImpossibleCondition
 from .model_discrete import (
@@ -34,6 +33,7 @@ from .model_discrete import (
     JointDistribution,
     QuerySpec,
     conditional,
+    logsumexp,
     marginal,
     transform_linear_query,
 )

@@ -31,32 +31,45 @@ between them is a measured quantity, not an assumed sign.
 Node leakage quantifies over prior-knowledge *values*: by default the max
 over all positive-probability assignments of x_K' enters the candidate set
 ("max" mode); pass prior_values= to fix one concrete assignment instead.
+
+All searches run on one bitmask kernel fed by an edge source: an object
+with an attribute `n` and a method `values(i, masks, j)`, where `masks` is
+an int64 array of child prior sets K (bit t set when t is in K) that all
+contain j. It returns either one increment per child (synthetic edges) or
+a (cmin, cmax) pair of arrays, the extremes of each child's candidate set
+(a table). |l + c| is convex in c, so the kernel takes cmax when
+|l + cmax| >= |l + cmin| and cmin otherwise; a NaN pair marks an edge with
+no feasible candidate, which leaves its parent untouched.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from itertools import combinations, product
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import DegenerateVariable, ImpossibleCondition, SearchSpaceExceeded
+from .errors import DegenerateVariable, SearchSpaceExceeded
 from .model_discrete import (
     PROB_FLOOR,
     JointDistribution,
     QuerySpec,
-    conditional,
     local_sensitivity,
+    logsumexp,
     marginal,
     transform_linear_query,
 )
 from .report import AdversaryNode, LeakageReport, summarize_layers
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
+
+# Most cells stacked into one log-sum-exp: stacking saves calls on small
+# prior sets, while a stack of every x_j-last copy of a large marginal would
+# multiply its memory by 3|T|.
+_STACK_CELLS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,85 +109,6 @@ class WeightedHierGraph:
         return {"layers": nodes, "edges": edges}
 
 
-def ic_pair(
-    dist: JointDistribution,
-    i: int,
-    j: int,
-    prior_assign: Mapping[int, float],
-    x_im: float,
-    x_in: float,
-    lam: float,
-    tail: str = "lower",
-) -> float:
-    """Correlation increment of tuple j for hypothesis pair (x_im, x_in).
-
-    `dist` is taken with sum-query semantics (apply transform_linear_query
-    first for general linear queries). tail="lower" weights the conditional
-    of x_j by e^{-xj/lam} (the r -> -inf output ray); tail="upper" by
-    e^{+xj/lam}. Antisymmetric under swapping the hypothesis pair.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if tail not in ("lower", "upper"):
-        raise ValueError("tail must be 'lower' or 'upper'")
-    sign = -1.0 if tail == "lower" else 1.0
-    out = []
-    for val in (x_im, x_in):
-        cond = conditional(dist, [j], {i: val, **prior_assign})
-        xj = np.asarray(cond.domains[0])
-        out.append(float(logsumexp(sign * xj / lam, b=cond.probs)))
-    return out[0] - out[1]
-
-
-def gamma_set(
-    dist: JointDistribution,
-    i: int,
-    j: int,
-    prior_assign: Mapping[int, float],
-    lam: float,
-    tail: str = "lower",
-) -> tuple[float, ...]:
-    """Increment candidates over ordered hypothesis pairs m < n of dom(x_i).
-
-    Pairs whose conditioning event has probability below 1e-12 are skipped;
-    with every pair feasible the set has C(s, 2) elements for domain size s.
-    """
-    ks = sorted(prior_assign)
-    joint = marginal(dist, [i] + ks)
-    axes = sorted([i] + ks)
-    feas = []
-    for a in dist.domains[i]:
-        vals = [a if t == i else prior_assign[t] for t in axes]
-        idx = tuple(joint.value_index(pos, v) for pos, v in enumerate(vals))
-        if float(joint.probs[idx]) >= PROB_FLOOR:
-            feas.append(a)
-    return tuple(
-        ic_pair(dist, i, j, prior_assign, a, b, lam, tail)
-        for a, b in combinations(feas, 2)
-    )
-
-
-def edge_value(l_child: float, gammas: Iterable[float]) -> float:
-    """The increment gamma maximizing |l_child + gamma|.
-
-    Ties break toward the larger gamma (then larger |gamma|), which keeps
-    graphs deterministic across runs.
-    """
-    best: tuple[float, float, float] | None = None
-    for g in gammas:
-        key = (abs(l_child + g), g, abs(g))
-        if best is None or key > best:
-            best = key
-    if best is None:
-        raise ValueError("empty increment candidate set")
-    return best[1]
-
-
-def ancestor_leakage(l_child: float, ic: float) -> float:
-    """Chain-rule step: leakage of the ancestor node, |l_child + ic|."""
-    return abs(l_child + ic)
-
-
 def ir_value(ic: float, ls_j: float, lam: float) -> float:
     """Increment ratio IC / (LS_j / lam), clamped to [-1, 1].
 
@@ -210,69 +144,188 @@ def first_layer(
     }
 
 
-def chain_rule_path(start: float, ics: Iterable[float]) -> float:
-    """Nested-absolute-value accumulation of increments along a path."""
-    value = abs(start)
-    for ic in ics:
-        value = abs(value + ic)
-    return value
+class _TableEdges:
+    """Edge source over a sum-query table: (cmin, cmax) per child.
 
-
-def _edge_candidates(
-    y: JointDistribution,
-    i: int,
-    j: int,
-    k_prime: tuple[int, ...],
-    lam: float,
-    prior_values: Mapping[int, float] | None,
-) -> np.ndarray:
-    """All increment candidates for the edge (i, K'+{j}) -> (i, K').
-
-    Vectorized over prior assignments and hypothesis pairs: both ray
-    orientations (lower-tail IC and negated upper-tail IC) for every
-    feasible assignment of x_K' and ordered pair of x_i values.
+    The candidates of every edge inside a prior set T = {i} u K depend only
+    on the marginal over T, so they are computed once per T: one marginal,
+    then one log-sum-exp over x_j that covers log m, lo and up for every
+    removed tuple j at once (one per table shape when the domain sizes
+    differ, and more when a stack would pass _STACK_CELLS). They are kept
+    as a (|T|, |T|, 2) array of (cmin, cmax) indexed by the ranks of i and
+    j in T; the marginal is dropped.
     """
-    axes = sorted((i, j, *k_prime))
-    sub = marginal(y, axes)
-    pos_i = axes.index(i)
-    pos_j = axes.index(j)
-    rest = [p for p in range(len(axes)) if p not in (pos_i, pos_j)]
-    table = np.transpose(sub.probs, rest + [pos_i, pos_j])
-    if prior_values is not None:
-        sel: list[object] = []
-        for p in rest:
-            t = axes[p]
-            if t not in prior_values:
-                raise ValueError(f"prior_values is missing tuple {t}")
-            sel.append(sub.value_index(p, prior_values[t]))
-        table = table[tuple(sel)][None, ...]
-    else:
-        table = table.reshape(-1, table.shape[-2], table.shape[-1])
-    with np.errstate(divide="ignore"):
-        log_t = np.log(table)
-    xj = np.asarray(y.domains[j])
-    # L[v, a] = log sum_xj Pr(x_i=a, x_j, x_K'=v) e^{-+ xj/lam}; the joint
-    # mass log m[v, a] cancels the conditional normalization
-    log_m = logsumexp(log_t, axis=2)
-    feasible = log_m >= _LOG_FLOOR
-    with np.errstate(invalid="ignore"):
-        # zero-mass rows yield -inf - -inf = nan; 'feasible' masks them out
-        lo = logsumexp(log_t - xj / lam, axis=2) - log_m
-        up = logsumexp(log_t + xj / lam, axis=2) - log_m
-    cands: list[float] = []
-    s = table.shape[1]
-    for m, nn in combinations(range(s), 2):
-        ok = feasible[:, m] & feasible[:, nn]
-        if not ok.any():
-            continue
-        cands.extend(lo[ok, m] - lo[ok, nn])
-        cands.extend(-(up[ok, m] - up[ok, nn]))
-    return np.asarray(cands)
+
+    def __init__(
+        self, y: JointDistribution, lam: float, prior_values: Mapping[int, float] | None
+    ):
+        self.n = y.n
+        self._y = y
+        self._lam = lam
+        self._prior = prior_values
+        self._sets: dict[int, np.ndarray] = {}
+        self._pairs: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+
+    def values(self, i: int, child_masks: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+        out = np.empty((child_masks.size, 2))
+        bit = 1 << i
+        below_i, below_j = bit - 1, (1 << j) - 1
+        for pos, mask in enumerate(child_masks.tolist()):
+            t = mask | bit
+            pairs = self._sets.get(t)
+            if pairs is None:
+                pairs = self._sets[t] = self._candidates(t)
+            out[pos] = pairs[(t & below_i).bit_count(), (t & below_j).bit_count()]
+        return out[:, 0], out[:, 1]
+
+    def _candidates(self, t: int) -> np.ndarray:
+        axes = [a for a in range(self.n) if (t >> a) & 1]
+        k = len(axes)
+        sub = marginal(self._y, axes)
+        fixed: list[int] | None = None
+        if self._prior is not None and k > 2:
+            # with |T| = 2 no tuple besides i and j is known
+            for a in axes:
+                if a not in self._prior:
+                    raise ValueError(f"prior_values is missing tuple {a}")
+            fixed = [sub.value_index(p, self._prior[a]) for p, a in enumerate(axes)]
+        with np.errstate(divide="ignore"):
+            log_p = np.log(sub.probs)
+        # removed tuples whose tables share a shape (with x_j last) are stacked
+        # into one reduction; with equal domain sizes that is all of T
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for pj in range(k):
+            shape = log_p.shape[:pj] + log_p.shape[pj + 1:] + log_p.shape[pj : pj + 1]
+            groups.setdefault(shape, []).append(pj)
+        chunks = []
+        for shape, pjs in groups.items():
+            step = max(1, _STACK_CELLS // math.prod(shape))
+            chunks += [(shape, pjs[c : c + step]) for c in range(0, len(pjs), step)]
+        out = np.full((k, k, 2), np.nan)
+        for shape, pjs in chunks:
+            dims = shape[:-1]
+            lt = np.stack([np.moveaxis(log_p, pj, -1) for pj in pjs])
+            w = np.stack([np.asarray(self._y.domains[axes[pj]]) / self._lam for pj in pjs])
+            w = w.reshape((len(pjs),) + (1,) * len(dims) + shape[-1:])
+            # log m and log sum_xj Pr(x_T) e^{-+ xj/lam} over the axes T \ {j};
+            # the joint mass m cancels the conditional normalization
+            lse = logsumexp(np.stack([lt, lt - w, lt + w]), axis=-1)
+            lse = lse.reshape(3, len(pjs), -1)
+            feasible = lse[0] >= _LOG_FLOOR
+            with np.errstate(invalid="ignore"):
+                # zero-mass rows yield -inf - -inf = nan; 'feasible' masks them out
+                lo_up = lse[1:] - lse[0]
+            if fixed is not None:
+                # a pair along the x_i axis lies on the line through the fixed
+                # values iff both its cells differ from them in at most one axis
+                cells = np.indices(dims).reshape(len(dims), 1, -1)
+                want = [[f for p, f in enumerate(fixed) if p != pj] for pj in pjs]
+                feasible &= (cells != np.asarray(want).T[:, :, None]).sum(axis=0) <= 1
+            if dims not in self._pairs:
+                self._pairs[dims] = _pair_index(dims)
+            m, nn, starts = self._pairs[dims]
+            ok = feasible[:, m] & feasible[:, nn]
+            diff = lo_up[:, :, m] - lo_up[:, :, nn]
+            ext = _segment_extremes(np.stack([diff[0], -diff[1]]), ok, starts)
+            for g, pj in enumerate(pjs):
+                out[[ax + (ax >= pj) for ax in range(k - 1)], pj] = ext[:, g].T
+        return out
 
 
-def _pick_edge(l_child: float, cands: np.ndarray) -> float:
-    scores = np.abs(l_child + cands)
-    return float(cands[scores == scores.max()].max())
+def _pair_index(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Every hypothesis pair m < n along every axis of a C-ordered array of
+    shape dims: the flat indices of its two cells, grouped by axis, and the
+    first entry of each axis's group."""
+    flat = np.arange(math.prod(dims)).reshape(dims)
+    ms, nns, starts = [], [], []
+    for ax, s in enumerate(dims):
+        starts.append(sum(x.size for x in ms))
+        lines = np.moveaxis(flat, ax, -1).reshape(-1, s)
+        pairs = list(combinations(range(s), 2))
+        ms.append(lines[:, [a for a, _ in pairs]].ravel())
+        nns.append(lines[:, [b for _, b in pairs]].ravel())
+    return np.concatenate(ms), np.concatenate(nns), np.asarray(starts)
+
+
+def _segment_extremes(cands: np.ndarray, ok: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """[cmin, cmax] per row and segment over the ok entries of both
+    candidate arrays in cands; NaN where a segment has no ok entry."""
+    out = np.full((2, ok.shape[0], starts.size), np.nan)
+    filled = np.diff(starts, append=ok.shape[1]) > 0
+    if filled.any():
+        at = starts[filled]
+        some = np.logical_or.reduceat(ok, at, axis=1)
+        low = np.minimum.reduceat(np.where(ok, cands, np.inf), at, axis=2).min(axis=0)
+        high = np.maximum.reduceat(np.where(ok, cands, -np.inf), at, axis=2).max(axis=0)
+        out[0][:, filled] = np.where(some, low, np.nan)
+        out[1][:, filled] = np.where(some, high, np.nan)
+    return out
+
+
+def _kernel(
+    edges,
+    first: list[float],
+    fast: bool,
+    on_layer: Callable[[int, int, np.ndarray, np.ndarray], None],
+    on_edges: Callable[[int, int, np.ndarray, np.ndarray], None] | None = None,
+) -> None:
+    """Layered min-merge search over child-K bitmasks, one attacked tuple at
+    a time.
+
+    Calls on_layer(i, layer, masks, values) once per computed layer of
+    attacked tuple i, and on_edges(i, j, child masks, increments) for every
+    batch of edges taken, always after the on_layer call of the children's
+    layer. In fast mode each layer keeps the min(n, count) largest nodes
+    for expansion, ties broken by (-value, child mask).
+    """
+    n = edges.n
+    full_mask = (1 << n) - 1
+    by_pc: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        by_pc[bin(mask).count("1")].append(mask)
+    masks_pc = [np.asarray(m, dtype=np.int64) for m in by_pc]
+
+    values = np.empty(1 << n)
+    for i in range(n):
+        values.fill(np.inf)
+        start = full_mask ^ (1 << i)
+        values[start] = first[i]
+        on_layer(i, 1, np.asarray([start]), np.asarray([first[i]]))
+        expand = np.asarray([start], dtype=np.int64)
+        for layer in range(2, n + 1):
+            for j in range(n):
+                if j == i:
+                    continue
+                sel = expand[(expand >> j) & 1 == 1]
+                if sel.size == 0:
+                    continue
+                out = edges.values(i, sel, j)
+                child = values[sel]
+                if isinstance(out, tuple):
+                    cmin, cmax = out
+                    ok = ~np.isnan(cmin)
+                    sel, child, cmin, cmax = sel[ok], child[ok], cmin[ok], cmax[ok]
+                    ic = np.where(np.abs(child + cmax) >= np.abs(child + cmin), cmax, cmin)
+                else:
+                    ic = np.asarray(out, dtype=float)
+                np.minimum.at(values, sel ^ (1 << j), np.abs(child + ic))
+                if on_edges is not None:
+                    on_edges(i, j, sel, ic)
+            pc = masks_pc[n - layer]
+            parents = pc[(pc >> i) & 1 == 0]
+            vals = values[parents]
+            done = np.isfinite(vals)
+            parents, vals = parents[done], vals[done]
+            on_layer(i, layer, parents, vals)
+            if parents.size == 0:
+                break
+            if fast:
+                # parents ascend, so the stable sort breaks ties by child mask
+                keep = np.zeros(parents.size, dtype=bool)
+                keep[np.argsort(-vals, kind="stable")[:n]] = True
+                expand = parents[keep]
+            else:
+                expand = parents
 
 
 def _search_distribution(
@@ -299,39 +352,24 @@ def _search_distribution(
             for t, v in prior_values.items()
         }
     t0 = time.perf_counter()
-    sum_q = QuerySpec.sum_query(n)
-    layers: list[dict[AdversaryNode, float]] = [first_layer(y, sum_q, lam)]
+    first = list(first_layer(y, QuerySpec.sum_query(n), lam).values())
+    layers: list[dict[AdversaryNode, float]] = [{} for _ in range(n)]
     edges: dict[tuple[AdversaryNode, int], float] = {}
-    expand = layers[0]
-    for _ in range(1, n):
-        nxt: dict[AdversaryNode, float] = {}
-        for node in sorted(expand):
-            l_child = expand[node]
-            for j in node.prior:
-                k_prime = tuple(t for t in node.prior if t != j)
-                cands = _edge_candidates(y, node.attack, j, k_prime, lam, prior_values)
-                if cands.size == 0:
-                    continue
-                ic = _pick_edge(l_child, cands)
-                edges[(node, j)] = ic
-                parent = AdversaryNode(node.attack, k_prime)
-                val = ancestor_leakage(l_child, ic)
-                if parent not in nxt or val < nxt[parent]:
-                    nxt[parent] = val
-        if not nxt:
-            break
-        layers.append(nxt)
-        if fast:
-            by_attack: dict[int, list[AdversaryNode]] = {}
-            for node in nxt:
-                by_attack.setdefault(node.attack, []).append(node)
-            expand = {}
-            for nodes in by_attack.values():
-                nodes.sort(key=lambda nd: (-nxt[nd], nd))
-                for nd in nodes[: min(n, len(nodes))]:
-                    expand[nd] = nxt[nd]
-        else:
-            expand = nxt
+    last: dict[int, AdversaryNode] = {}  # child mask -> node, latest layer
+
+    def on_layer(i: int, layer: int, masks: np.ndarray, vals: np.ndarray) -> None:
+        last.clear()
+        for mask, v in zip(masks.tolist(), vals.tolist()):
+            nd = last[mask] = AdversaryNode(i, _mask_to_tuple(mask))
+            layers[layer - 1][nd] = v
+
+    def on_edges(i: int, j: int, masks: np.ndarray, ics: np.ndarray) -> None:
+        for mask, ic in zip(masks.tolist(), ics.tolist()):
+            edges[(last[mask], j)] = ic
+
+    _kernel(_TableEdges(y, lam, prior_values), first, fast, on_layer, on_edges)
+    while not layers[-1]:
+        layers.pop()
     graph = WeightedHierGraph(n, tuple(layers), edges)
     values = graph.all_values()
     layer_max, best, argmax = summarize_layers(values, n)
@@ -380,15 +418,14 @@ def fast_search(
     """Pruned search: per layer and attacked tuple, only the min(n, count)
     largest nodes are expanded further.
 
-    Every computed node still enters the report, but pruning removes
-    alternative paths whose minima could lower deeper node values, so
-    fast leakage >= full leakage; with n <= 2 no pruning is possible and
-    the result is identical to full_space_search.
+    Ties break by (-value, child mask): among nodes of equal leakage, the
+    one whose prior set K has the smaller bitmask sum(2^t for t in K) is
+    expanded first. Every computed node still enters the report, but
+    pruning removes alternative paths whose minima could lower deeper node
+    values, so fast leakage >= full leakage; with n <= 2 no pruning is
+    possible and the result is identical to full_space_search.
     """
     return _search_distribution(dist, query, lam, fast=True, prior_values=prior_values)
-
-
-EdgeValueFn = Callable[[int, np.ndarray, int], np.ndarray]
 
 
 class _DictEdges:
@@ -412,14 +449,7 @@ class _DictEdges:
 
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    t = 0
-    while mask:
-        if mask & 1:
-            out.append(t)
-        mask >>= 1
-        t += 1
-    return tuple(out)
+    return tuple(t for t in range(mask.bit_length()) if (mask >> t) & 1)
 
 
 def load_synthetic_edges(
@@ -448,9 +478,8 @@ def search_synthetic(
 ) -> LeakageReport:
     """Run the exhaustive or pruned search over externally supplied edges.
 
-    `edges` is either an object with attributes n and values(i, masks, j)
-    (vectorized lookup by child-K bitmask) or a mapping keyed by
-    (i, sorted K tuple, j). Node and edge semantics match the
+    `edges` is either an edge source (see the module notes) or a mapping
+    keyed by (i, sorted K tuple, j). Node and edge semantics match the
     distribution-driven searches; values are already in leakage units, so
     no noise scale is involved here.
     """
@@ -468,12 +497,6 @@ def search_synthetic(
         if sorted(fl) != list(range(n)):
             raise ValueError("first_layer_values must cover every attacked tuple")
     t0 = time.perf_counter()
-    full_mask = (1 << n) - 1
-    by_pc: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        by_pc[bin(mask).count("1")].append(mask)
-    masks_pc = [np.asarray(m, dtype=np.int64) for m in by_pc]
-
     layer_max: dict[int, float] = {}
     best = -math.inf
     best_node: AdversaryNode | None = None
@@ -492,36 +515,7 @@ def search_synthetic(
             best = top
             best_node = AdversaryNode(i, _mask_to_tuple(int(masks[vals == top].min())))
 
-    values = np.empty(1 << n)
-    for i in range(n):
-        values.fill(np.inf)
-        start = full_mask ^ (1 << i)
-        values[start] = fl[i]
-        record(i, 1, np.asarray([start]), np.asarray([fl[i]]))
-        expand = np.asarray([start], dtype=np.int64)
-        for layer in range(2, n + 1):
-            for j in range(n):
-                if j == i:
-                    continue
-                sel = expand[(expand >> j) & 1 == 1]
-                if sel.size == 0:
-                    continue
-                ic = np.asarray(edges.values(i, sel, j), dtype=float)
-                np.minimum.at(values, sel ^ (1 << j), np.abs(values[sel] + ic))
-            pc = masks_pc[n - layer]
-            parents = pc[(pc >> i) & 1 == 0]
-            vals = values[parents]
-            done = np.isfinite(vals)
-            parents, vals = parents[done], vals[done]
-            record(i, layer, parents, vals)
-            if parents.size == 0:
-                break
-            if mode == "fast":
-                keep = min(n, parents.size)
-                order = np.lexsort((parents, -vals))[:keep]
-                expand = parents[np.sort(order)]
-            else:
-                expand = parents
+    _kernel(edges, [fl[i] for i in range(n)], mode == "fast", record)
     return LeakageReport(
         layer_max=layer_max,
         leakage=best,

@@ -1,0 +1,234 @@
+"""Scalar chain-rule helpers and the dict-based distribution search, kept
+as test-side reference code.
+
+The package runs every search on one bitmask kernel with per-prior-set
+edge candidates. This module is the earlier, direct formulation: one
+conditional table and one scipy log-sum-exp per hypothesis and edge, and a
+node-by-node dict loop. Tests cross-check the kernel against it value for
+value; nothing in the package imports it.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+from typing import Iterable, Mapping
+
+import numpy as np
+from scipy.special import logsumexp
+
+from priordp import (
+    AdversaryNode,
+    JointDistribution,
+    QuerySpec,
+    conditional,
+    first_layer,
+    marginal,
+    summarize_layers,
+    transform_linear_query,
+)
+from priordp.model_discrete import PROB_FLOOR
+
+_LOG_FLOOR = math.log(PROB_FLOOR)
+
+
+def ic_pair(
+    dist: JointDistribution,
+    i: int,
+    j: int,
+    prior_assign: Mapping[int, float],
+    x_im: float,
+    x_in: float,
+    lam: float,
+    tail: str = "lower",
+) -> float:
+    """Correlation increment of tuple j for hypothesis pair (x_im, x_in).
+
+    `dist` is taken with sum-query semantics (apply transform_linear_query
+    first for general linear queries). tail="lower" weights the conditional
+    of x_j by e^{-xj/lam} (the r -> -inf output ray); tail="upper" by
+    e^{+xj/lam}. Antisymmetric under swapping the hypothesis pair.
+    """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    if tail not in ("lower", "upper"):
+        raise ValueError("tail must be 'lower' or 'upper'")
+    sign = -1.0 if tail == "lower" else 1.0
+    out = []
+    for val in (x_im, x_in):
+        cond = conditional(dist, [j], {i: val, **prior_assign})
+        xj = np.asarray(cond.domains[0])
+        out.append(float(logsumexp(sign * xj / lam, b=cond.probs)))
+    return out[0] - out[1]
+
+
+def gamma_set(
+    dist: JointDistribution,
+    i: int,
+    j: int,
+    prior_assign: Mapping[int, float],
+    lam: float,
+    tail: str = "lower",
+) -> tuple[float, ...]:
+    """Increment candidates over ordered hypothesis pairs m < n of dom(x_i).
+
+    Pairs whose conditioning event has probability below 1e-12 are skipped;
+    with every pair feasible the set has C(s, 2) elements for domain size s.
+    """
+    ks = sorted(prior_assign)
+    joint = marginal(dist, [i] + ks)
+    axes = sorted([i] + ks)
+    feas = []
+    for a in dist.domains[i]:
+        vals = [a if t == i else prior_assign[t] for t in axes]
+        idx = tuple(joint.value_index(pos, v) for pos, v in enumerate(vals))
+        if float(joint.probs[idx]) >= PROB_FLOOR:
+            feas.append(a)
+    return tuple(
+        ic_pair(dist, i, j, prior_assign, a, b, lam, tail)
+        for a, b in combinations(feas, 2)
+    )
+
+
+def edge_value(l_child: float, gammas: Iterable[float]) -> float:
+    """The increment gamma maximizing |l_child + gamma|.
+
+    Ties break toward the larger gamma (then larger |gamma|).
+    """
+    best: tuple[float, float, float] | None = None
+    for g in gammas:
+        key = (abs(l_child + g), g, abs(g))
+        if best is None or key > best:
+            best = key
+    if best is None:
+        raise ValueError("empty increment candidate set")
+    return best[1]
+
+
+def ancestor_leakage(l_child: float, ic: float) -> float:
+    """Chain-rule step: leakage of the ancestor node, |l_child + ic|."""
+    return abs(l_child + ic)
+
+
+def chain_rule_path(start: float, ics: Iterable[float]) -> float:
+    """Nested-absolute-value accumulation of increments along a path."""
+    value = abs(start)
+    for ic in ics:
+        value = abs(value + ic)
+    return value
+
+
+def edge_candidates(
+    y: JointDistribution,
+    i: int,
+    j: int,
+    k_prime: tuple[int, ...],
+    lam: float,
+    prior_values: Mapping[int, float] | None,
+) -> np.ndarray:
+    """All increment candidates for the edge (i, K'+{j}) -> (i, K'): both
+    ray orientations for every feasible assignment of x_K' and ordered pair
+    of x_i values."""
+    axes = sorted((i, j, *k_prime))
+    sub = marginal(y, axes)
+    pos_i = axes.index(i)
+    pos_j = axes.index(j)
+    rest = [p for p in range(len(axes)) if p not in (pos_i, pos_j)]
+    table = np.transpose(sub.probs, rest + [pos_i, pos_j])
+    if prior_values is not None:
+        sel: list[object] = []
+        for p in rest:
+            t = axes[p]
+            if t not in prior_values:
+                raise ValueError(f"prior_values is missing tuple {t}")
+            sel.append(sub.value_index(p, prior_values[t]))
+        table = table[tuple(sel)][None, ...]
+    else:
+        table = table.reshape(-1, table.shape[-2], table.shape[-1])
+    with np.errstate(divide="ignore"):
+        log_t = np.log(table)
+    xj = np.asarray(y.domains[j])
+    log_m = logsumexp(log_t, axis=2)
+    feasible = log_m >= _LOG_FLOOR
+    with np.errstate(invalid="ignore"):
+        lo = logsumexp(log_t - xj / lam, axis=2) - log_m
+        up = logsumexp(log_t + xj / lam, axis=2) - log_m
+    cands: list[float] = []
+    s = table.shape[1]
+    for m, nn in combinations(range(s), 2):
+        ok = feasible[:, m] & feasible[:, nn]
+        if not ok.any():
+            continue
+        cands.extend(lo[ok, m] - lo[ok, nn])
+        cands.extend(-(up[ok, m] - up[ok, nn]))
+    return np.asarray(cands)
+
+
+def pick_edge(l_child: float, cands: np.ndarray) -> float:
+    scores = np.abs(l_child + cands)
+    return float(cands[scores == scores.max()].max())
+
+
+def search_distribution(
+    dist: JointDistribution,
+    query: QuerySpec,
+    lam: float,
+    *,
+    fast: bool,
+    prior_values: Mapping[int, float] | None = None,
+):
+    """Dict-based chain search: (layers, edges, layer_max, leakage, argmax,
+    node_count). In fast mode ties among equal nodes break by node order."""
+    y = transform_linear_query(dist, query)
+    n = y.n
+    if prior_values is not None:
+        prior_values = {
+            int(t): query.coefficients[int(t)] * float(v)
+            for t, v in prior_values.items()
+        }
+    layers: list[dict[AdversaryNode, float]] = [
+        first_layer(y, QuerySpec.sum_query(n), lam)
+    ]
+    edges: dict[tuple[AdversaryNode, int], float] = {}
+    expand = layers[0]
+    for _ in range(1, n):
+        nxt: dict[AdversaryNode, float] = {}
+        for node in sorted(expand):
+            l_child = expand[node]
+            for j in node.prior:
+                k_prime = tuple(t for t in node.prior if t != j)
+                cands = edge_candidates(y, node.attack, j, k_prime, lam, prior_values)
+                if cands.size == 0:
+                    continue
+                ic = pick_edge(l_child, cands)
+                edges[(node, j)] = ic
+                parent = AdversaryNode(node.attack, k_prime)
+                val = ancestor_leakage(l_child, ic)
+                if parent not in nxt or val < nxt[parent]:
+                    nxt[parent] = val
+        if not nxt:
+            break
+        layers.append(nxt)
+        if fast:
+            by_attack: dict[int, list[AdversaryNode]] = {}
+            for node in nxt:
+                by_attack.setdefault(node.attack, []).append(node)
+            expand = {}
+            for nodes in by_attack.values():
+                nodes.sort(key=lambda nd: (-nxt[nd], nd))
+                for nd in nodes[: min(n, len(nodes))]:
+                    expand[nd] = nxt[nd]
+        else:
+            expand = nxt
+    values: dict[AdversaryNode, float] = {}
+    for layer in layers:
+        values.update(layer)
+    layer_max, best, argmax = summarize_layers(values, n)
+    return {
+        "layers": layers,
+        "edges": edges,
+        "layer_max": layer_max,
+        "leakage": best,
+        "argmax": argmax,
+        "node_count": len(values),
+    }

@@ -20,8 +20,6 @@ from priordp import (
     JointDistribution,
     QuerySpec,
     full_space_search,
-    gamma_set,
-    edge_value,
     global_sensitivity,
     leakage_gaussian,
     local_sensitivity,
@@ -32,6 +30,7 @@ from priordp import (
     search_synthetic,
 )
 
+from chain_reference import edge_value, gamma_set
 from conftest import (
     ACCEPTANCE_NOTES,
     LEAK_A_STRONG,

@@ -8,10 +8,12 @@ import csv
 import json
 import shutil
 import subprocess
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from priordp import cli
 from priordp.cli import main
 
 from conftest import CELLS_A, LEAK_A_WEAK
@@ -310,6 +312,35 @@ class TestCalibrate:
         rc = main(["calibrate", str(path), "--epsilon", "1", "--query", "0,1"])
         assert rc == 2
         assert "sensitivity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, cap", [("full", cli.CLI_FULL_CAP), ("fast", cli.CLI_FULL_CAP),
+                        ("oracle", cli.ORACLE_CAP)]
+    )
+    def test_size_cap(self, method, cap, tmp_path, monkeypatch, capsys):
+        n = cap + 1
+        path = tmp_path / "wide.json"
+        path.write_text(
+            json.dumps({"domains": [[0, 1]] * n, "probs": [0.5**n] * 2**n})
+        )
+        argv = ["calibrate", str(path), "--epsilon", "1", "--method", method]
+        assert main(argv) == 3
+        assert "cap" in capsys.readouterr().err
+        # past the cap the evaluators run; stand-ins with leakage 1/lambda
+        # keep the oversized bisection cheap
+        calls = []
+
+        def stand_in(dist, query, lam, *rest, **kw):
+            calls.append(lam)
+            report = SimpleNamespace(leakage=1.0 / lam)
+            return report if method == "oracle" else (None, report)
+
+        target = {"full": "full_space_search", "fast": "fast_search",
+                  "oracle": "pdp_exact_discrete"}[method]
+        monkeypatch.setattr(cli, target, stand_in)
+        assert main(argv + ["--force"]) == 0
+        assert calls
+        assert json.loads(capsys.readouterr().out)["lambda"] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_installed_script(gauss_file):

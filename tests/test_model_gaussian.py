@@ -25,7 +25,6 @@ from priordp import (
     max_leakage_gaussian,
     mu0_expand,
     pdp_numeric_gaussian,
-    weakest_adversary_leakage,
 )
 
 
@@ -165,9 +164,6 @@ class TestMu0Expand:
             exp = mu0_expand(m, i, [])
             ref = (m.sigma[i, :].sum() - m.sigma[i, i]) / m.sigma[i, i]
             assert exp.coef_i == pytest.approx(ref, abs=1e-10)
-            assert weakest_adversary_leakage(m, i) == pytest.approx(
-                leakage_gaussian(m, i, []), abs=1e-12
-            )
 
     def test_validation(self):
         m = random_spd_model(np.random.default_rng(11), 3)

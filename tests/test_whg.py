@@ -15,16 +15,11 @@ from priordp import (
     JointDistribution,
     QuerySpec,
     SearchSpaceExceeded,
-    ancestor_leakage,
-    chain_rule_path,
     corr_sign_2x2,
-    edge_value,
     fast_search,
     first_layer,
     full_space_search,
-    gamma_set,
     gen_whg_edges,
-    ic_pair,
     ir_value,
     load_synthetic_edges,
     local_sensitivity,
@@ -32,6 +27,14 @@ from priordp import (
     search_synthetic,
 )
 
+from chain_reference import (
+    ancestor_leakage,
+    chain_rule_path,
+    edge_value,
+    gamma_set,
+    ic_pair,
+    search_distribution,
+)
 from conftest import IC_A, LEAK_A_WEAK, LEAK_B_WEAK, binary_table, random_instance
 
 
@@ -291,6 +294,103 @@ class TestDistributionSearch:
         _, rep = full_space_search(table_a, sum2, 0.5)
         assert rep.metadata["edge_candidates"] == "two_sided"
         assert rep.metadata["lambda"] == 0.5
+
+
+def kernel_table(rng, n, size, zero_frac=0.0):
+    """Random table with `size` values per tuple; a fraction of cells zeroed."""
+    domains = [tuple(np.sort(rng.uniform(0.0, 1.5, size=size))) for _ in range(n)]
+    probs = rng.dirichlet(np.ones(size**n)).reshape((size,) * n)
+    if zero_frac:
+        probs[rng.random(probs.shape) < zero_frac] = 0.0
+        probs /= probs.sum()
+    return JointDistribution(domains, probs)
+
+
+def assert_matches_reference(dist, query, lam, prior_values=None):
+    """The kernel search equals the dict-based reference bit for bit."""
+    for fast, search in ((False, full_space_search), (True, fast_search)):
+        graph, report = search(dist, query, lam, prior_values=prior_values)
+        ref = search_distribution(dist, query, lam, fast=fast, prior_values=prior_values)
+        assert [dict(layer) for layer in graph.layers] == ref["layers"]
+        assert dict(graph.edges) == ref["edges"]
+        assert report.node_count == ref["node_count"]
+        assert report.argmax == ref["argmax"]
+        assert report.leakage == ref["leakage"]
+        assert report.layer_max == ref["layer_max"]
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_random_tables(self, size):
+        rng = np.random.default_rng(50 + size)
+        for n in range(1, 6 if size == 2 else 5):
+            for lam in (0.4, 1.0, 3.0):
+                dist = kernel_table(rng, n, size)
+                assert_matches_reference(dist, QuerySpec.sum_query(n), lam)
+
+    def test_zero_cells_and_missing_edges(self):
+        rng = np.random.default_rng(53)
+        missing = 0
+        for n, size in ((3, 2), (4, 2), (5, 2), (3, 3), (4, 3)):
+            dist = kernel_table(rng, n, size, zero_frac=0.3)
+            # x_0 = x_1: with x_1 known, x_0 has one feasible value, so edges
+            # (0, K) -> (0, K - {j}) with 1 in K - {j} have no candidates
+            cells = np.array(dist.probs)
+            idx = np.arange(size)
+            eq = (idx[:, None] == idx[None, :]).reshape((size, size) + (1,) * (n - 2))
+            cells = cells * eq
+            dist = JointDistribution(dist.domains, cells / cells.sum())
+            q = QuerySpec.sum_query(n)
+            assert_matches_reference(dist, q, 1.0)
+            graph, _ = full_space_search(dist, q, 1.0)
+            missing += n * (n - 1) * 2 ** (n - 2) - len(graph.edges)
+            values = graph.all_values()
+            for parent, val in values.items():
+                ins = [
+                    abs(values[child] + ic)
+                    for (child, j), ic in graph.edges.items()
+                    if child.attack == parent.attack
+                    and tuple(t for t in child.prior if t != j) == parent.prior
+                ]
+                if parent.layer(n) > 1:
+                    assert val == min(ins)
+        assert missing > 0
+
+    def test_signed_query_coefficients(self):
+        rng = np.random.default_rng(54)
+        for n, size in ((2, 3), (3, 2), (4, 2), (3, 3), (5, 2)):
+            dist = kernel_table(rng, n, size)
+            coeffs = rng.choice([-2.0, -1.0, -0.5, 0.0, 1.0, 2.0], size=n)
+            coeffs[0] = -1.0
+            assert_matches_reference(dist, QuerySpec(tuple(coeffs)), 1.0)
+
+    def test_fixed_prior_values(self):
+        rng = np.random.default_rng(55)
+        for n, size in ((3, 2), (4, 2), (3, 3), (5, 2)):
+            dist = kernel_table(rng, n, size, zero_frac=0.2)
+            q = QuerySpec(tuple(rng.choice([-1.0, 1.0, 2.0], size=n)))
+            for _ in range(3):
+                fixed = {t: dist.domains[t][int(rng.integers(size))] for t in range(n)}
+                assert_matches_reference(dist, q, 1.0, prior_values=fixed)
+
+    def test_fast_ties_break_by_child_mask(self):
+        # exchangeable table with dyadic cells: every marginal is exact, so
+        # all nodes of a layer and attacked tuple tie bit for bit
+        n = 6
+        weight = np.array([40, 8, 2, 1, 2, 8, 40]) / 256
+        cells = np.array(
+            [weight[sum(x)] for x in itertools.product((0, 1), repeat=n)]
+        ).reshape((2,) * n)
+        dist = JointDistribution([(0.0, 1.0)] * n, cells)
+        graph, report = fast_search(dist, QuerySpec.sum_query(n), 1.0)
+        for i in range(n):
+            layer3 = [nd for nd in graph.layers[2] if nd.attack == i]
+            assert len({graph.layers[2][nd] for nd in layer3}) == 1
+            assert len(layer3) == 10
+            expanded = {nd for (nd, _) in graph.edges if nd in layer3}
+            by_mask = sorted(layer3, key=lambda nd: sum(1 << t for t in nd.prior))
+            assert expanded == set(by_mask[:n])
+        assert report.node_count == 180
 
 
 def dense_edges(n, value_fn):
