@@ -29,6 +29,7 @@ from .model_discrete import (
     load_distribution,
 )
 from .model_gaussian import (
+    ENUM_CAP,
     GaussianModel,
     leakage_gaussian,
     load_gaussian_model,
@@ -170,16 +171,17 @@ def cmd_oracle_check(args) -> int:
         values = graph.all_values()
         for i, K in _all_adversaries(dist.n):
             node = AdversaryNode(i, K)
-            oracle = pdp_exact_discrete(dist, query, args.lam, i, K).leakage
+            oracle = pdp_exact_discrete(dist, query, args.lam, i, K)
             chain = values.get(node)
-            ok = chain is not None and oracle <= chain + tol
+            ok = chain is not None and oracle.leakage <= chain + tol
             rows.append(
                 {
                     "i": i,
                     "K": list(K),
                     "chain": chain,
-                    "oracle": oracle,
+                    "oracle": oracle.leakage,
                     "pass": bool(ok),
+                    "witness": oracle.witness,
                 }
             )
         cols = ("chain", "oracle")
@@ -213,7 +215,10 @@ def cmd_oracle_check(args) -> int:
             f"{_fmt(r[cols[0]]):>14} {_fmt(r[cols[1]]):>14} "
             f"{'pass' if r['pass'] else 'FAIL'}"
         )
-    print(f"{sum(r['pass'] for r in rows)}/{len(rows)} adversaries pass (tol {tol:g})")
+    summary = f"{sum(r['pass'] for r in rows)}/{len(rows)} adversaries pass (tol {tol:g})"
+    if kind == "discrete":
+        summary += f", {sum(r['witness'] == 'kink' for r in rows)} suprema at a kink"
+    print(summary)
     if args.out:
         _emit(
             {"rows": rows, "tolerance": tol, "invocation": _invocation(args)},
@@ -249,6 +254,11 @@ def cmd_experiment(args) -> int:
     if seeds < 1:
         raise ValueError("--seeds must be >= 1")
     if args.kind == "gaussian":
+        if args.n > ENUM_CAP:
+            raise SearchSpaceExceeded(
+                f"experiment --kind gaussian over n={args.n} exceeds the "
+                f"enumeration cap {ENUM_CAP}"
+            )
         for a in sweep:
             gen_covariance(args.n, a)  # fail fast on infeasible sweep points
 
@@ -267,7 +277,7 @@ def cmd_experiment(args) -> int:
             model = GaussianModel(
                 mu=np.zeros(args.n), sigma=sigma, M=args.M, lam=args.lam
             )
-            rep = max_leakage_gaussian(model, force=True)
+            rep = max_leakage_gaussian(model)
             outp[(a, "enumerate")] = rep.layer_max
         return outp
 
@@ -348,19 +358,20 @@ def cmd_calibrate(args) -> int:
         )
     iters = 0
     if f_lo <= eps:
-        hi = lo  # already private at the smallest bracketed scale
+        hi, f_hi = lo, f_lo  # already private at the smallest bracketed scale
     else:
         while (hi - lo) / hi > 1e-6 and iters < 200:
             mid = 0.5 * (lo + hi)
-            if leak(mid) <= eps:
-                hi = mid
+            f_mid = leak(mid)
+            if f_mid <= eps:
+                hi, f_hi = mid, f_mid
             else:
                 lo = mid
             iters += 1
     payload = {
         "lambda": hi,
         "epsilon": eps,
-        "leakage_at_lambda": leak(hi),
+        "leakage_at_lambda": f_hi,
         "iterations": iters,
         "bracket": [gs / (10.0 * eps), 10.0 * n * gs / eps],
         "method": args.method if kind == "discrete" else "enumerate",

@@ -232,8 +232,12 @@ def g_function(x, b):
     return out if isinstance(out, np.ndarray) else float(out)
 
 
+# most tuples whose n * 2^(n-1) adversaries are enumerated without force
+ENUM_CAP = 20
+
+
 def max_leakage_gaussian(
-    model: GaussianModel, cap: int = 20, force: bool = False
+    model: GaussianModel, cap: int = ENUM_CAP, force: bool = False
 ) -> LeakageReport:
     """Exact supremum of leakage_gaussian over all adversaries (i, K).
 

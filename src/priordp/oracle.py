@@ -16,6 +16,20 @@ for discrete data.
 
 All mixture arithmetic runs through log-sum-exp so that lam much smaller
 than the domain width cannot underflow.
+
+pdp_exact_discrete evaluates one adversary in one pass. Each feasible
+(assignment of x_K, hypothesis x_i) pair gives one mixture row, read from a
+slice of the table; the rows of one assignment share its kinks, the union of
+their centers. Rows are grouped by shape (number of kinks, number of
+centers), and each group takes one log-sum-exp over a (rows, kinks, centers)
+stack for the values at the kinks and one per output ray, split at
+_STACK_CELLS cells. Groups are never padded to a common shape: zero-weight
+terms change how numpy's pairwise summation groups the terms of a row longer
+than 8, and with it the last bits of the sum, whereas an unpadded stack
+reduces each row exactly as a call on that row alone would. The candidates
+are then scanned in a fixed order (assignment, hypothesis x_i, hypothesis
+x_i', then kink, r -> -inf, r -> +inf) with a strict >, so the witness is
+the first candidate that reaches the supremum.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +56,11 @@ from .model_gaussian import GaussianModel, log_g, mu0_expand
 _NEG_RAY = float("-inf")
 _POS_RAY = float("inf")
 
+# Most cells stacked into one log-sum-exp. Stacking saves calls on the many
+# small mixtures of a node; the rows of a wide table hold thousands of cells
+# each, and stacking all of them would multiply the node's memory.
+_STACK_CELLS = 1 << 14
+
 
 @dataclass
 class OracleResult:
@@ -59,6 +78,13 @@ class OracleResult:
     assignment: dict[int, float] = field(default_factory=dict)
     kinks_evaluated: int = 0
 
+    @property
+    def witness(self) -> str | None:
+        """Where the supremum sat: "kink", "ray", or None at zero leakage."""
+        if self.leakage == 0.0:
+            return None
+        return "ray" if math.isinf(self.r_star) else "kink"
+
 
 def _merge_centers(centers: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse duplicate mixture centers (within 1e-12) summing weights."""
@@ -75,35 +101,46 @@ def _merge_centers(centers: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray
     return out_c, out_w
 
 
-def _hypothesis_mixture(
-    dist: JointDistribution,
-    i: int,
-    value: float,
-    assignment: Mapping[int, float],
-    unknown: list[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and weights of Pr(sum | x_i = value, x_K = assignment).
+class _SumLaw:
+    """Output law of adversary (i, K) as Laplace mixture centers and weights.
 
-    Centers include the known contribution value + sum(assignment) so that
-    reported kink points live on the true output axis.
+    Pr(r | x_i, x_K) mixes Laplace densities centered at x_i + sum(x_K) plus
+    each achievable sum of the unknown tuples U, weighted by Pr(x_U | x_i,
+    x_K). Those weights are one slice of the table; the sums of U over every
+    cell of a slice are computed once per adversary.
     """
-    base = value + math.fsum(assignment.values())
-    if not unknown:
-        return np.array([base]), np.array([1.0])
-    cond = conditional(dist, unknown, {i: value, **assignment})
-    grids = np.meshgrid(*[np.asarray(d) for d in cond.domains], indexing="ij")
-    sums = sum(grids).ravel() + base
-    w = cond.probs.ravel()
-    pos = w > 0.0
-    return _merge_centers(sums[pos], w[pos])
 
+    def __init__(self, y: JointDistribution, i: int, ks: list[int]):
+        self._y = y
+        self._i = i
+        self._ks = ks
+        self.unknown = [u for u in range(y.n) if u != i and u not in ks]
+        grids = np.meshgrid(*[np.asarray(y.domains[u]) for u in self.unknown], indexing="ij")
+        self._sums = sum(grids).ravel() if self.unknown else None
 
-def _log_mixture_at(
-    r: np.ndarray, centers: np.ndarray, weights: np.ndarray, lam: float
-) -> np.ndarray:
-    """log of sum_s w_s * exp(-|r - c_s|/lam) at each r (density up to 1/2lam)."""
-    a = -np.abs(r[:, None] - centers[None, :]) / lam
-    return logsumexp(a, axis=1, b=weights[None, :])
+    def mixture(
+        self, a: int, k_pos: Sequence[int], base: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Centers and weights given x_i = dom(x_i)[a] and x_K at positions k_pos.
+
+        base = x_i + sum(x_K) puts the centers on the true output axis;
+        centers within 1e-12 merge. Raises ImpossibleCondition when
+        Pr(x_i, x_K) is below 1e-12. With no unknown tuple the law is the
+        noise alone, whatever the table holds.
+        """
+        if not self.unknown:
+            return np.array([base]), np.array([1.0])
+        cell: list[object] = [slice(None)] * self._y.n
+        cell[self._i] = a
+        for k, p in zip(self._ks, k_pos):
+            cell[k] = p
+        table = self._y.probs[tuple(cell)]
+        mass = float(table.sum())
+        if mass < PROB_FLOOR:
+            raise ImpossibleCondition(f"Pr(x_{self._i}, x_K) = {mass!r} is (near) zero")
+        w = (table / mass).ravel()
+        pos = w > 0.0
+        return _merge_centers(self._sums[pos] + base, w[pos])
 
 
 def pdp_exact_discrete(
@@ -131,64 +168,70 @@ def pdp_exact_discrete(
     ks = sorted(set(int(k) for k in K))
     if i in ks:
         raise ValueError("attacked tuple cannot be in the prior set")
-    unknown = [u for u in range(y.n) if u != i and u not in ks]
-
-    if not unknown:
-        # pure-mechanism conditional: the value is assignment-independent
-        assignments: list[dict[int, float]] = [{}]
-        joint_ik = None
+    law = _SumLaw(y, i, ks)
+    dom_i = y.domains[i]
+    if law.unknown:
+        # Pr(x_K) gates the assignments and Pr(x_i, x_K) the hypotheses: one
+        # row per x_K cell in product order, one column per x_i value (the
+        # x_i axis of the sorted marginal moves last)
+        live = marginal(y, ks).probs.ravel() >= PROB_FLOOR if ks else [True]
+        joint_ik = np.moveaxis(marginal(y, [i] + ks).probs, sum(k < i for k in ks), -1)
+        feasible = joint_ik.reshape(-1, len(dom_i)) >= PROB_FLOOR
+        axes = ks
     else:
-        if ks:
-            k_marg = marginal(y, ks)
-            assignments = [
-                dict(zip(ks, combo))
-                for combo, p in zip(product(*k_marg.domains), k_marg.probs.ravel())
-                if float(p) >= PROB_FLOOR
-            ]
-        else:
-            assignments = [{}]
-        # Pr(x_i, x_K), axes sorted: gates which hypotheses are feasible
-        joint_ik = marginal(y, [i] + ks)
-        axes = sorted([i] + ks)
+        # pure-mechanism conditional: the value is assignment-independent
+        live = [True]
+        feasible = np.ones((1, len(dom_i)), dtype=bool)
+        axes = []
 
-    best = OracleResult(0.0, None, None, 0.0)
+    contexts = []  # (assignment, hypothesis values, kinks, first row)
+    rows = []  # (kinks, centers, weights) per assignment and hypothesis
     kink_count = 0
-    for assignment in assignments:
-        if joint_ik is None:
-            feas = list(y.domains[i])
-        else:
-            feas = []
-            for a in y.domains[i]:
-                vals_by_axis = [a if t == i else assignment[t] for t in axes]
-                idx = tuple(
-                    joint_ik.value_index(pos, v) for pos, v in enumerate(vals_by_axis)
-                )
-                if float(joint_ik.probs[idx]) >= PROB_FLOOR:
-                    feas.append(a)
-        if not feas:
+    for c, k_pos in enumerate(product(*[range(len(y.domains[k])) for k in axes])):
+        hyps = np.flatnonzero(feasible[c]).tolist() if live[c] else []
+        if not hyps:
             continue
-        mixtures: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        assignment = {k: y.domains[k][p] for k, p in zip(axes, k_pos)}
+        known = math.fsum(assignment.values())
         try:
-            for a in feas:
-                mixtures[a] = _hypothesis_mixture(y, i, a, assignment, unknown)
+            mixtures = [law.mixture(a, k_pos, dom_i[a] + known) for a in hyps]
         except ImpossibleCondition:
             continue
-        kinks = np.unique(np.concatenate([c for c, _ in mixtures.values()]))
+        kinks = np.unique(np.concatenate([centers for centers, _ in mixtures]))
         kink_count += kinks.size
-        hyp = list(mixtures)
-        log_at = np.stack([_log_mixture_at(kinks, *mixtures[a], lam) for a in hyp])
-        low = np.array([logsumexp(-mixtures[a][0] / lam, b=mixtures[a][1]) for a in hyp])
-        up = np.array([logsumexp(mixtures[a][0] / lam, b=mixtures[a][1]) for a in hyp])
+        contexts.append((assignment, [dom_i[a] for a in hyps], kinks, len(rows)))
+        rows += [(kinks, centers, weights) for centers, weights in mixtures]
+
+    groups: dict[tuple[int, int], list[int]] = {}
+    for r, (kinks, centers, _) in enumerate(rows):
+        groups.setdefault((kinks.size, centers.size), []).append(r)
+    log_at = [None] * len(rows)
+    low = np.empty(len(rows))
+    up = np.empty(len(rows))
+    for (nk, nc), ids in groups.items():
+        step = max(1, _STACK_CELLS // (nk * nc))
+        for s in range(0, len(ids), step):
+            part = ids[s : s + step]
+            kinks, centers, weights = (np.stack([rows[r][f] for r in part]) for f in range(3))
+            at = -np.abs(kinks[:, :, None] - centers[:, None, :]) / lam
+            for r, row_at in zip(part, logsumexp(at, axis=2, b=weights[:, None, :])):
+                log_at[r] = row_at
+            low[part] = logsumexp(-centers / lam, axis=1, b=weights)
+            up[part] = logsumexp(centers / lam, axis=1, b=weights)
+
+    best = OracleResult(0.0, None, None, 0.0)
+    for assignment, hyp, kinks, first in contexts:
         for ai, a in enumerate(hyp):
             for bi, b in enumerate(hyp):
                 if ai == bi:
                     continue
-                diff = log_at[ai] - log_at[bi]
+                ra, rb = first + ai, first + bi
+                diff = log_at[ra] - log_at[rb]
                 k_best = int(np.argmax(diff))
                 cands = (
                     (float(diff[k_best]), float(kinks[k_best])),
-                    (float(low[ai] - low[bi]), _NEG_RAY),
-                    (float(up[ai] - up[bi]), _POS_RAY),
+                    (float(low[ra] - low[rb]), _NEG_RAY),
+                    (float(up[ra] - up[rb]), _POS_RAY),
                 )
                 for v, r in cands:
                     if v > best.leakage:
@@ -297,7 +340,6 @@ def bayesian_gain(
     assignment = {int(k): coef[int(k)] * float(v) for k, v in k_assign.items()}
     xi_a = coef[i] * float(xi_a)
     xi_b = coef[i] * float(xi_b)
-    unknown = [u for u in range(y.n) if u != i and u not in ks]
     prior = conditional(y, [i], assignment) if ks else marginal(y, [i])
     dom = y.domains[i]
     log_prior = {}
@@ -310,10 +352,13 @@ def bayesian_gain(
             raise ImpossibleCondition(f"Pr(x_{i}={v}, x_K) is zero")
     xi_a = dom[y.value_index(i, xi_a)]
     xi_b = dom[y.value_index(i, xi_b)]
+    law = _SumLaw(y, i, ks)
+    k_pos = [y.value_index(k, assignment[k]) for k in ks]
+    known = math.fsum(assignment.values())
     log_lik = {}
     for a in log_prior:
-        centers, weights = _hypothesis_mixture(y, i, a, assignment, unknown)
-        log_lik[a] = float(_log_mixture_at(np.array([r]), centers, weights, lam)[0])
+        centers, weights = law.mixture(dom.index(a), k_pos, a + known)
+        log_lik[a] = float(logsumexp(-np.abs(r - centers) / lam, b=weights))
     joint = {a: log_prior[a] + log_lik[a] for a in log_prior}
     norm = logsumexp(np.array(list(joint.values())))
     post_a = joint[xi_a] - norm

@@ -86,6 +86,16 @@ def random_instance(rng: np.random.Generator, n: int, domain_hi: float = 1.5):
     return JointDistribution(domains, probs.reshape(tuple(sizes)))
 
 
+def sized_table(rng: np.random.Generator, n: int, size: int, zero_frac: float = 0.0):
+    """Random table with `size` values per tuple; a fraction of cells zeroed."""
+    domains = [tuple(np.sort(rng.uniform(0.0, 1.5, size=size))) for _ in range(n)]
+    probs = rng.dirichlet(np.ones(size**n)).reshape((size,) * n)
+    if zero_frac:
+        probs[rng.random(probs.shape) < zero_frac] = 0.0
+        probs /= probs.sum()
+    return JointDistribution(domains, probs)
+
+
 ACCEPTANCE_NOTES: dict[int, str] = {}
 
 

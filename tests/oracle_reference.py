@@ -1,0 +1,183 @@
+"""The per-hypothesis brute-force oracle, kept as test-side reference code.
+
+The package evaluates each adversary in one batched pass: table slices
+instead of conditional tables, and one log-sum-exp per mixture shape. This
+module is the earlier, direct formulation: one conditional table, one
+mixture and three log-sum-exps per (assignment, hypothesis), and feasibility
+read cell by cell. Tests require the package to match it in every
+OracleResult field, bit for bit; nothing in the package imports it.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+from typing import Iterable, Mapping
+
+import numpy as np
+
+from priordp import (
+    ImpossibleCondition,
+    JointDistribution,
+    OracleResult,
+    QuerySpec,
+    conditional,
+    marginal,
+    transform_linear_query,
+)
+from priordp.model_discrete import PROB_FLOOR, logsumexp
+from priordp.oracle import _merge_centers
+
+_NEG_RAY = float("-inf")
+_POS_RAY = float("inf")
+
+
+def _hypothesis_mixture(
+    dist: JointDistribution,
+    i: int,
+    value: float,
+    assignment: Mapping[int, float],
+    unknown: list[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and weights of Pr(sum | x_i = value, x_K = assignment)."""
+    base = value + math.fsum(assignment.values())
+    if not unknown:
+        return np.array([base]), np.array([1.0])
+    cond = conditional(dist, unknown, {i: value, **assignment})
+    grids = np.meshgrid(*[np.asarray(d) for d in cond.domains], indexing="ij")
+    sums = sum(grids).ravel() + base
+    w = cond.probs.ravel()
+    pos = w > 0.0
+    return _merge_centers(sums[pos], w[pos])
+
+
+def _log_mixture_at(
+    r: np.ndarray, centers: np.ndarray, weights: np.ndarray, lam: float
+) -> np.ndarray:
+    """log of sum_s w_s * exp(-|r - c_s|/lam) at each r (density up to 1/2lam)."""
+    a = -np.abs(r[:, None] - centers[None, :]) / lam
+    return logsumexp(a, axis=1, b=weights[None, :])
+
+
+def pdp_exact_discrete(
+    dist: JointDistribution,
+    query: QuerySpec,
+    lam: float,
+    i: int,
+    K: Iterable[int],
+) -> OracleResult:
+    """Exact leakage of adversary (i, K), one hypothesis at a time."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    y = transform_linear_query(dist, query)
+    i = int(i)
+    ks = sorted(set(int(k) for k in K))
+    if i in ks:
+        raise ValueError("attacked tuple cannot be in the prior set")
+    unknown = [u for u in range(y.n) if u != i and u not in ks]
+
+    if not unknown:
+        assignments: list[dict[int, float]] = [{}]
+        joint_ik = None
+    else:
+        if ks:
+            k_marg = marginal(y, ks)
+            assignments = [
+                dict(zip(ks, combo))
+                for combo, p in zip(product(*k_marg.domains), k_marg.probs.ravel())
+                if float(p) >= PROB_FLOOR
+            ]
+        else:
+            assignments = [{}]
+        joint_ik = marginal(y, [i] + ks)
+        axes = sorted([i] + ks)
+
+    best = OracleResult(0.0, None, None, 0.0)
+    kink_count = 0
+    for assignment in assignments:
+        if joint_ik is None:
+            feas = list(y.domains[i])
+        else:
+            feas = []
+            for a in y.domains[i]:
+                vals_by_axis = [a if t == i else assignment[t] for t in axes]
+                idx = tuple(
+                    joint_ik.value_index(pos, v) for pos, v in enumerate(vals_by_axis)
+                )
+                if float(joint_ik.probs[idx]) >= PROB_FLOOR:
+                    feas.append(a)
+        if not feas:
+            continue
+        mixtures: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        try:
+            for a in feas:
+                mixtures[a] = _hypothesis_mixture(y, i, a, assignment, unknown)
+        except ImpossibleCondition:
+            continue
+        kinks = np.unique(np.concatenate([c for c, _ in mixtures.values()]))
+        kink_count += kinks.size
+        hyp = list(mixtures)
+        log_at = np.stack([_log_mixture_at(kinks, *mixtures[a], lam) for a in hyp])
+        low = np.array([logsumexp(-mixtures[a][0] / lam, b=mixtures[a][1]) for a in hyp])
+        up = np.array([logsumexp(mixtures[a][0] / lam, b=mixtures[a][1]) for a in hyp])
+        for ai, a in enumerate(hyp):
+            for bi, b in enumerate(hyp):
+                if ai == bi:
+                    continue
+                diff = log_at[ai] - log_at[bi]
+                k_best = int(np.argmax(diff))
+                cands = (
+                    (float(diff[k_best]), float(kinks[k_best])),
+                    (float(low[ai] - low[bi]), _NEG_RAY),
+                    (float(up[ai] - up[bi]), _POS_RAY),
+                )
+                for v, r in cands:
+                    if v > best.leakage:
+                        best = OracleResult(v, a, b, r, dict(assignment))
+    best.kinks_evaluated = kink_count
+    return best
+
+
+def bayesian_gain(
+    dist: JointDistribution,
+    query: QuerySpec,
+    lam: float,
+    i: int,
+    xi_a: float,
+    xi_b: float,
+    k_assign: Mapping[int, float],
+    r: float,
+) -> float:
+    """Posterior log-odds minus prior log-odds, likelihoods built per hypothesis."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    y = transform_linear_query(dist, query)
+    ks = sorted(set(int(k) for k in k_assign))
+    if i in ks:
+        raise ValueError("attacked tuple cannot be in the prior set")
+    coef = query.coefficients
+    assignment = {int(k): coef[int(k)] * float(v) for k, v in k_assign.items()}
+    xi_a = coef[i] * float(xi_a)
+    xi_b = coef[i] * float(xi_b)
+    unknown = [u for u in range(y.n) if u != i and u not in ks]
+    prior = conditional(y, [i], assignment) if ks else marginal(y, [i])
+    dom = y.domains[i]
+    log_prior = {}
+    for pos, a in enumerate(dom):
+        p = float(prior.probs[pos])
+        if p >= PROB_FLOOR:
+            log_prior[a] = math.log(p)
+    for v in (xi_a, xi_b):
+        if dom[y.value_index(i, v)] not in log_prior:
+            raise ImpossibleCondition(f"Pr(x_{i}={v}, x_K) is zero")
+    xi_a = dom[y.value_index(i, xi_a)]
+    xi_b = dom[y.value_index(i, xi_b)]
+    log_lik = {}
+    for a in log_prior:
+        centers, weights = _hypothesis_mixture(y, i, a, assignment, unknown)
+        log_lik[a] = float(_log_mixture_at(np.array([r]), centers, weights, lam)[0])
+    joint = {a: log_prior[a] + log_lik[a] for a in log_prior}
+    norm = logsumexp(np.array(list(joint.values())))
+    post_a = joint[xi_a] - norm
+    post_b = joint[xi_b] - norm
+    return (post_a - post_b) - (log_prior[xi_a] - log_prior[xi_b])

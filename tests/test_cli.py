@@ -139,6 +139,16 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "4/4 adversaries pass" in out
 
+    def test_discrete_witness(self, table_a_file, tmp_path, capsys):
+        out = tmp_path / "check.json"
+        assert main(["oracle-check", table_a_file, "--out", str(out)]) == 0
+        rows = {(r["i"], tuple(r["K"])): r for r in read_json(out)["rows"]}
+        # both suprema of table A sit at the kink r = 0
+        assert rows[(0, ())]["witness"] == "kink"
+        assert rows[(0, (1,))]["witness"] == "kink"
+        assert {r["witness"] for r in rows.values()} == {"kink"}
+        assert "4 suprema at a kink" in capsys.readouterr().out
+
     def test_discrete_gap_detected(self, tmp_path, capsys):
         probs = np.asarray(GAP_PROBS)
         probs /= probs.sum()
@@ -223,6 +233,18 @@ class TestExperiment:
         assert all(r["algorithm"] == "enumerate" for r in rows)
         weakest = [r for r in rows if r["layer"] == "4"][0]
         assert float(weakest["mean_leakage"]) == pytest.approx(2.5, abs=1e-12)
+
+    def test_gaussian_size_cap(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "max_leakage_gaussian", lambda *a, **k: calls.append(a))
+        rc, out = self.run(
+            tmp_path,
+            "wide.csv",
+            ["experiment", "--kind", "gaussian", "--n", "21", "--averCorr", "0.2"],
+        )
+        assert rc == 3
+        assert "cap" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_gaussian_infeasible_sweep(self, tmp_path, capsys):
         rc, _ = self.run(
@@ -341,6 +363,23 @@ class TestCalibrate:
         assert main(argv + ["--force"]) == 0
         assert calls
         assert json.loads(capsys.readouterr().out)["lambda"] == pytest.approx(1.0, abs=1e-3)
+
+
+    def test_evaluations(self, table_a_file, monkeypatch, capsys):
+        # the bracket ends cost one evaluation each and every bisection step
+        # one more; the leakage at the answer is not evaluated again
+        calls = []
+
+        def stand_in(dist, query, lam, *rest, **kw):
+            calls.append(lam)
+            return None, SimpleNamespace(leakage=1.0 / lam)
+
+        monkeypatch.setattr(cli, "full_space_search", stand_in)
+        assert main(["calibrate", table_a_file, "--epsilon", "1"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["iterations"] > 0
+        assert len(calls) == rep["iterations"] + 2
+        assert rep["leakage_at_lambda"] == 1.0 / rep["lambda"]
 
 
 def test_installed_script(gauss_file):

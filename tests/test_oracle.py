@@ -4,8 +4,11 @@ The reference density below recomputes Pr(r | x_i, x_K) with plain Python
 loops and math.exp, sharing no code with the package internals. The frozen
 constants in conftest were produced by this oracle and independently
 confirmed with 50-digit arithmetic; here they guard against regressions.
+The batched oracle is also checked bit for bit against the per-hypothesis
+loop kept in oracle_reference.py.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -14,14 +17,21 @@ import pytest
 
 from priordp import (
     ImpossibleCondition,
+    JointDistribution,
     QuerySpec,
     bayesian_gain,
     dp_exact,
+    gen_discrete_corr,
     local_sensitivity,
+    marginal,
     pdp_exact_discrete,
+    transform_linear_query,
 )
+from priordp.model_discrete import PROB_FLOOR
 
+import oracle_reference
 from conftest import (
+    CELLS_C,
     LEAK_A_WEAK,
     LEAK_B_WEAK,
     LEAK_C_WEAK,
@@ -29,6 +39,7 @@ from conftest import (
     LEAK_E3A_WEAK,
     LEAK_E3B_WEAK,
     binary_table,
+    sized_table,
 )
 
 
@@ -236,3 +247,74 @@ class TestBayesianGain:
             bayesian_gain(table_a, sum2, -1.0, 0, 1.0, 0.0, {}, 0.0)
         with pytest.raises(ValueError):
             bayesian_gain(table_a, sum2, 1.0, 0, 1.0, 0.0, {0: 1.0}, 0.0)
+
+
+def assert_oracle_matches_reference(dist, query, lam):
+    """Every OracleResult field equals the per-hypothesis loop, bit for bit.
+
+    repr tells -0.0 from 0.0 and prints floats exactly, so equal reprs mean
+    equal bits.
+    """
+    n = dist.n
+    for i in range(n):
+        others = [t for t in range(n) if t != i]
+        for size in range(n):
+            for K in itertools.combinations(others, size):
+                got = pdp_exact_discrete(dist, query, lam, i, K)
+                want = oracle_reference.pdp_exact_discrete(dist, query, lam, i, K)
+                assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want)), (i, K)
+
+
+class TestBatchedMatchesReference:
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_random_tables(self, size):
+        rng = np.random.default_rng(60 + size)
+        for n in range(1, 6 if size == 2 else 5):
+            for lam in (0.05, 1.0, 4.0):
+                dist = sized_table(rng, n, size, zero_frac=0.2 if n > 2 else 0.0)
+                assert_oracle_matches_reference(dist, QuerySpec.sum_query(n), lam)
+
+    def test_zero_cell_tables(self):
+        for dist in (binary_table(CELLS_C), gen_discrete_corr(3, 1.0, 2),
+                     gen_discrete_corr(4, 1.0, 2)):
+            for lam in (0.05, 1.0):
+                assert_oracle_matches_reference(dist, QuerySpec.sum_query(dist.n), lam)
+
+    def test_signed_query_with_zero_coefficient(self):
+        rng = np.random.default_rng(63)
+        for n, size in ((3, 2), (3, 3), (4, 2)):
+            dist = sized_table(rng, n, size, zero_frac=0.2)
+            coeffs = (-1.0, 0.0) + tuple(rng.choice([-2.0, 0.5, 2.0], size=n - 2))
+            assert_oracle_matches_reference(dist, QuerySpec(coeffs), 1.0)
+
+    def test_impossible_condition_skips_assignment(self):
+        # Pr(x_0 = 0, x_1 = 0) is 1e-12 in the renormalized marginal, which
+        # makes the assignment feasible, but the table slice itself sums to
+        # one ulp below 1e-12, so the mixture raises and the assignment is
+        # skipped
+        cells = [4.999999999999999e-13, 4.999999999999999e-13, 0.43542451977082214,
+                 0.00017061625178585555, 0.30063624609172834, 0.009605342689260906,
+                 0.14168668124598127, 0.11247659394942147]
+        dist = JointDistribution([(0.0, 1.0)] * 3, np.reshape(cells, (2, 2, 2)))
+        query = QuerySpec.sum_query(3)
+        y = transform_linear_query(dist, query)
+        assert marginal(y, [0, 1]).probs[0, 0] >= PROB_FLOOR
+        assert float(y.probs[0, 0, :].sum()) < PROB_FLOOR
+        res = pdp_exact_discrete(dist, query, 1.0, 0, [1])
+        # only the x_1 = 1 assignment counts its kinks, the sums 1, 2 and 3
+        assert res.assignment == {1: 1.0}
+        assert res.kinks_evaluated == 3
+        assert_oracle_matches_reference(dist, query, 1.0)
+
+    def test_bayesian_gain(self):
+        rng = np.random.default_rng(64)
+        for n, size in ((2, 3), (3, 2), (3, 3), (4, 2)):
+            dist = sized_table(rng, n, size)
+            query = QuerySpec(tuple(rng.choice([-1.0, 1.0, 2.0], size=n)))
+            for K in ((), tuple(range(1, n)), (n - 1,)):
+                assign = {k: dist.domains[k][int(rng.integers(size))] for k in K}
+                a, b = dist.domains[0][0], dist.domains[0][-1]
+                for r in (-2.0, 0.3, 1.7):
+                    got = bayesian_gain(dist, query, 0.5, 0, a, b, assign, r)
+                    want = oracle_reference.bayesian_gain(dist, query, 0.5, 0, a, b, assign, r)
+                    assert repr(got) == repr(want)

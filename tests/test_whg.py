@@ -35,7 +35,14 @@ from chain_reference import (
     ic_pair,
     search_distribution,
 )
-from conftest import IC_A, LEAK_A_WEAK, LEAK_B_WEAK, binary_table, random_instance
+from conftest import (
+    IC_A,
+    LEAK_A_WEAK,
+    LEAK_B_WEAK,
+    binary_table,
+    random_instance,
+    sized_table,
+)
 
 
 class TestICPair:
@@ -296,16 +303,6 @@ class TestDistributionSearch:
         assert rep.metadata["lambda"] == 0.5
 
 
-def kernel_table(rng, n, size, zero_frac=0.0):
-    """Random table with `size` values per tuple; a fraction of cells zeroed."""
-    domains = [tuple(np.sort(rng.uniform(0.0, 1.5, size=size))) for _ in range(n)]
-    probs = rng.dirichlet(np.ones(size**n)).reshape((size,) * n)
-    if zero_frac:
-        probs[rng.random(probs.shape) < zero_frac] = 0.0
-        probs /= probs.sum()
-    return JointDistribution(domains, probs)
-
-
 def assert_matches_reference(dist, query, lam, prior_values=None):
     """The kernel search equals the dict-based reference bit for bit."""
     for fast, search in ((False, full_space_search), (True, fast_search)):
@@ -325,14 +322,14 @@ class TestKernelMatchesReference:
         rng = np.random.default_rng(50 + size)
         for n in range(1, 6 if size == 2 else 5):
             for lam in (0.4, 1.0, 3.0):
-                dist = kernel_table(rng, n, size)
+                dist = sized_table(rng, n, size)
                 assert_matches_reference(dist, QuerySpec.sum_query(n), lam)
 
     def test_zero_cells_and_missing_edges(self):
         rng = np.random.default_rng(53)
         missing = 0
         for n, size in ((3, 2), (4, 2), (5, 2), (3, 3), (4, 3)):
-            dist = kernel_table(rng, n, size, zero_frac=0.3)
+            dist = sized_table(rng, n, size, zero_frac=0.3)
             # x_0 = x_1: with x_1 known, x_0 has one feasible value, so edges
             # (0, K) -> (0, K - {j}) with 1 in K - {j} have no candidates
             cells = np.array(dist.probs)
@@ -359,7 +356,7 @@ class TestKernelMatchesReference:
     def test_signed_query_coefficients(self):
         rng = np.random.default_rng(54)
         for n, size in ((2, 3), (3, 2), (4, 2), (3, 3), (5, 2)):
-            dist = kernel_table(rng, n, size)
+            dist = sized_table(rng, n, size)
             coeffs = rng.choice([-2.0, -1.0, -0.5, 0.0, 1.0, 2.0], size=n)
             coeffs[0] = -1.0
             assert_matches_reference(dist, QuerySpec(tuple(coeffs)), 1.0)
@@ -367,7 +364,7 @@ class TestKernelMatchesReference:
     def test_fixed_prior_values(self):
         rng = np.random.default_rng(55)
         for n, size in ((3, 2), (4, 2), (3, 3), (5, 2)):
-            dist = kernel_table(rng, n, size, zero_frac=0.2)
+            dist = sized_table(rng, n, size, zero_frac=0.2)
             q = QuerySpec(tuple(rng.choice([-1.0, 1.0, 2.0], size=n)))
             for _ in range(3):
                 fixed = {t: dist.domains[t][int(rng.integers(size))] for t in range(n)}
