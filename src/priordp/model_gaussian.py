@@ -27,10 +27,10 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, combinations, islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.special import erfcx
 
 from .errors import SearchSpaceExceeded, SingularConditioning
@@ -107,16 +107,17 @@ class Mu0Expansion:
     sigma0_sq: float
 
 
-def _solve_block(S_CC: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """S_CC^{-1} rhs via Cholesky; SingularConditioning if not invertible."""
-    if S_CC.shape == (1, 1):
-        if S_CC[0, 0] <= 0.0:
-            raise SingularConditioning("conditioning block is singular")
-        return rhs / S_CC[0, 0]
+def _solve_block(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """blocks^{-1} rhs for stacked (..., c, c) blocks and (..., c, k) right sides.
+
+    A Cholesky factorization is the gate: SingularConditioning unless every
+    block is positive definite. The solve itself is np.linalg.solve.
+    """
     try:
-        return cho_solve(cho_factor(S_CC, lower=True), rhs)
-    except (LinAlgError, np.linalg.LinAlgError) as exc:
+        np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError as exc:
         raise SingularConditioning(f"conditioning block is singular: {exc}") from exc
+    return np.linalg.solve(blocks, rhs)
 
 
 def conditional_gaussian(
@@ -175,7 +176,7 @@ def mu0_expand(model: GaussianModel, i: int, K: Iterable[int]) -> Mu0Expansion:
     S_CC = S[np.ix_(cond, cond)]
     S_UC = S[np.ix_(unknown, cond)]
     c = S_UC.sum(axis=0)  # 1^T S_UC
-    w = np.atleast_1d(_solve_block(S_CC, c))
+    w = _solve_block(S_CC, c[:, None])[:, 0]
     mu00 = float(mu[unknown].sum() - w @ mu[cond])
     sigma0_sq = float(S[np.ix_(unknown, unknown)].sum() - c @ w)
     return Mu0Expansion(
@@ -194,8 +195,10 @@ def leakage_gaussian(model: GaussianModel, i: int, K: Iterable[int]) -> float:
 
 def _log_erfcx(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
     small = z < _ERFCX_SWITCH
+    if not small.any():
+        return np.log(erfcx(z))
+    out = np.empty_like(z)
     out[~small] = np.log(erfcx(z[~small]))
     out[small] = z[small] ** 2 + _LN2
     return out
@@ -235,14 +238,61 @@ def g_function(x, b):
 # most tuples whose n * 2^(n-1) adversaries are enumerated without force
 ENUM_CAP = 20
 
+# Most cells of the stacked (|C|, |C|) blocks solved in one batched call.
+# Bounds the enumeration's memory at n = ENUM_CAP.
+_STACK_CELLS = 1 << 18
+
+
+def _prior_sets(n: int, size: int, step: int) -> Iterator[np.ndarray]:
+    """The size-subsets of range(n) as sorted index rows, step rows at a time."""
+    sets = combinations(range(n), size)
+    while True:
+        idx = np.fromiter(chain.from_iterable(islice(sets, step)), dtype=np.intp)
+        if not idx.size:
+            return
+        yield idx.reshape(-1, size)
+
+
+def _adversary_values(model: GaussianModel) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Leakages of all adversaries, batched by prior set C = {i} | K.
+
+    The coefficient vector w = Sigma_CC^{-1} Sigma_CU 1 depends only on C,
+    so one solve per nonempty proper subset C gives the leakage of all |C|
+    adversaries (i, C - {i}) as (M / lambda) * |1 + w[pos(i)]|. The subsets
+    of one size are solved in batches of at most _STACK_CELLS block cells.
+    The full set is never inverted: with no unknown tuple its adversaries
+    face the noise alone. Each batch yields (|C|, positions, leakages) with
+    two (sets, |C|) arrays. Adversary (i, K) has position i * 2^(n-1) +
+    (mask of K over the tuples other than i), its place in enumeration order.
+    """
+    n = model.n
+    S = model.sigma
+    row_sums = S.sum(axis=1)
+    scale = model.M / model.lam
+    half = 1 << (n - 1)
+    for size in range(1, n):
+        for idx in _prior_sets(n, size, max(1, _STACK_CELLS // (size * size))):
+            blocks = S[idx[:, :, None], idx[:, None, :]]
+            # 1^T Sigma_UC: each member's sigma row summed over U, outside C
+            c = row_sums[idx] - blocks.sum(axis=2)
+            w = _solve_block(blocks, c[:, :, None])[:, :, 0]
+            bit = 1 << idx
+            prior = bit.sum(axis=1, keepdims=True) - bit
+            pos = idx * half + ((prior & (bit - 1)) | ((prior >> (idx + 1)) << idx))
+            yield size, pos, scale * np.abs(1.0 + w)
+    yield n, np.arange(n)[:, None] * half + half - 1, np.full((n, 1), scale)
+
 
 def max_leakage_gaussian(
     model: GaussianModel, cap: int = ENUM_CAP, force: bool = False
 ) -> LeakageReport:
     """Exact supremum of leakage_gaussian over all adversaries (i, K).
 
-    Enumerates all n * 2^(n-1) prior sets; refuses above `cap` tuples unless
-    force=True. Layers follow the graph convention: layer = n - |K|.
+    Enumerates all n * 2^(n-1) adversaries, one solve per prior set (see
+    _adversary_values); refuses above `cap` tuples unless force=True. Layers
+    follow the graph convention: layer = n - |K|. argmax is the first
+    adversary, in (i, mask over the other tuples) order, whose value equals
+    the maximum.
     """
     n = model.n
     if n > cap and not force:
@@ -251,26 +301,24 @@ def max_leakage_gaussian(
         )
     t0 = time.perf_counter()
     layer_max: dict[int, float] = {}
-    best = -math.inf
-    best_node: AdversaryNode | None = None
-    count = 0
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        for mask in range(2 ** len(others)):
-            K = tuple(o for pos, o in enumerate(others) if (mask >> pos) & 1)
-            val = leakage_gaussian(model, i, K)
-            count += 1
-            layer = n - len(K)
-            if layer not in layer_max or val > layer_max[layer]:
-                layer_max[layer] = val
-            if val > best:
-                best = val
-                best_node = AdversaryNode(i, K)
+    best, best_pos = -math.inf, 0  # the first maximum and its position
+    for size, pos, vals in _adversary_values(model):
+        peak = float(vals.max())
+        layer = n - size + 1
+        layer_max[layer] = max(layer_max.get(layer, -math.inf), peak)
+        if peak >= best:
+            first = int(pos[vals == peak].min())
+            if peak > best or first < best_pos:
+                best, best_pos = peak, first
+    half = 1 << (n - 1)
+    i, mask = divmod(best_pos, half)
+    others = [j for j in range(n) if j != i]
+    K = tuple(o for p, o in enumerate(others) if (mask >> p) & 1)
     return LeakageReport(
         layer_max=layer_max,
         leakage=best,
-        argmax=best_node,
-        node_count=count,
+        argmax=AdversaryNode(i, K),
+        node_count=n * half,
         elapsed=time.perf_counter() - t0,
         algorithm="enumerate",
         metadata={"n": n, "cap": cap},

@@ -23,10 +23,11 @@ slice of the table; the rows of one assignment share its kinks, the union of
 their centers. Rows are grouped by shape (number of kinks, number of
 centers), and each group takes one log-sum-exp over a (rows, kinks, centers)
 stack for the values at the kinks and one per output ray, split at
-_STACK_CELLS cells. Groups are never padded to a common shape: zero-weight
-terms change how numpy's pairwise summation groups the terms of a row longer
-than 8, and with it the last bits of the sum, whereas an unpadded stack
-reduces each row exactly as a call on that row alone would. The candidates
+_STACK_CELLS cells (a single row above that, along its kinks). Groups are
+never padded to a common shape: zero-weight terms change how numpy's
+pairwise summation groups the terms of a row longer than 8, and with it the
+last bits of the sum, whereas an unpadded stack reduces each row exactly as
+a call on that row alone would. The candidates
 are then scanned in a fixed order (assignment, hypothesis x_i, hypothesis
 x_i', then kink, r -> -inf, r -> +inf) with a strict >, so the witness is
 the first candidate that reaches the supremum.
@@ -58,7 +59,8 @@ _POS_RAY = float("inf")
 
 # Most cells stacked into one log-sum-exp. Stacking saves calls on the many
 # small mixtures of a node; the rows of a wide table hold thousands of cells
-# each, and stacking all of them would multiply the node's memory.
+# each, and stacking all of them would multiply the node's memory. A single
+# row above the budget is split along its kinks.
 _STACK_CELLS = 1 << 14
 
 
@@ -210,11 +212,20 @@ def pdp_exact_discrete(
     up = np.empty(len(rows))
     for (nk, nc), ids in groups.items():
         step = max(1, _STACK_CELLS // (nk * nc))
+        # a row wider than the budget is reduced a slice of its kinks at a time
+        k_step = max(1, _STACK_CELLS // nc)
         for s in range(0, len(ids), step):
             part = ids[s : s + step]
             kinks, centers, weights = (np.stack([rows[r][f] for r in part]) for f in range(3))
-            at = -np.abs(kinks[:, :, None] - centers[:, None, :]) / lam
-            for r, row_at in zip(part, logsumexp(at, axis=2, b=weights[:, None, :])):
+            at = np.concatenate([
+                logsumexp(
+                    -np.abs(kinks[:, k : k + k_step, None] - centers[:, None, :]) / lam,
+                    axis=2,
+                    b=weights[:, None, :],
+                )
+                for k in range(0, nk, k_step)
+            ], axis=1)
+            for r, row_at in zip(part, at):
                 log_at[r] = row_at
             low[part] = logsumexp(-centers / lam, axis=1, b=weights)
             up[part] = logsumexp(centers / lam, axis=1, b=weights)

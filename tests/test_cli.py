@@ -13,10 +13,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from priordp import cli
+from priordp import (
+    GaussianModel,
+    QuerySpec,
+    cli,
+    full_space_search,
+    max_leakage_gaussian,
+    pdp_exact_discrete,
+)
 from priordp.cli import main
 
-from conftest import CELLS_A, LEAK_A_WEAK
+from conftest import CELLS_A, LEAK_A_WEAK, random_instance
 
 # n=3 instance whose exact weak-node leakage exceeds the chain value
 # (output-space supremum at an interior kink; see the graph module notes)
@@ -380,6 +387,37 @@ class TestCalibrate:
         assert rep["iterations"] > 0
         assert len(calls) == rep["iterations"] + 2
         assert rep["leakage_at_lambda"] == 1.0 / rep["lambda"]
+
+
+class TestCalibrateMonotonicity:
+    """The bisection in calibrate assumes leakage never grows with lambda."""
+
+    LAMS = np.geomspace(0.05, 20.0, 40)
+
+    def test_discrete_chain_and_oracle(self):
+        rng = np.random.default_rng(17)
+        query = QuerySpec.sum_query(3)
+        adversaries = list(cli._all_adversaries(3))
+        for _ in range(40):
+            dist = random_instance(rng, 3)
+            chain = [full_space_search(dist, query, lam)[1].leakage for lam in self.LAMS]
+            exact = [
+                max(pdp_exact_discrete(dist, query, lam, i, K).leakage for i, K in adversaries)
+                for lam in self.LAMS
+            ]
+            assert np.all(np.diff(chain) <= 0.0)
+            assert np.all(np.diff(exact) <= 0.0)
+
+    def test_gaussian_scales_as_one_over_lambda(self):
+        rng = np.random.default_rng(18)
+        for n in (3, 5):
+            A = rng.normal(size=(n, n))
+            sigma = A @ A.T + 0.3 * np.eye(n)
+            scaled = [
+                max_leakage_gaussian(GaussianModel(mu=[0.0] * n, sigma=sigma, lam=lam)).leakage * lam
+                for lam in self.LAMS
+            ]
+            assert max(scaled) - min(scaled) <= 1e-12
 
 
 def test_installed_script(gauss_file):

@@ -10,9 +10,12 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import erfcx
 from scipy.stats import norm
 
+from priordp import model_gaussian
 from priordp import (
+    AdversaryNode,
     GaussianModel,
     SearchSpaceExceeded,
     SingularConditioning,
@@ -210,6 +213,22 @@ class TestGKernel:
         with pytest.raises(ValueError, match="positive"):
             log_g(0.0, 0.0)
 
+    @pytest.mark.parametrize("grid", [
+        np.linspace(-20.0, 40.0, 601),  # no argument below the switch
+        np.linspace(-60.0, 10.0, 701),  # some below it
+        np.array(-30.0),
+        np.array(3.0),
+    ])
+    def test_log_erfcx_bitwise(self, grid):
+        # the gather/scatter form, which the all-large fast path skips
+        small = grid < model_gaussian._ERFCX_SWITCH
+        want = np.empty_like(grid)
+        want[~small] = np.log(erfcx(grid[~small]))
+        want[small] = grid[small] ** 2 + math.log(2.0)
+        got = model_gaussian._log_erfcx(grid)
+        assert np.shape(got) == want.shape
+        assert np.array_equal(np.asarray(got), want)
+
     def test_convolution_identity(self):
         # int Lap(t - s; lam) N(s; 0, s2) ds = (1/2lam) e^{s2/2lam^2} G(t/lam; s/lam)
         for t, sigma, lam in [(0.3, 0.8, 1.0), (-2.0, 1.5, 0.7), (4.0, 0.4, 2.0)]:
@@ -300,6 +319,100 @@ class TestMaxLeakage:
         js = rep.to_json()
         assert js["node_count"] == 12
         assert set(js["layer_max"]) == {"1", "2", "3"}
+
+
+def enumerated_values(model):
+    """Every adversary's leakage from the batched enumeration, in its order."""
+    n = model.n
+    vals = np.full(n * 2 ** (n - 1), np.nan)
+    for _, pos, v in model_gaussian._adversary_values(model):
+        vals[pos] = v
+    return vals
+
+
+def reference_enumeration(model):
+    """Per-adversary leakage_gaussian in (i, mask over the others) order."""
+    n = model.n
+    out = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        for mask in range(2 ** (n - 1)):
+            K = tuple(o for p, o in enumerate(others) if (mask >> p) & 1)
+            out.append((i, K, leakage_gaussian(model, i, K)))
+    return out
+
+
+class TestEnumeration:
+    def test_matches_per_adversary(self):
+        rng = np.random.default_rng(15)
+        for n in range(1, 9):
+            m = random_spd_model(rng, n, M=float(rng.uniform(0.5, 2.0)),
+                                 lam=float(rng.uniform(0.5, 2.0)))
+            ref = reference_enumeration(m)
+            vals = enumerated_values(m)
+            rep = max_leakage_gaussian(m)
+            layer_ref = {}
+            for pos, (i, K, v) in enumerate(ref):
+                assert abs(vals[pos] - v) <= 1e-12, (i, K)
+                layer = n - len(K)
+                layer_ref[layer] = max(layer_ref.get(layer, -math.inf), v)
+            assert rep.node_count == len(ref)
+            assert rep.layer_max.keys() == layer_ref.keys()
+            for layer, v in layer_ref.items():
+                assert abs(rep.layer_max[layer] - v) <= 1e-12
+            assert rep.leakage == max(rep.layer_max.values())
+            # the report's argmax is the first enumerated maximum
+            first = int(np.flatnonzero(vals == vals.max())[0])
+            assert (rep.argmax.attack, rep.argmax.prior) == ref[first][:2]
+
+    def test_tie_goes_to_first_in_order(self):
+        # x_0, x_1 anti-correlated, x_2 independent. Leakage 1 is reached by
+        # (2, ()) in the first batch (one-element prior sets) and, earlier in
+        # adversary order, by (0, (1,)) in a later batch; all values exact
+        sigma = [[1.0, -0.5, 0.0], [-0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        m = GaussianModel(mu=[0.0] * 3, sigma=sigma)
+        ref = reference_enumeration(m)
+        assert [v for _, _, v in ref] == [0.5, 1.0, 0.5, 1.0, 0.5, 1.0, 0.5, 1.0,
+                                          1.0, 1.0, 1.0, 1.0]
+        rep = max_leakage_gaussian(m)
+        assert rep.leakage == 1.0
+        assert rep.argmax == AdversaryNode(0, (1,))
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_equicorrelated_argmax_has_no_prior(self, n):
+        m = equicorrelated(n, 0.3)
+        rep = max_leakage_gaussian(m)
+        assert rep.argmax.prior == ()
+        assert rep.leakage == pytest.approx(1.0 + (n - 1) * 0.3, abs=1e-12)
+
+    def test_singular_block_raises(self):
+        m = GaussianModel(mu=[0.0] * 4, sigma=np.ones((4, 4)))
+        with pytest.raises(SingularConditioning):
+            max_leakage_gaussian(m)
+
+    def test_singular_full_set_is_never_inverted(self):
+        # x_{n-1} is the sum of the others: only the full set is singular
+        n = 5
+        B = np.vstack([np.eye(n - 1), np.ones(n - 1)])
+        m = GaussianModel(mu=[0.0] * n, sigma=B @ B.T)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(m.sigma)
+        rep = max_leakage_gaussian(m)
+        ref = reference_enumeration(m)
+        assert rep.leakage == pytest.approx(max(v for _, _, v in ref), abs=1e-12)
+        assert rep.layer_max[1] == 1.0
+
+    def test_batch_budget_does_not_change_report(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        models = [random_spd_model(rng, n) for n in (3, 6, 8)] + [equicorrelated(7, 0.4)]
+        before = [max_leakage_gaussian(m) for m in models]
+        monkeypatch.setattr(model_gaussian, "_STACK_CELLS", 1)
+        for m, want in zip(models, before):
+            got = max_leakage_gaussian(m)
+            assert repr(got.layer_max) == repr(want.layer_max)
+            assert repr(got.leakage) == repr(want.leakage)
+            assert (got.argmax, got.node_count, got.metadata) == (
+                want.argmax, want.node_count, want.metadata)
 
 
 class TestGaussianSerialization:

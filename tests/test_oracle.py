@@ -27,6 +27,7 @@ from priordp import (
     pdp_exact_discrete,
     transform_linear_query,
 )
+from priordp import oracle
 from priordp.model_discrete import PROB_FLOOR
 
 import oracle_reference
@@ -272,6 +273,17 @@ class TestBatchedMatchesReference:
         for n in range(1, 6 if size == 2 else 5):
             for lam in (0.05, 1.0, 4.0):
                 dist = sized_table(rng, n, size, zero_frac=0.2 if n > 2 else 0.0)
+                assert_oracle_matches_reference(dist, QuerySpec.sum_query(n), lam)
+
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_rows_split_along_kinks(self, monkeypatch, cells):
+        # a budget below one row's (kinks x centers) cells splits every wide
+        # row along its kinks; each kink reduces on its own, so no bit moves
+        monkeypatch.setattr(oracle, "_STACK_CELLS", cells)
+        rng = np.random.default_rng(65)
+        for n, size in ((3, 3), (4, 2), (4, 3)):
+            dist = sized_table(rng, n, size, zero_frac=0.1)
+            for lam in (0.05, 1.0):
                 assert_oracle_matches_reference(dist, QuerySpec.sum_query(n), lam)
 
     def test_zero_cell_tables(self):
