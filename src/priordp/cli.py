@@ -28,13 +28,14 @@ from .model_discrete import (
     global_sensitivity,
     load_distribution,
 )
+# mu0_expand is looked up on its module, where perfbench's tracing wraps it
+from . import model_gaussian
 from .model_gaussian import (
     ENUM_CAP,
     GaussianModel,
     leakage_gaussian,
     load_gaussian_model,
     max_leakage_gaussian,
-    mu0_expand,
 )
 from .oracle import pdp_exact_discrete, pdp_numeric_gaussian
 from .report import AdversaryNode
@@ -135,11 +136,11 @@ def cmd_analyze_gaussian(args) -> int:
         payload = report.to_json()
     else:
         i, K = _parse_adversary(args.adversary, model.n)
-        exp = mu0_expand(model, i, K)
+        exp = model_gaussian.mu0_expand(model, i, K)
         payload = {
             "i": i,
             "K": list(K),
-            "leakage": leakage_gaussian(model, i, K),
+            "leakage": leakage_gaussian(model, i, K, expansion=exp),
             "mu0_coef_i": exp.coef_i,
             "sigma0_sq": exp.sigma0_sq,
         }
@@ -194,8 +195,10 @@ def cmd_oracle_check(args) -> int:
             )
         tol = args.tolerance if args.tolerance is not None else 1e-3
         for i, K in _all_adversaries(model.n):
-            closed = leakage_gaussian(model, i, K)
-            numeric = pdp_numeric_gaussian(model, i, K)
+            # one expansion feeds both the closed form and the grid oracle
+            exp = model_gaussian.mu0_expand(model, i, K)
+            closed = leakage_gaussian(model, i, K, expansion=exp)
+            numeric = pdp_numeric_gaussian(model, i, K, expansion=exp)
             ok = abs(closed - numeric) <= tol
             rows.append(
                 {
@@ -340,45 +343,72 @@ def cmd_calibrate(args) -> int:
             def leak(lam: float) -> float:
                 return full_space_search(dist, query, lam, force=True)[1].leakage
     else:
-        model = obj
-        gs = model.M
-        n = model.n
-
-        def leak(lam: float) -> float:
-            scaled = GaussianModel(mu=model.mu, sigma=model.sigma, M=model.M, lam=lam)
-            return max_leakage_gaussian(scaled, force=args.force).leakage
-
+        gs, n = obj.M, obj.n
     lo = gs / (10.0 * eps)
     hi = 10.0 * n * gs / eps
-    f_lo, f_hi = leak(lo), leak(hi)
-    if f_hi > eps:
-        raise PrivacyModelError(
-            f"bracket exhausted: leakage {f_hi:.6g} at lambda {hi:.6g} still "
-            f"exceeds epsilon {eps:.6g}"
-        )
-    iters = 0
-    if f_lo <= eps:
-        hi, f_hi = lo, f_lo  # already private at the smallest bracketed scale
+    if kind == "discrete":
+        lam, f_lam, iters = _bisect(leak, eps, lo, hi)
     else:
-        while (hi - lo) / hi > 1e-6 and iters < 200:
-            mid = 0.5 * (lo + hi)
-            f_mid = leak(mid)
-            if f_mid <= eps:
-                hi, f_hi = mid, f_mid
-            else:
-                lo = mid
-            iters += 1
+        lam, f_lam, iters = _scale_gaussian(obj, eps, lo, hi, args.force)
     payload = {
-        "lambda": hi,
+        "lambda": lam,
         "epsilon": eps,
-        "leakage_at_lambda": f_hi,
+        "leakage_at_lambda": f_lam,
         "iterations": iters,
-        "bracket": [gs / (10.0 * eps), 10.0 * n * gs / eps],
+        "bracket": [lo, hi],
         "method": args.method if kind == "discrete" else "enumerate",
         "invocation": _invocation(args),
     }
     _emit(payload, args.out)
     return EXIT_OK
+
+
+def _exhausted(f_hi: float, hi: float, eps: float) -> PrivacyModelError:
+    return PrivacyModelError(
+        f"bracket exhausted: leakage {f_hi:.6g} at lambda {hi:.6g} still "
+        f"exceeds epsilon {eps:.6g}"
+    )
+
+
+def _bisect(leak, eps: float, lo: float, hi: float) -> tuple[float, float, int]:
+    """(lambda, leakage there, iterations): bisection to 1e-6 relative width
+    for the smallest bracketed lambda whose leakage is at most eps."""
+    f_lo, f_hi = leak(lo), leak(hi)
+    if f_hi > eps:
+        raise _exhausted(f_hi, hi, eps)
+    if f_lo <= eps:
+        return lo, f_lo, 0  # already private at the smallest bracketed scale
+    iters = 0
+    while (hi - lo) / hi > 1e-6 and iters < 200:
+        mid = 0.5 * (lo + hi)
+        f_mid = leak(mid)
+        if f_mid <= eps:
+            hi, f_hi = mid, f_mid
+        else:
+            lo = mid
+        iters += 1
+    return hi, f_hi, iters
+
+
+def _scale_gaussian(
+    model: GaussianModel, eps: float, lo: float, hi: float, force: bool
+) -> tuple[float, float, int]:
+    """(lambda, leakage there, 0) for a Gaussian model without bisection.
+
+    The leakage is exactly (M / lambda) * v, where v = max |1 + mu0i| does
+    not depend on M or lambda. One enumeration at M = lambda = 1 gives v;
+    lambda = M v / eps (at least lo) is then nudged up one float at a time
+    until the float product (M / lambda) * v, which is what the enumeration
+    reports at that lambda, is at most eps.
+    """
+    unit = GaussianModel(mu=model.mu, sigma=model.sigma, M=1.0, lam=1.0)
+    v = max_leakage_gaussian(unit, force=force).leakage
+    lam = max(lo, model.M * v / eps)
+    while model.M / lam * v > eps:
+        lam = float(np.nextafter(lam, np.inf))
+    if lam > hi:
+        raise _exhausted(model.M / hi * v, hi, eps)
+    return lam, model.M / lam * v, 0
 
 
 def _invocation(args) -> str:

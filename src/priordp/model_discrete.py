@@ -77,6 +77,20 @@ class JointDistribution:
         table.flags.writeable = False
         object.__setattr__(self, "probs", table)
 
+    @classmethod
+    def _of_sums(
+        cls, domains: tuple[tuple[float, ...], ...], table: np.ndarray
+    ) -> "JointDistribution":
+        """A distribution over domains taken from a validated one and a table
+        of sums of its cells: nothing is left to check, and only the
+        constructor's normalization applies."""
+        out = object.__new__(cls)
+        table = table / float(table.sum())
+        table.flags.writeable = False
+        object.__setattr__(out, "domains", domains)
+        object.__setattr__(out, "probs", table)
+        return out
+
     @property
     def n(self) -> int:
         """Number of tuples."""
@@ -149,12 +163,22 @@ def logsumexp(a, axis=None, b=None) -> np.ndarray | float:
             x = a if b is None else np.where(b == 0, -np.inf, a)
             x_max = np.max(x, axis=axis, keepdims=True)
             i_max = x == x_max
-            e = np.exp(np.where(i_max, -np.inf, x) - x_max)
+            # the maxima are split out by zeroing their terms, which equals
+            # exp(-inf - x_max) wherever x_max is finite; elsewhere the
+            # result is not finite either way and is recomputed below
+            e = np.subtract(x, x_max)
+            np.exp(e, out=e)
+            e *= ~i_max
             if b is None:
                 # m counts the maxima and s >= 0, so no term turns negative
                 m = np.sum(i_max, axis=axis, keepdims=True, dtype=float)
                 s = np.sum(e, axis=axis, keepdims=True)
-                out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + x_max
+                # log1p(where(s == 0, s, s / m)) + log(m) + x_max, in place
+                out = np.divide(s, m)
+                np.copyto(out, s, where=s == 0)
+                np.log1p(out, out=out)
+                out += np.log(m, out=m)
+                out += x_max
             else:
                 m = np.sum(b * i_max, axis=axis, keepdims=True, dtype=float)
                 s = np.sum(b * e, axis=axis, keepdims=True)
@@ -179,9 +203,38 @@ def marginal(dist: JointDistribution, subset: Iterable[int]) -> JointDistributio
         raise ValueError("subset must be non-empty")
     if keep[0] < 0 or keep[-1] >= dist.n:
         raise ValueError(f"subset {keep} out of range for n={dist.n}")
-    drop = tuple(i for i in range(dist.n) if i not in keep)
-    table = dist.probs.sum(axis=drop) if drop else dist.probs
-    return JointDistribution(tuple(dist.domains[i] for i in keep), table)
+    table = _sum_out(dist.probs, keep)
+    return JointDistribution._of_sums(tuple(dist.domains[i] for i in keep), table)
+
+
+def _sum_out(table: np.ndarray, keep: list[int]) -> np.ndarray:
+    """table.sum(axis=<the axes not in keep>) for a C-ordered table, bit for
+    bit, in a fraction of the time.
+
+    numpy sums the dropped axes after the last kept one as one run per
+    output cell (pairwise from eight values up), then adds those run sums
+    for the other dropped cells one at a time in C order, along the last
+    kept axes, whose short runs make that step slow. Here the run sums come
+    from the same call on the trailing axes, and the rest is summed over a
+    copy with the dropped cells leading, so each addition covers every kept
+    cell at once and the order of the additions stays the same. One-value
+    axes drop out first, as numpy's own iteration merges them away.
+    """
+    shape = table.shape
+    wide = [a for a in range(table.ndim) if shape[a] > 1]
+    x = table.reshape([shape[a] for a in wide])
+    kept = [p for p, a in enumerate(wide) if a in keep]
+    if not kept:
+        x = x.sum()  # only one-value axes are kept: the table is one run
+    else:
+        last = kept[-1]
+        if last < x.ndim - 1:
+            x = x.reshape(x.shape[: last + 1] + (-1,)).sum(axis=-1)
+        drop = [p for p in range(last + 1) if p not in kept]
+        if drop:
+            lead = x.transpose(drop + kept)
+            x = lead.reshape((-1,) + lead.shape[len(drop):]).sum(axis=0)
+    return np.reshape(x, [shape[a] for a in keep])
 
 
 def conditional(

@@ -187,9 +187,17 @@ def mu0_expand(model: GaussianModel, i: int, K: Iterable[int]) -> Mu0Expansion:
     )
 
 
-def leakage_gaussian(model: GaussianModel, i: int, K: Iterable[int]) -> float:
-    """Exact leakage of adversary (i, K): (M / lambda) * |1 + mu0i|."""
-    exp = mu0_expand(model, i, K)
+def leakage_gaussian(
+    model: GaussianModel,
+    i: int,
+    K: Iterable[int],
+    expansion: Mu0Expansion | None = None,
+) -> float:
+    """Exact leakage of adversary (i, K): (M / lambda) * |1 + mu0i|.
+
+    `expansion` is mu0_expand(model, i, K) when the caller already has it.
+    """
+    exp = mu0_expand(model, i, K) if expansion is None else expansion
     return model.M / model.lam * abs(1.0 + exp.coef_i)
 
 

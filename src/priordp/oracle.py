@@ -52,7 +52,7 @@ from .model_discrete import (
     marginal,
     transform_linear_query,
 )
-from .model_gaussian import GaussianModel, log_g, mu0_expand
+from .model_gaussian import GaussianModel, Mu0Expansion, log_g, mu0_expand
 
 _NEG_RAY = float("-inf")
 _POS_RAY = float("inf")
@@ -291,6 +291,7 @@ def pdp_numeric_gaussian(
     i: int,
     K: Iterable[int],
     r_grid: np.ndarray | None = None,
+    expansion: Mu0Expansion | None = None,
 ) -> float:
     """Grid supremum of the Gaussian-model log-ratio; numeric ground truth.
 
@@ -303,8 +304,11 @@ def pdp_numeric_gaussian(
 
     A degenerate sigma0 (no unknown tuples, or perfectly determined ones)
     bypasses G: the output is pure Laplace and the value is |delta| / lam.
+
+    `expansion` is mu0_expand(model, i, K) when the caller already has it;
+    the grid itself never depends on the closed form.
     """
-    exp = mu0_expand(model, i, K)
+    exp = mu0_expand(model, i, K) if expansion is None else expansion
     sigma0 = math.sqrt(exp.sigma0_sq)
     delta = (1.0 + exp.coef_i) * model.M
     lam = model.lam

@@ -34,12 +34,18 @@ over all positive-probability assignments of x_K' enters the candidate set
 
 All searches run on one bitmask kernel fed by an edge source: an object
 with an attribute `n` and a method `values(i, masks, j)`, where `masks` is
-an int64 array of child prior sets K (bit t set when t is in K) that all
-contain j. It returns either one increment per child (synthetic edges) or
-a (cmin, cmax) pair of arrays, the extremes of each child's candidate set
-(a table). |l + c| is convex in c, so the kernel takes cmax when
-|l + cmax| >= |l + cmin| and cmin otherwise; a NaN pair marks an edge with
-no feasible candidate, which leaves its parent untouched.
+an int64 array of child prior sets K (bit t set when t is in K) of one
+layer, which all contain j. It returns either one increment per child
+(synthetic edges) or a (cmin, cmax) pair of arrays, the extremes of each
+child's candidate set (a table). |l + c| is convex in c, so the kernel
+takes cmax when |l + cmax| >= |l + cmin| and cmin otherwise; a NaN pair
+marks an edge with no feasible candidate, which leaves its parent
+untouched.
+
+A table's edge source computes the candidates of whole prior sets
+T = {i} u K, every (i, j) pair of T at once, stacking the sets of one size
+|T| into one log-sum-exp over x_j per table shape. It keeps them in one flat
+array indexed by the mask of T, so each values() call is one numpy gather.
 """
 
 from __future__ import annotations
@@ -66,10 +72,14 @@ from .report import AdversaryNode, LeakageReport, summarize_layers
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
 
-# Most cells stacked into one log-sum-exp: stacking saves calls on small
-# prior sets, while a stack of every x_j-last copy of a large marginal would
-# multiply its memory by 3|T|.
-_STACK_CELLS = 1024
+# Most marginal cells stacked into one log-sum-exp, and the most cells a
+# size class may have to be computed whole on its first miss. Stacking saves
+# numpy calls on the many small prior sets; the bound keeps the stack's
+# memory flat where a class or a single marginal is large.
+_STACK_CELLS = 1 << 15
+
+# fewest values numpy sums pairwise rather than one by one
+_PAIRWISE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,118 +158,191 @@ class _TableEdges:
     """Edge source over a sum-query table: (cmin, cmax) per child.
 
     The candidates of every edge inside a prior set T = {i} u K depend only
-    on the marginal over T, so they are computed once per T: one marginal,
-    then one log-sum-exp over x_j that covers log m, lo and up for every
-    removed tuple j at once (one per table shape when the domain sizes
-    differ, and more when a stack would pass _STACK_CELLS). They are kept
-    as a (|T|, |T|, 2) array of (cmin, cmax) indexed by the ranks of i and
-    j in T; the marginal is dropped.
+    on the marginal over T, so they are computed once per T, for every
+    (i, j) in T. The unit of work is a slice: one set T with one removed
+    tuple x_j. Slices of one size class |T| and one table shape are stacked
+    up to _STACK_CELLS cells, and each stack takes one log-sum-exp over x_j
+    (log m, lo and up together) and one _segment_extremes. The log of each
+    marginal is written straight into the stack with x_j leading, so a large
+    set, whose slices fill stacks alone, pays no copy beyond that. A wide
+    x_j (_PAIRWISE values or more), whose sum depends on memory layout, is
+    summed in place along its own axis, one slice at a time.
+
+    On a miss, values() computes the whole size class when all its slices
+    fit in _STACK_CELLS cells, and otherwise only the sets the call lacks.
+    The rule depends on the table alone, so full and fast searches fill
+    alike. The (cmin, cmax) pairs of a set are |T| x |T| x 2 floats indexed
+    by the ranks of i and j in T, kept in one flat array that grows as sets
+    are added; _off maps a set mask to its first entry (-1 until computed),
+    so values() is one gather. Marginals are not kept.
     """
 
     def __init__(
         self, y: JointDistribution, lam: float, prior_values: Mapping[int, float] | None
     ):
-        self.n = y.n
+        n = self.n = y.n
         self._y = y
         self._lam = lam
-        self._prior = prior_values
-        self._sets: dict[int, np.ndarray] = {}
-        self._pairs: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        self._fixed: list[int] | None = None
+        if prior_values is not None and n > 2:
+            # with |T| = 2 no tuple besides i and j is known, and every tuple
+            # lies in a larger set
+            for a in range(n):
+                if a not in prior_values:
+                    raise ValueError(f"prior_values is missing tuple {a}")
+            self._fixed = [y.value_index(a, prior_values[a]) for a in range(n)]
+        # cells of all slices of a size class: k * e_k(domain sizes)
+        e = [1] + [0] * n
+        for d in y.domains:
+            for k in range(n, 0, -1):
+                e[k] += len(d) * e[k - 1]
+        self._class_cells = [k * e[k] for k in range(n + 1)]
+        self._size = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+        self._off = np.full(1 << n, -1, dtype=np.int64)
+        self._flat = np.empty(0)
+        self._end = 0
+        self._buf = np.empty(0)
 
     def values(self, i: int, child_masks: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-        out = np.empty((child_masks.size, 2))
-        bit = 1 << i
-        below_i, below_j = bit - 1, (1 << j) - 1
-        for pos, mask in enumerate(child_masks.tolist()):
-            t = mask | bit
-            pairs = self._sets.get(t)
-            if pairs is None:
-                pairs = self._sets[t] = self._candidates(t)
-            out[pos] = pairs[(t & below_i).bit_count(), (t & below_j).bit_count()]
-        return out[:, 0], out[:, 1]
+        t = child_masks | (1 << i)
+        off = self._off[t]
+        if (off < 0).any():
+            self._fill(t[off < 0])
+            off = self._off[t]
+        # entry (rank of i in T, rank of j in T) of T's |T| x |T| x 2 block
+        k = self._size[t].astype(np.int64)
+        pos = off + 2 * (np.bitwise_count(t & ((1 << i) - 1)) * k
+                         + np.bitwise_count(t & ((1 << j) - 1)))
+        return self._flat[pos], self._flat[pos + 1]
 
-    def _candidates(self, t: int) -> np.ndarray:
-        axes = [a for a in range(self.n) if (t >> a) & 1]
-        k = len(axes)
-        sub = marginal(self._y, axes)
-        fixed: list[int] | None = None
-        if self._prior is not None and k > 2:
-            # with |T| = 2 no tuple besides i and j is known
-            for a in axes:
-                if a not in self._prior:
-                    raise ValueError(f"prior_values is missing tuple {a}")
-            fixed = [sub.value_index(p, self._prior[a]) for p, a in enumerate(axes)]
+    def _fill(self, missing: np.ndarray) -> None:
+        k = int(self._size[missing[0]])
+        if self._class_cells[k] <= _STACK_CELLS:
+            missing = np.flatnonzero((self._size == k) & (self._off < 0))
+        self._compute(missing, k)
+
+    def _compute(self, sets: np.ndarray, k: int) -> None:
+        width = 2 * k * k
+        end = self._end + sets.size * width
+        if end > self._flat.size:
+            grown = np.empty(max(end, 2 * self._flat.size))
+            grown[: self._end] = self._flat[: self._end]
+            self._flat = grown
+        self._off[sets] = self._end + width * np.arange(sets.size)
+        self._end = end
+        probs, axes = [], []
+        groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for row, t in enumerate(sets.tolist()):
+            ax = [a for a in range(self.n) if (t >> a) & 1]
+            p = marginal(self._y, ax).probs
+            probs.append(p)
+            axes.append(ax)
+            for pj in range(k):
+                shape = p.shape[:pj] + p.shape[pj + 1:] + p.shape[pj : pj + 1]
+                groups.setdefault(shape, []).append((row, pj))
+        for shape, slices in groups.items():
+            # numpy sums a contiguous last axis pairwise from _PAIRWISE values
+            # up and any other axis value by value, so the order of a wide
+            # x_j sum depends on memory layout: wide slices are summed in
+            # place, one at a time; narrower ones sum alike in any layout
+            step = max(1, _STACK_CELLS // math.prod(shape)) if shape[-1] < _PAIRWISE else 1
+            for c in range(0, len(slices), step):
+                chunk = slices[c : c + step]
+                ext = self._reduce(shape, chunk, probs, axes)
+                rows, pjs = np.asarray(chunk).T
+                # segment a of a slice is the a-th tuple of T other than x_j
+                pi = np.arange(k - 1) + (np.arange(k - 1) >= pjs[:, None])
+                pos = self._off[sets[rows]][:, None] + 2 * (pi * k + pjs[:, None])
+                self._flat[pos] = ext[0]
+                self._flat[pos + 1] = ext[1]
+
+    def _scratch(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A buffer of this shape, reused from stack to stack: a fresh one
+        costs a page fault per 4 KiB on first write."""
+        size = math.prod(shape)
+        if self._buf.size < size:
+            self._buf = np.empty(size)
+        return self._buf[:size].reshape(shape)
+
+    def _reduce(
+        self,
+        shape: tuple[int, ...],
+        chunk: list[tuple[int, int]],
+        probs: list[np.ndarray],
+        axes: list[list[int]],
+    ) -> np.ndarray:
+        """[cmin, cmax] per slice of the chunk and tuple of T other than x_j,
+        for slices whose x_j-last marginal has this shape."""
+        dims, s = shape[:-1], shape[-1]
+        g = len(chunk)
+        w = np.stack([self._y.domains[axes[row][pj]] for row, pj in chunk], axis=-1) / self._lam
         with np.errstate(divide="ignore"):
-            log_p = np.log(sub.probs)
-        # removed tuples whose tables share a shape (with x_j last) are stacked
-        # into one reduction; with equal domain sizes that is all of T
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for pj in range(k):
-            shape = log_p.shape[:pj] + log_p.shape[pj + 1:] + log_p.shape[pj : pj + 1]
-            groups.setdefault(shape, []).append(pj)
-        chunks = []
-        for shape, pjs in groups.items():
-            step = max(1, _STACK_CELLS // math.prod(shape))
-            chunks += [(shape, pjs[c : c + step]) for c in range(0, len(pjs), step)]
-        out = np.full((k, k, 2), np.nan)
-        for shape, pjs in chunks:
-            dims = shape[:-1]
-            lt = np.stack([np.moveaxis(log_p, pj, -1) for pj in pjs])
-            w = np.stack([np.asarray(self._y.domains[axes[pj]]) / self._lam for pj in pjs])
-            w = w.reshape((len(pjs),) + (1,) * len(dims) + shape[-1:])
-            # log m and log sum_xj Pr(x_T) e^{-+ xj/lam} over the axes T \ {j};
-            # the joint mass m cancels the conditional normalization
-            lse = logsumexp(np.stack([lt, lt - w, lt + w]), axis=-1)
-            lse = lse.reshape(3, len(pjs), -1)
-            feasible = lse[0] >= _LOG_FLOOR
-            with np.errstate(invalid="ignore"):
-                # zero-mass rows yield -inf - -inf = nan; 'feasible' masks them out
-                lo_up = lse[1:] - lse[0]
-            if fixed is not None:
-                # a pair along the x_i axis lies on the line through the fixed
-                # values iff both its cells differ from them in at most one axis
-                cells = np.indices(dims).reshape(len(dims), 1, -1)
-                want = [[f for p, f in enumerate(fixed) if p != pj] for pj in pjs]
-                feasible &= (cells != np.asarray(want).T[:, :, None]).sum(axis=0) <= 1
-            if dims not in self._pairs:
-                self._pairs[dims] = _pair_index(dims)
-            m, nn, starts = self._pairs[dims]
-            ok = feasible[:, m] & feasible[:, nn]
-            diff = lo_up[:, :, m] - lo_up[:, :, nn]
-            ext = _segment_extremes(np.stack([diff[0], -diff[1]]), ok, starts)
-            for g, pj in enumerate(pjs):
-                out[[ax + (ax >= pj) for ax in range(k - 1)], pj] = ext[:, g].T
-        return out
+            if s < _PAIRWISE:
+                # the log lands in a buffer with x_j leading, where each sum
+                # over x_j is one vector op along long runs; numpy reduces a
+                # short innermost axis many times slower
+                lt = self._scratch((3, s, g) + dims)
+                views = [probs[row].transpose(_lead(pj, len(shape))) for row, pj in chunk]
+                np.log(np.stack(views, axis=1, out=lt[0]), out=lt[0])
+                w = w.reshape((s, g) + (1,) * len(dims))
+                axis = 1
+            else:
+                (row, pj), = chunk
+                lt = self._scratch((3,) + probs[row].shape)
+                np.log(probs[row], out=lt[0])
+                w = w.reshape((s,) + (1,) * (len(dims) - pj))
+                axis = pj + 1
+        np.subtract(lt[0], w, out=lt[1])
+        np.add(lt[0], w, out=lt[2])
+        # log m and log sum_xj Pr(x_T) e^{-+ xj/lam} over the axes T \ {j};
+        # the joint mass m cancels the conditional normalization
+        lse = logsumexp(lt, axis=axis).reshape((3, g) + dims)
+        feasible = lse[0] >= _LOG_FLOOR
+        if self._fixed is not None and len(dims) > 1:
+            # a pair along the x_i axis lies on the line through the fixed
+            # values iff both its cells differ from them in at most one axis
+            want = [
+                [self._fixed[a] for p, a in enumerate(axes[row]) if p != pj]
+                for row, pj in chunk
+            ]
+            want = np.asarray(want).T.reshape((len(dims), g) + (1,) * len(dims))
+            feasible &= (np.indices(dims)[:, None] != want).sum(axis=0) <= 1
+        with np.errstate(invalid="ignore"):
+            # zero-mass rows yield -inf - -inf = nan; 'feasible' masks them out
+            lo_up = lse[1:] - lse[0]
+        if not feasible.all():
+            lo_up[:, ~feasible] = np.nan
+        return _segment_extremes(lo_up)
 
 
-def _pair_index(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Every hypothesis pair m < n along every axis of a C-ordered array of
-    shape dims: the flat indices of its two cells, grouped by axis, and the
-    first entry of each axis's group."""
-    flat = np.arange(math.prod(dims)).reshape(dims)
-    ms, nns, starts = [], [], []
-    for ax, s in enumerate(dims):
-        starts.append(sum(x.size for x in ms))
-        lines = np.moveaxis(flat, ax, -1).reshape(-1, s)
-        pairs = list(combinations(range(s), 2))
-        ms.append(lines[:, [a for a, _ in pairs]].ravel())
-        nns.append(lines[:, [b for _, b in pairs]].ravel())
-    return np.concatenate(ms), np.concatenate(nns), np.asarray(starts)
+def _lead(pj: int, k: int) -> tuple[int, ...]:
+    """Axis order that moves axis pj of a k-axis array to the front."""
+    return (pj,) + tuple(range(pj)) + tuple(range(pj + 1, k))
 
 
-def _segment_extremes(cands: np.ndarray, ok: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """[cmin, cmax] per row and segment over the ok entries of both
-    candidate arrays in cands; NaN where a segment has no ok entry."""
-    out = np.full((2, ok.shape[0], starts.size), np.nan)
-    filled = np.diff(starts, append=ok.shape[1]) > 0
-    if filled.any():
-        at = starts[filled]
-        some = np.logical_or.reduceat(ok, at, axis=1)
-        low = np.minimum.reduceat(np.where(ok, cands, np.inf), at, axis=2).min(axis=0)
-        high = np.maximum.reduceat(np.where(ok, cands, -np.inf), at, axis=2).max(axis=0)
-        out[0][:, filled] = np.where(some, low, np.nan)
-        out[1][:, filled] = np.where(some, high, np.nan)
-    return out
+def _segment_extremes(lo_up: np.ndarray) -> np.ndarray:
+    """[cmin, cmax] per slice and axis of dims, from a (2, slices, *dims)
+    array of lo and up values: the extremes of lo[m] - lo[n] and
+    -(up[m] - up[n]) over every hypothesis pair m < n along that axis. NaN
+    cells (infeasible) drop out, and an axis with no pair of feasible cells
+    gets NaN.
+
+    The extremes are kept per kind (lo, up) and merged last by np.minimum
+    and np.maximum, which return their second operand on equal values: a
+    zero extreme of both kinds reads -0.0, the sign of the up kind's zeros,
+    whatever the stack.
+    """
+    g, dims = lo_up.shape[1], lo_up.shape[2:]
+    ext = np.full((2, 2, g, len(dims)), np.nan)  # (min, max) x (lo, up)
+    for a, s in enumerate(dims):
+        at = (slice(None),) * (a + 2)
+        for m, nn in combinations(range(s), 2):
+            d = lo_up[at + (m,)] - lo_up[at + (nn,)]
+            np.negative(d[1], out=d[1])
+            d = d.reshape(2, g, -1)
+            np.fmin(ext[0, :, :, a], np.fmin.reduce(d, axis=2), out=ext[0, :, :, a])
+            np.fmax(ext[1, :, :, a], np.fmax.reduce(d, axis=2), out=ext[1, :, :, a])
+    return np.stack([np.minimum(*ext[0]), np.maximum(*ext[1])])
 
 
 def _kernel(

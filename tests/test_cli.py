@@ -19,6 +19,8 @@ from priordp import (
     cli,
     full_space_search,
     max_leakage_gaussian,
+    model_gaussian,
+    oracle,
     pdp_exact_discrete,
 )
 from priordp.cli import main
@@ -176,6 +178,25 @@ class TestOracleCheck:
         rows = read_json(out)["rows"]
         assert len(rows) == 4 and all(r["pass"] for r in rows)
 
+    def test_gaussian_one_expansion_per_adversary(self, gauss_file, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "check.json"
+        assert main(["oracle-check", gauss_file, "--out", str(out)]) == 0
+        rows = read_json(out)["rows"]
+        calls = []
+
+        def counted(model, i, K):
+            calls.append((i, tuple(K)))
+            return expand(model, i, K)
+
+        expand = model_gaussian.mu0_expand
+        monkeypatch.setattr(model_gaussian, "mu0_expand", counted)
+        monkeypatch.setattr(oracle, "mu0_expand", counted)
+        again = tmp_path / "again.json"
+        assert main(["oracle-check", gauss_file, "--out", str(again)]) == 0
+        capsys.readouterr()
+        assert sorted(calls) == sorted((r["i"], tuple(r["K"])) for r in rows)
+        assert read_json(again)["rows"] == rows
+
     def test_cap(self, tmp_path, capsys):
         model = {"mu": [0.0] * 9, "sigma": np.eye(9).tolist(), "M": 1, "lambda": 1}
         path = tmp_path / "wide.json"
@@ -314,6 +335,39 @@ class TestCalibrate:
         assert rep["lambda"] == pytest.approx(1.5, abs=1e-3)
         assert rep["leakage_at_lambda"] <= 1.0 + 1e-12
         assert rep["method"] == "enumerate"
+
+    def test_gaussian_one_enumeration(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(19)
+        A = rng.normal(size=(5, 5))
+        model = {"mu": [0.0] * 5, "sigma": (A @ A.T + 0.3 * np.eye(5)).tolist(),
+                 "M": 1.7, "lambda": 0.4}
+        path = tmp_path / "g5.json"
+        path.write_text(json.dumps(model))
+        calls = []
+
+        def counted(m, **kw):
+            calls.append(m.lam)
+            return max_leakage_gaussian(m, **kw)
+
+        monkeypatch.setattr(cli, "max_leakage_gaussian", counted)
+        assert main(["calibrate", str(path), "--epsilon", "0.8"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert rep["iterations"] == 0
+        assert rep["leakage_at_lambda"] <= 0.8
+        # the reported leakage is what the enumeration gives at that lambda
+        at = GaussianModel(mu=model["mu"], sigma=model["sigma"], M=1.7, lam=rep["lambda"])
+        assert rep["leakage_at_lambda"] == max_leakage_gaussian(at).leakage
+
+    def test_gaussian_bracket_exhausted(self, tmp_path, capsys):
+        # x_1 tracks 100 x_0, so |1 + mu0i| reaches 101 > 10 n and no
+        # lambda inside the bracket brings the leakage down to epsilon
+        model = {"mu": [0.0, 0.0], "sigma": [[1.0, 100.0], [100.0, 10000.01]],
+                 "M": 1.0, "lambda": 1.0}
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(model))
+        assert main(["calibrate", str(path), "--epsilon", "1"]) == 4
+        assert "bracket exhausted" in capsys.readouterr().err
 
     def test_discrete_methods_agree(self, table_a_file, capsys):
         for method in ("full", "oracle"):

@@ -23,7 +23,7 @@ from priordp import (
     transform_linear_query,
 )
 
-from conftest import binary_table, CELLS_A, CELLS_B, CELLS_C, random_instance
+from conftest import binary_table, CELLS_A, CELLS_B, CELLS_C, random_instance, sized_table
 
 
 def three_tuple() -> JointDistribution:
@@ -74,6 +74,32 @@ class TestMarginalConditional:
         m = marginal(dist, [0, 2])
         np.testing.assert_allclose(m.probs, dist.probs.sum(axis=1), rtol=1e-12)
         assert m.domains == (dist.domains[0], dist.domains[2])
+
+    def test_marginal_bitwise_equals_numpy_sum(self):
+        # marginal() reorders numpy's summation loops; the sums must come
+        # out bit for bit as from one multi-axis sum, then one normalization,
+        # also past numpy's 8192-value blocks (n = 14 binary)
+        rng = np.random.default_rng(60)
+        tables = [
+            sized_table(rng, 9, 2, zero_frac=0.2),
+            sized_table(rng, 6, 3),
+            sized_table(rng, 14, 2),
+        ]
+        for sizes in ((2, 1, 3, 2, 4, 1, 2), (1, 2, 2, 1), (9, 2, 3, 8)):
+            probs = rng.dirichlet(np.ones(int(np.prod(sizes)))).reshape(sizes)
+            domains = [tuple(range(s)) for s in sizes]
+            tables.append(JointDistribution(domains, probs))
+        for dist in tables:
+            n = dist.n
+            masks = range(1, 1 << n) if n < 10 else rng.integers(1, 1 << n, size=300)
+            for mask in masks:
+                keep = [a for a in range(n) if (int(mask) >> a) & 1]
+                drop = tuple(a for a in range(n) if a not in keep)
+                table = dist.probs.sum(axis=drop) if drop else dist.probs
+                want = table / float(table.sum())
+                got = marginal(dist, keep).probs
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), keep
 
     def test_marginal_order_is_canonical(self):
         dist = three_tuple()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from priordp import whg
 from priordp import (
     AdversaryNode,
     DegenerateVariable,
@@ -370,6 +371,62 @@ class TestKernelMatchesReference:
                 fixed = {t: dist.domains[t][int(rng.integers(size))] for t in range(n)}
                 assert_matches_reference(dist, q, 1.0, prior_values=fixed)
 
+    def test_mixed_domain_sizes(self):
+        # the slices of one prior set fall into several table shapes
+        rng = np.random.default_rng(56)
+        for sizes in ((2, 3, 2), (3, 2, 4, 2), (2, 1, 3, 2), (4, 2, 3, 2, 2)):
+            for zero in (0.0, 0.3):
+                dist = mixed_table(rng, sizes, zero)
+                n = len(sizes)
+                q = QuerySpec(tuple(rng.choice([-1.5, -1.0, 0.5, 1.0], size=n)))
+                assert_matches_reference(dist, q, 0.8)
+
+    @pytest.mark.parametrize("cells", [1, 40])
+    def test_stack_size_leaves_results_unchanged(self, cells, monkeypatch):
+        rng = np.random.default_rng(57)
+        cases = [
+            (sized_table(rng, 5, 2, zero_frac=0.2), None),
+            (sized_table(rng, 4, 3), None),
+            (mixed_table(rng, (3, 2, 4, 2), 0.2), None),
+            # wide domains are summed in place whatever the stack size
+            (mixed_table(rng, (9, 2, 3), 0.0), None),
+            (mixed_table(rng, (8, 8, 2), 0.3), None),
+        ]
+        dist = sized_table(rng, 4, 3, zero_frac=0.2)
+        cases.append((dist, {t: dist.domains[t][t % 3] for t in range(4)}))
+        before = [search_repr(d, fixed) for d, fixed in cases]
+        monkeypatch.setattr(whg, "_STACK_CELLS", cells)
+        assert [search_repr(d, fixed) for d, fixed in cases] == before
+        for d, fixed in cases[:3] + cases[5:]:
+            n = d.n
+            assert_matches_reference(d, QuerySpec.sum_query(n), 1.0, prior_values=fixed)
+
+    def test_size_class_filled_whole_or_per_call(self, monkeypatch):
+        rng = np.random.default_rng(58)
+        dist = sized_table(rng, 5, 2)
+        q = QuerySpec.sum_query(5)
+        batches = []
+        compute = whg._TableEdges._compute
+
+        def record(self, sets, k):
+            batches.append((k, sets.size))
+            return compute(self, sets, k)
+
+        monkeypatch.setattr(whg._TableEdges, "_compute", record)
+        # every class of n = 5 binary fits the default budget: one batch per
+        # size, each holding all C(5, k) sets
+        fast_search(dist, q, 1.0)
+        assert sorted(batches) == [(k, math.comb(5, k)) for k in range(2, 6)]
+        # at 40 cells no class of two or more tuples fits: each miss computes
+        # only the sets its call lacks, and each set exactly once
+        batches.clear()
+        monkeypatch.setattr(whg, "_STACK_CELLS", 40)
+        graph, _ = full_space_search(dist, q, 1.0)
+        assert max(size for _, size in batches) < math.comb(5, 2)
+        for k in range(2, 6):
+            assert sum(size for kk, size in batches if kk == k) == math.comb(5, k)
+        assert_matches_reference(dist, q, 1.0)
+
     def test_fast_ties_break_by_child_mask(self):
         # exchangeable table with dyadic cells: every marginal is exact, so
         # all nodes of a layer and attacked tuple tie bit for bit
@@ -388,6 +445,28 @@ class TestKernelMatchesReference:
             by_mask = sorted(layer3, key=lambda nd: sum(1 << t for t in nd.prior))
             assert expanded == set(by_mask[:n])
         assert report.node_count == 180
+
+
+def mixed_table(rng, sizes, zero_frac=0.0):
+    """Random table with the given domain size per tuple."""
+    domains = [tuple(np.sort(rng.uniform(0.0, 1.5, size=s))) for s in sizes]
+    probs = rng.dirichlet(np.ones(math.prod(sizes))).reshape(sizes)
+    if zero_frac:
+        probs[rng.random(probs.shape) < zero_frac] = 0.0
+        probs /= probs.sum()
+    return JointDistribution(domains, probs)
+
+
+def search_repr(dist, prior_values=None):
+    """Every node value, edge and report field of both searches, as text, so
+    that equal means equal bit for bit (signed zeros included)."""
+    q = QuerySpec.sum_query(dist.n)
+    out = []
+    for search in (full_space_search, fast_search):
+        graph, report = search(dist, q, 0.9, prior_values=prior_values)
+        out.append(repr(([dict(layer) for layer in graph.layers], dict(graph.edges),
+                         report.node_count, report.argmax, report.leakage, report.layer_max)))
+    return out
 
 
 def dense_edges(n, value_fn):
