@@ -97,6 +97,9 @@ def _workers(n_cells: int) -> int:
         cap = int(env)
         if cap < 1:
             raise ValueError("PDP_THREADS must be a positive integer")
+    elif hasattr(os, "sched_getaffinity"):
+        # the CPUs this process may run on, not all of the machine's
+        cap = len(os.sched_getaffinity(0))
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_cells))

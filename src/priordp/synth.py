@@ -80,16 +80,19 @@ class EdgeMap:
         self._m = abs(aver_corr)
         self._base = splitmix64(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF))
 
-    def values(self, i: int, child_masks: np.ndarray, j: int) -> np.ndarray:
-        """Vectorized lookup; child_masks are bitmasks of the child's K."""
-        if not (0 <= i < self.n and 0 <= j < self.n and i != j):
+    def values(self, i: int, child_masks: np.ndarray, j: int | np.ndarray) -> np.ndarray:
+        """Vectorized lookup; child_masks are bitmasks of the child's K, and
+        j is one removed tuple or an int64 array of them aligned with
+        child_masks."""
+        js = np.asarray(j, dtype=np.int64)
+        if not 0 <= i < self.n or ((js < 0) | (js >= self.n) | (js == i)).any():
             raise ValueError("tuple indices out of range")
         masks = np.asarray(child_masks, dtype=np.uint64)
         if self._m == 0.0:
             return np.zeros(masks.shape)
         if self._m == 1.0:
             return np.full(masks.shape, self._sign * self.scale)
-        key = (masks << np.uint64(12)) | np.uint64((i << 6) | j)
+        key = (masks << np.uint64(12)) | (np.uint64(i << 6) | js.astype(np.uint64))
         h = splitmix64(key ^ self._base)
         u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         b = self.alpha * (1.0 - self._m) / self._m

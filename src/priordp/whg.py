@@ -34,13 +34,20 @@ over all positive-probability assignments of x_K' enters the candidate set
 
 All searches run on one bitmask kernel fed by an edge source: an object
 with an attribute `n` and a method `values(i, masks, j)`, where `masks` is
-an int64 array of child prior sets K (bit t set when t is in K) of one
-layer, which all contain j. It returns either one increment per child
-(synthetic edges) or a (cmin, cmax) pair of arrays, the extremes of each
-child's candidate set (a table). |l + c| is convex in c, so the kernel
-takes cmax when |l + cmax| >= |l + cmin| and cmin otherwise; a NaN pair
-marks an edge with no feasible candidate, which leaves its parent
-untouched.
+an int64 array of child prior sets K (bit t set when t is in K) and j the
+removed tuple of each edge: one int for all of them, or an int64 array
+aligned with `masks`. Every j must lie in [0, n), differ from i and belong
+to its child's K; a j outside that range or equal to i raises ValueError.
+It returns either one increment per child (synthetic edges) or a (cmin,
+cmax) pair of arrays, the extremes of each child's candidate set (a
+table). |l + c| is convex in c, so the kernel takes cmax when
+|l + cmax| >= |l + cmin| and cmin otherwise; a NaN pair marks an edge with
+no feasible candidate, which leaves its parent untouched.
+
+The kernel makes one values() call per attacked tuple i and layer, with
+the (mask, j) pairs of every removed tuple j != i in j-major order, split
+into chunks of at most _EXPAND_CHUNK expanded masks so that memory stays
+flat on wide layers. Its on_edges hook gets (i, js, masks, increments).
 
 A table's edge source computes the candidates of whole prior sets
 T = {i} u K, every (i, j) pair of T at once, stacking the sets of one size
@@ -80,6 +87,12 @@ _STACK_CELLS = 1 << 15
 
 # fewest values numpy sums pairwise rather than one by one
 _PAIRWISE = 8
+
+# Most expanded masks per edge-source call of the kernel. A call covers
+# every removed tuple of its masks, so it holds up to n - 1 (mask, j) pairs
+# per mask; the bound keeps that and the edge source's temporaries flat
+# where a layer is wide.
+_EXPAND_CHUNK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,23 +216,29 @@ class _TableEdges:
         self._end = 0
         self._buf = np.empty(0)
 
-    def values(self, i: int, child_masks: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    def values(
+        self, i: int, child_masks: np.ndarray, j: int | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        js = _removed(self.n, i, j)
         t = child_masks | (1 << i)
         off = self._off[t]
         if (off < 0).any():
-            self._fill(t[off < 0])
+            # one set T appears once per removed tuple j of its child
+            self._fill(np.unique(t[off < 0]))
             off = self._off[t]
         # entry (rank of i in T, rank of j in T) of T's |T| x |T| x 2 block
         k = self._size[t].astype(np.int64)
         pos = off + 2 * (np.bitwise_count(t & ((1 << i) - 1)) * k
-                         + np.bitwise_count(t & ((1 << j) - 1)))
+                         + np.bitwise_count(t & ((1 << js) - 1)))
         return self._flat[pos], self._flat[pos + 1]
 
     def _fill(self, missing: np.ndarray) -> None:
-        k = int(self._size[missing[0]])
-        if self._class_cells[k] <= _STACK_CELLS:
-            missing = np.flatnonzero((self._size == k) & (self._off < 0))
-        self._compute(missing, k)
+        size = self._size[missing]
+        for k in np.unique(size).tolist():
+            sets = missing[size == k]
+            if self._class_cells[k] <= _STACK_CELLS:
+                sets = np.flatnonzero((self._size == k) & (self._off < 0))
+            self._compute(sets, k)
 
     def _compute(self, sets: np.ndarray, k: int) -> None:
         width = 2 * k * k
@@ -315,6 +334,15 @@ class _TableEdges:
         return _segment_extremes(lo_up)
 
 
+def _removed(n: int, i: int, j: int | np.ndarray) -> np.ndarray:
+    """The removed tuple(s) j of an edge-source call as int64, checked to lie
+    in [0, n) and differ from the attacked tuple i, element by element."""
+    js = np.asarray(j, dtype=np.int64)
+    if not 0 <= i < n or ((js < 0) | (js >= n) | (js == i)).any():
+        raise ValueError("tuple indices out of range")
+    return js
+
+
 def _lead(pj: int, k: int) -> tuple[int, ...]:
     """Axis order that moves axis pj of a k-axis array to the front."""
     return (pj,) + tuple(range(pj)) + tuple(range(pj + 1, k))
@@ -350,23 +378,30 @@ def _kernel(
     first: list[float],
     fast: bool,
     on_layer: Callable[[int, int, np.ndarray, np.ndarray], None],
-    on_edges: Callable[[int, int, np.ndarray, np.ndarray], None] | None = None,
+    on_edges: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> None:
     """Layered min-merge search over child-K bitmasks, one attacked tuple at
     a time.
 
+    Each (attacked tuple i, layer) makes one edge-source call per chunk of
+    at most _EXPAND_CHUNK expanded masks, covering every removed tuple
+    j != i at once: the (child mask, j) pairs of the chunk, in j-major
+    order, go to values(i, masks, js) with js an int64 array aligned with
+    masks, and one np.minimum.at merges them all into their parents. A min
+    over the same multiset does not depend on order, so the values equal
+    those of one call per j bit for bit.
+
     Calls on_layer(i, layer, masks, values) once per computed layer of
-    attacked tuple i, and on_edges(i, j, child masks, increments) for every
+    attacked tuple i, and on_edges(i, js, child masks, increments) for every
     batch of edges taken, always after the on_layer call of the children's
     layer. In fast mode each layer keeps the min(n, count) largest nodes
     for expansion, ties broken by (-value, child mask).
     """
     n = edges.n
     full_mask = (1 << n) - 1
-    by_pc: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        by_pc[bin(mask).count("1")].append(mask)
-    masks_pc = [np.asarray(m, dtype=np.int64) for m in by_pc]
+    size = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+    masks_pc = [np.flatnonzero(size == k) for k in range(n + 1)]
+    tuples = np.arange(n, dtype=np.int64)
 
     values = np.empty(1 << n)
     for i in range(n):
@@ -374,26 +409,25 @@ def _kernel(
         start = full_mask ^ (1 << i)
         values[start] = first[i]
         on_layer(i, 1, np.asarray([start]), np.asarray([first[i]]))
+        others = tuples[tuples != i]
         expand = np.asarray([start], dtype=np.int64)
         for layer in range(2, n + 1):
-            for j in range(n):
-                if j == i:
-                    continue
-                sel = expand[(expand >> j) & 1 == 1]
-                if sel.size == 0:
-                    continue
-                out = edges.values(i, sel, j)
+            for c in range(0, expand.size, _EXPAND_CHUNK):
+                chunk = expand[c : c + _EXPAND_CHUNK]
+                row, col = np.nonzero((chunk >> others[:, None]) & 1)
+                sel, js = chunk[col], others[row]
+                out = edges.values(i, sel, js)
                 child = values[sel]
                 if isinstance(out, tuple):
                     cmin, cmax = out
                     ok = ~np.isnan(cmin)
-                    sel, child, cmin, cmax = sel[ok], child[ok], cmin[ok], cmax[ok]
+                    sel, js, child, cmin, cmax = sel[ok], js[ok], child[ok], cmin[ok], cmax[ok]
                     ic = np.where(np.abs(child + cmax) >= np.abs(child + cmin), cmax, cmin)
                 else:
                     ic = np.asarray(out, dtype=float)
-                np.minimum.at(values, sel ^ (1 << j), np.abs(child + ic))
+                np.minimum.at(values, sel ^ (1 << js), np.abs(child + ic))
                 if on_edges is not None:
-                    on_edges(i, j, sel, ic)
+                    on_edges(i, js, sel, ic)
             pc = masks_pc[n - layer]
             parents = pc[(pc >> i) & 1 == 0]
             vals = values[parents]
@@ -446,8 +480,8 @@ def _search_distribution(
             nd = last[mask] = AdversaryNode(i, _mask_to_tuple(mask))
             layers[layer - 1][nd] = v
 
-    def on_edges(i: int, j: int, masks: np.ndarray, ics: np.ndarray) -> None:
-        for mask, ic in zip(masks.tolist(), ics.tolist()):
+    def on_edges(i: int, js: np.ndarray, masks: np.ndarray, ics: np.ndarray) -> None:
+        for mask, j, ic in zip(masks.tolist(), js.tolist(), ics.tolist()):
             edges[(last[mask], j)] = ic
 
     _kernel(_TableEdges(y, lam, prior_values), first, fast, on_layer, on_edges)
@@ -521,10 +555,11 @@ class _DictEdges:
             for (i, K, j), v in mapping.items()
         }
 
-    def values(self, i: int, child_masks: np.ndarray, j: int) -> np.ndarray:
-        out = np.empty(child_masks.size)
-        for pos, mask in enumerate(child_masks):
-            key = (i, _mask_to_tuple(int(mask)), j)
+    def values(self, i: int, child_masks: np.ndarray, j: int | np.ndarray) -> np.ndarray:
+        js = np.broadcast_to(j, np.shape(child_masks)).tolist()
+        out = np.empty(len(js))
+        for pos, (mask, jj) in enumerate(zip(np.asarray(child_masks).tolist(), js)):
+            key = (i, _mask_to_tuple(mask), jj)
             if key not in self._map:
                 raise KeyError(f"synthetic edge map is missing edge {key}")
             out[pos] = self._map[key]

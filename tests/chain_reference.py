@@ -1,18 +1,20 @@
-"""Scalar chain-rule helpers and the dict-based distribution search, kept
-as test-side reference code.
+"""Scalar chain-rule helpers, the dict-based distribution search and the
+per-removed-tuple kernel loop, kept as test-side reference code.
 
 The package runs every search on one bitmask kernel with per-prior-set
 edge candidates. This module is the earlier, direct formulation: one
 conditional table and one scipy log-sum-exp per hypothesis and edge, and a
-node-by-node dict loop. Tests cross-check the kernel against it value for
-value; nothing in the package imports it.
+node-by-node dict loop; and `reference_kernel`, the bitmask kernel as it was
+before it batched every removed tuple into one edge-source call. Tests
+cross-check the package against them value for value; nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 from scipy.special import logsumexp
@@ -232,3 +234,65 @@ def search_distribution(
         "argmax": argmax,
         "node_count": len(values),
     }
+
+
+def reference_kernel(
+    edges,
+    first: list[float],
+    fast: bool,
+    on_layer: Callable[[int, int, np.ndarray, np.ndarray], None],
+    on_edges: Callable[[int, int, np.ndarray, np.ndarray], None] | None = None,
+) -> None:
+    """Layered min-merge search over child-K bitmasks with one edge-source
+    call per (attacked tuple i, layer, removed tuple j).
+
+    Same hooks as `priordp.whg._kernel`, except that on_edges(i, j, child
+    masks, increments) gets one int j per call.
+    """
+    n = edges.n
+    full_mask = (1 << n) - 1
+    by_pc: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        by_pc[bin(mask).count("1")].append(mask)
+    masks_pc = [np.asarray(m, dtype=np.int64) for m in by_pc]
+
+    values = np.empty(1 << n)
+    for i in range(n):
+        values.fill(np.inf)
+        start = full_mask ^ (1 << i)
+        values[start] = first[i]
+        on_layer(i, 1, np.asarray([start]), np.asarray([first[i]]))
+        expand = np.asarray([start], dtype=np.int64)
+        for layer in range(2, n + 1):
+            for j in range(n):
+                if j == i:
+                    continue
+                sel = expand[(expand >> j) & 1 == 1]
+                if sel.size == 0:
+                    continue
+                out = edges.values(i, sel, j)
+                child = values[sel]
+                if isinstance(out, tuple):
+                    cmin, cmax = out
+                    ok = ~np.isnan(cmin)
+                    sel, child, cmin, cmax = sel[ok], child[ok], cmin[ok], cmax[ok]
+                    ic = np.where(np.abs(child + cmax) >= np.abs(child + cmin), cmax, cmin)
+                else:
+                    ic = np.asarray(out, dtype=float)
+                np.minimum.at(values, sel ^ (1 << j), np.abs(child + ic))
+                if on_edges is not None:
+                    on_edges(i, j, sel, ic)
+            pc = masks_pc[n - layer]
+            parents = pc[(pc >> i) & 1 == 0]
+            vals = values[parents]
+            done = np.isfinite(vals)
+            parents, vals = parents[done], vals[done]
+            on_layer(i, layer, parents, vals)
+            if parents.size == 0:
+                break
+            if fast:
+                keep = np.zeros(parents.size, dtype=bool)
+                keep[np.argsort(-vals, kind="stable")[:n]] = True
+                expand = parents[keep]
+            else:
+                expand = parents

@@ -5,6 +5,7 @@ are captured exactly; one subprocess test covers the installed script.
 """
 
 import csv
+import hashlib
 import json
 import shutil
 import subprocess
@@ -324,6 +325,37 @@ class TestExperiment:
         )
         assert rc == 2
         assert "PDP_THREADS" in capsys.readouterr().err
+
+    def test_csv_digest_pinned(self, tmp_path):
+        # sha256 of this sweep's CSV before the search kernel batched its
+        # edge-source calls (numpy 2.4.6, scipy 1.17.1); any bit that moves
+        # in an edge, a node or a layer maximum changes it
+        rc, out = self.run(
+            tmp_path,
+            "pin.csv",
+            [
+                "experiment", "--kind", "discrete", "--n", "9",
+                "--averCorr=-0.3,0.2,0.8", "--seeds", "2",
+            ],
+        )
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "334eb3f165fefbbc33dce00e6f192f5d7be2954dc995deb15e85d43e1f081a37"
+        )
+
+    def test_workers_follow_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("PDP_THREADS", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._workers(6) == 1
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert cli._workers(6) == 3
+        assert cli._workers(2) == 2
+        # without an affinity call the machine's CPU count is the cap
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        assert cli._workers(6) == 6
+        monkeypatch.setenv("PDP_THREADS", "4")
+        assert cli._workers(6) == 4
 
 
 class TestCalibrate:

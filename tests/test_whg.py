@@ -1,5 +1,6 @@
 """Hierarchical-graph search: increments, edges, chain rule, both algorithms."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -26,7 +27,9 @@ from priordp import (
     local_sensitivity,
     pdp_exact_discrete,
     search_synthetic,
+    transform_linear_query,
 )
+from priordp.synth import EdgeMap
 
 from chain_reference import (
     ancestor_leakage,
@@ -34,6 +37,7 @@ from chain_reference import (
     edge_value,
     gamma_set,
     ic_pair,
+    reference_kernel,
     search_distribution,
 )
 from conftest import (
@@ -579,3 +583,121 @@ class TestLoadSyntheticEdges:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             load_synthetic_edges([], 3)
+
+
+def kernel_trace(kernel, edges, first, fast):
+    """The on_layer calls in order, and the set of (i, j, mask, ic) edges a
+    kernel reports, as text, so that equal means equal bit for bit."""
+    layers, taken = [], set()
+
+    def on_layer(i, layer, masks, vals):
+        layers.append(repr((i, layer, masks.tolist(), vals.tolist())))
+
+    def on_edges(i, js, masks, ics):
+        js = np.broadcast_to(js, masks.shape)
+        for j, mask, ic in zip(js.tolist(), masks.tolist(), ics.tolist()):
+            taken.add((i, j, mask, repr(ic)))
+
+    kernel(edges, first, fast, on_layer, on_edges)
+    return layers, taken
+
+
+def synthetic_repr(edges, fl, mode):
+    """A synthetic search's report as text, timing left out."""
+    return repr(dataclasses.replace(search_synthetic(edges, fl, mode), elapsed=0.0))
+
+
+class TestBatchedKernel:
+    """The kernel's one edge-source call per (attacked tuple, layer) against
+    the one call per removed tuple of tests/chain_reference.py."""
+
+    @pytest.mark.parametrize("alpha", [2.0, 512.0])
+    @pytest.mark.parametrize("corr", [-0.5, 0.2, 0.8])
+    def test_edge_map_matches_reference(self, corr, alpha, monkeypatch):
+        batched = whg._kernel
+        for n in (1, 2, 5, 10):
+            edges, fl = gen_whg_edges(n, corr, seed=n, alpha=alpha)
+            first = [fl[i] for i in range(n)]
+            for fast in (False, True):
+                layers, taken = kernel_trace(batched, edges, first, fast)
+                ref_layers, ref_taken = kernel_trace(reference_kernel, edges, first, fast)
+                assert layers == ref_layers
+                assert taken == ref_taken
+                if not fast:
+                    assert len(taken) == n * (n - 1) * 2 ** max(n - 2, 0)
+            reports = []
+            for kernel in (batched, reference_kernel):
+                monkeypatch.setattr(whg, "_kernel", kernel)
+                reports.append([synthetic_repr(edges, fl, mode) for mode in ("full", "fast")])
+            assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_leaves_results_unchanged(self, chunk, monkeypatch):
+        synthetic = [gen_whg_edges(9, corr, seed=3, alpha=4.0) for corr in (-0.5, 0.6)]
+        rng = np.random.default_rng(59)
+        tables = [
+            (sized_table(rng, 5, 2, zero_frac=0.2), None),
+            (mixed_table(rng, (3, 2, 4, 2), 0.2), None),
+        ]
+        dist = sized_table(rng, 4, 3, zero_frac=0.2)
+        tables.append((dist, {t: dist.domains[t][t % 3] for t in range(4)}))
+
+        def reports():
+            out = [synthetic_repr(e, fl, mode) for e, fl in synthetic for mode in ("full", "fast")]
+            for dist, fixed in tables:
+                # chunks take edges in another order; the graph is the same
+                for search in (full_space_search, fast_search):
+                    graph, report = search(dist, QuerySpec.sum_query(dist.n), 0.9,
+                                           prior_values=fixed)
+                    out.append(repr(([dict(layer) for layer in graph.layers],
+                                     sorted(graph.edges.items()),
+                                     dataclasses.replace(report, elapsed=0.0))))
+            return out
+
+        before = reports()
+        monkeypatch.setattr(whg, "_EXPAND_CHUNK", chunk)
+        assert reports() == before
+
+
+def pairs_of(n, i):
+    """Every (child mask, removed tuple j) edge of attacked tuple i, as
+    int64 arrays in j-major order."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    masks = masks[(masks >> i) & 1 == 0]
+    js = np.asarray([t for t in range(n) if t != i])[:, None]
+    row, col = np.nonzero((masks >> js) & 1)
+    return masks[col], js[row, 0]
+
+
+def edge_sources():
+    rng = np.random.default_rng(60)
+    dist = mixed_table(rng, (2, 3, 2, 2, 3), 0.2)
+    y = transform_linear_query(dist, QuerySpec.sum_query(dist.n))
+    return pytest.mark.parametrize("make", [
+        lambda: EdgeMap(5, 0.4, seed=2, alpha=8.0),
+        lambda: whg._TableEdges(y, 0.7, None),
+    ], ids=["edge_map", "table"])
+
+
+class TestEdgeSourceContract:
+    @edge_sources()
+    def test_array_j_equals_scalar_calls(self, make):
+        for i in range(5):
+            masks, js = pairs_of(5, i)
+            # one increment per edge, or a (cmin, cmax) pair of rows
+            batched = np.asarray(make().values(i, masks, js))
+            expect = np.empty_like(batched)
+            source = make()
+            for j in np.unique(js).tolist():
+                expect[..., js == j] = source.values(i, masks[js == j], j)
+            assert repr(batched.tolist()) == repr(expect.tolist())
+
+    @edge_sources()
+    @pytest.mark.parametrize("bad", [1, -1, 5])
+    def test_bad_j_in_array_rejected(self, make, bad):
+        masks = np.asarray([0b00110, 0b01100, 0b10100], dtype=np.int64)
+        js = np.asarray([2, bad, 4], dtype=np.int64)
+        with pytest.raises(ValueError, match="indices"):
+            make().values(1, masks, js)
+        with pytest.raises(ValueError, match="indices"):
+            make().values(1, masks[:1], bad)
