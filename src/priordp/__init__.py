@@ -16,11 +16,8 @@ from .errors import (
     SingularConditioning,
 )
 from .model_discrete import (
-    ConditionalTable,
     JointDistribution,
     QuerySpec,
-    conditional,
-    corr_sign_2x2,
     distribution_to_json,
     global_sensitivity,
     load_distribution,
@@ -32,9 +29,6 @@ from .model_discrete import (
 from .model_gaussian import (
     GaussianModel,
     Mu0Expansion,
-    conditional_gaussian,
-    g_function,
-    gaussian_model_to_json,
     leakage_gaussian,
     load_gaussian_model,
     log_g,
@@ -43,12 +37,10 @@ from .model_gaussian import (
 )
 from .oracle import (
     OracleResult,
-    bayesian_gain,
-    dp_exact,
     pdp_exact_discrete,
     pdp_numeric_gaussian,
 )
-from .report import AdversaryNode, LeakageReport, summarize_layers
+from .report import AdversaryNode, LeakageReport
 from .synth import (
     EdgeMap,
     gen_covariance,
@@ -62,8 +54,6 @@ from .whg import (
     fast_search,
     first_layer,
     full_space_search,
-    ir_value,
-    load_synthetic_edges,
     search_synthetic,
 )
 
@@ -71,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdversaryNode",
-    "ConditionalTable",
     "DegenerateVariable",
     "EdgeMap",
     "GaussianModel",
@@ -86,26 +75,17 @@ __all__ = [
     "SearchSpaceExceeded",
     "SingularConditioning",
     "WeightedHierGraph",
-    "bayesian_gain",
-    "conditional",
-    "conditional_gaussian",
-    "corr_sign_2x2",
     "distribution_to_json",
-    "dp_exact",
     "fast_search",
     "first_layer",
     "full_space_search",
-    "g_function",
-    "gaussian_model_to_json",
     "gen_covariance",
     "gen_discrete_corr",
     "gen_whg_edges",
     "global_sensitivity",
-    "ir_value",
     "leakage_gaussian",
     "load_distribution",
     "load_gaussian_model",
-    "load_synthetic_edges",
     "local_sensitivity",
     "log_g",
     "marginal",
@@ -117,6 +97,5 @@ __all__ = [
     "pearson_corr",
     "search_synthetic",
     "splitmix64",
-    "summarize_layers",
     "transform_linear_query",
 ]

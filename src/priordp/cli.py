@@ -493,10 +493,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_sweep(argv: list[str]) -> list[str]:
+    """argv with a sweep after a separate --averCorr written as
+    --averCorr=SWEEP: argparse takes a value such as -0.3,0.2 for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--averCorr" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--averCorr={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_sweep(argv))
     args.argv = ["priordp"] + argv
     try:
         return args.func(args)

@@ -4,7 +4,7 @@ A database is a vector of n numeric tuples x_0..x_{n-1} (0-based indices
 throughout). Its correlation structure is captured by a dense joint
 probability table over the product of the per-tuple domains. Everything
 downstream (brute-force leakage oracle, graph chain rule) consumes the
-conditional distributions, Pearson correlations and query sensitivities
+marginal distributions, Pearson correlations and query sensitivities
 derived here.
 
 All types are immutable after construction and all operations are pure
@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DegenerateVariable, ImpossibleCondition
+from .errors import DegenerateVariable
 
 # Conditioning events with less mass than this are treated as impossible;
 # perfect-correlation tables produce exact zeros and near-zeros from rounding.
@@ -103,20 +103,6 @@ class JointDistribution:
         if abs(dom[k] - value) > 1e-9 * max(1.0, abs(value)):
             raise ValueError(f"value {value!r} not in dom(x_{i}) = {dom}")
         return k
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalTable:
-    """Pr(x_targets | given), normalized over the target domain product.
-
-    `targets` is sorted ascending; `probs` has one axis per target in that
-    order; `given` maps tuple index -> conditioned value.
-    """
-
-    targets: tuple[int, ...]
-    given: Mapping[int, float]
-    domains: tuple[tuple[float, ...], ...]
-    probs: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -237,43 +223,6 @@ def _sum_out(table: np.ndarray, keep: list[int]) -> np.ndarray:
     return np.reshape(x, [shape[a] for a in keep])
 
 
-def conditional(
-    dist: JointDistribution,
-    targets: Iterable[int],
-    given: Mapping[int, float],
-) -> ConditionalTable:
-    """Pr(x_targets | x_given), Bayes-normalized.
-
-    Raises
-    ------
-    ImpossibleCondition
-        If the conditioning event has probability below 1e-12. Callers
-        taking suprema over conditioning contexts must skip those contexts.
-    """
-    tgt = tuple(sorted(set(int(i) for i in targets)))
-    giv = {int(k): float(v) for k, v in given.items()}
-    if not tgt:
-        raise ValueError("targets must be non-empty")
-    if set(tgt) & set(giv):
-        raise ValueError("targets and given indices overlap")
-    idx: list[object] = [slice(None)] * dist.n
-    for k, v in giv.items():
-        idx[k] = dist.value_index(k, v)
-    sliced = dist.probs[tuple(idx)]
-    remaining = [i for i in range(dist.n) if i not in giv]
-    sum_axes = tuple(ax for ax, i in enumerate(remaining) if i not in tgt)
-    table = sliced.sum(axis=sum_axes) if sum_axes else sliced
-    mass = float(table.sum())
-    if mass < PROB_FLOOR:
-        raise ImpossibleCondition(f"Pr(given={giv}) = {mass!r} is (near) zero")
-    return ConditionalTable(
-        targets=tgt,
-        given=giv,
-        domains=tuple(dist.domains[i] for i in tgt),
-        probs=table / mass,
-    )
-
-
 def _moments_2d(
     domains: tuple[tuple[float, ...], tuple[float, ...]], table: np.ndarray
 ) -> tuple[float, float, float, float, float]:
@@ -289,54 +238,28 @@ def _moments_2d(
     return ei, ej, vi, vj, cov
 
 
-def pearson_corr(
-    dist: JointDistribution,
-    i: int,
-    j: int,
-    given: Mapping[int, float] | None = None,
-) -> float:
-    """Pearson correlation of x_i and x_j, optionally conditioned.
+def pearson_corr(dist: JointDistribution, i: int, j: int) -> float:
+    """Pearson correlation of x_i and x_j.
 
     Clamped to [-1, 1] against rounding. Raises DegenerateVariable when a
-    conditional variance vanishes.
+    variance vanishes.
     """
     if i == j:
         raise ValueError("need two distinct tuple indices")
-    cond = conditional(dist, (i, j), given or {})
+    pair = marginal(dist, (i, j))
     lo, hi = sorted((i, j))
-    _, _, v_lo, v_hi, cov = _moments_2d(cond.domains, cond.probs)
-    widths = [d[-1] - d[0] for d in cond.domains]
+    _, _, v_lo, v_hi, cov = _moments_2d(pair.domains, pair.probs)
+    widths = [d[-1] - d[0] for d in pair.domains]
     floor = [1e-12 * w * w for w in widths]
     if v_lo <= floor[0] or v_hi <= floor[1]:
         raise DegenerateVariable(
-            f"zero conditional variance for tuple {lo if v_lo <= floor[0] else hi}"
+            f"zero variance for tuple {lo if v_lo <= floor[0] else hi}"
         )
     rho = cov / math.sqrt(v_lo * v_hi)
     rho = min(1.0, max(-1.0, rho))
     # moments were computed with axes (min(i,j), max(i,j)); order does not
     # change the value, so no swap correction is needed
     return rho
-
-
-def corr_sign_2x2(
-    dist: JointDistribution,
-    i: int,
-    j: int,
-    given: Mapping[int, float] | None = None,
-) -> str:
-    """Sign of the correlation of two binary tuples from cell probabilities.
-
-    Uses the cross-product criterion p00*p11 - p01*p10, which for 2x2 tables
-    has exactly the sign of the Pearson correlation. Returns '+', '-' or '0'.
-    """
-    cond = conditional(dist, (i, j), given or {})
-    if any(len(d) != 2 for d in cond.domains):
-        raise ValueError("corr_sign_2x2 requires binary domains for both tuples")
-    p = cond.probs
-    cross = float(p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
-    if abs(cross) <= 1e-15:
-        return "0"
-    return "+" if cross > 0 else "-"
 
 
 def local_sensitivity(dist: JointDistribution, query: QuerySpec, i: int) -> float:

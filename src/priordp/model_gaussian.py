@@ -28,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 from scipy.special import erfcx
@@ -120,40 +120,6 @@ def _solve_block(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(blocks, rhs)
 
 
-def conditional_gaussian(
-    model: GaussianModel,
-    known_idx: Iterable[int],
-    known_vals: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian conditioning on exact values of a subset of tuples.
-
-    Returns (mean, cov) of the remaining tuples (sorted index order):
-    mean = mu_1 + S_12 S_22^{-1} (v - mu_2), cov = S_11 - S_12 S_22^{-1} S_21.
-
-    Raises SingularConditioning when the known block is not invertible.
-    """
-    known = sorted(set(int(k) for k in known_idx))
-    vals = np.asarray(list(known_vals), dtype=float)
-    if len(known) != vals.size:
-        raise ValueError("known_idx and known_vals lengths differ")
-    unknown = [u for u in range(model.n) if u not in known]
-    mu = np.asarray(model.mu)
-    S = model.sigma
-    if not known:
-        return mu.copy(), S.copy()
-    if not unknown:
-        return np.empty(0), np.empty((0, 0))
-    S22 = S[np.ix_(known, known)]
-    S12 = S[np.ix_(unknown, known)]
-    S11 = S[np.ix_(unknown, unknown)]
-    # first column solves the mean shift, remaining columns solve S_22^{-1} S_21
-    t = _solve_block(S22, np.column_stack([vals - mu[known], S12.T]))
-    mean = mu[unknown] + S12 @ t[:, 0]
-    cov = S11 - S12 @ t[:, 1:]
-    cov = (cov + cov.T) / 2.0
-    return mean, cov
-
-
 def mu0_expand(model: GaussianModel, i: int, K: Iterable[int]) -> Mu0Expansion:
     """Expand the conditional mean/variance of the unknown-tuple sum.
 
@@ -231,16 +197,6 @@ def log_g(x, b):
     z2 = (b - u) / math.sqrt(2.0)
     val = -(u * u + b * b) / 2.0 - _LN2 + np.logaddexp(_log_erfcx(z1), _log_erfcx(z2))
     return val if val.ndim else float(val)
-
-
-def g_function(x, b):
-    """G(x; b) = e^x (1 - Phi(x/b + b)) + e^{-x} Phi(x/b - b).
-
-    Positive and finite over the float range of its log (underflows to 0.0
-    only when log G < ~-745, i.e. far outside any region of interest).
-    """
-    out = np.exp(log_g(x, b))
-    return out if isinstance(out, np.ndarray) else float(out)
 
 
 # most tuples whose n * 2^(n-1) adversaries are enumerated without force
@@ -354,11 +310,3 @@ def load_gaussian_model(data) -> GaussianModel:
         raise ValueError('gaussian model JSON is missing key "lambda"')
     return GaussianModel(mu=mu, sigma=sigma, M=float(m_bound), lam=float(lam))
 
-
-def gaussian_model_to_json(model: GaussianModel) -> dict:
-    return {
-        "mu": list(model.mu),
-        "sigma": np.asarray(model.sigma).tolist(),
-        "M": model.M,
-        "lambda": model.lam,
-    }

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .model_discrete import (
     PROB_FLOOR,
     JointDistribution,
     QuerySpec,
-    conditional,
     logsumexp,
     marginal,
     transform_linear_query,
@@ -251,54 +250,18 @@ def pdp_exact_discrete(
     return best
 
 
-def dp_exact(
-    dist: JointDistribution,
-    query: QuerySpec,
-    lam: float,
-    group: Iterable[int] | None = None,
-) -> float:
-    """Worst-case DP leakage sup |f(x) - f(x')| / lam by exhaustive search.
-
-    group=None varies a single tuple (standard sensitivity); group=S varies
-    all tuples of S jointly, which is the "treat correlated tuples as one"
-    group bound. Coordinates outside the varying set cancel in a linear
-    query, so enumerating the varying coordinates is the full search.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    y = transform_linear_query(dist, query)
-    if group is None:
-        best = 0.0
-        for i in range(y.n):
-            for v, w in product(y.domains[i], repeat=2):
-                best = max(best, abs(v - w))
-        return best / lam
-    gs = sorted(set(int(g) for g in group))
-    if not gs or gs[0] < 0 or gs[-1] >= y.n:
-        raise ValueError(f"invalid group {gs} for n={y.n}")
-    size = int(np.prod([len(y.domains[g]) for g in gs]))
-    if size * size > 10_000_000:
-        raise ValueError("group domain product too large for exhaustive search")
-    best = 0.0
-    for xs in product(*[y.domains[g] for g in gs]):
-        for xs2 in product(*[y.domains[g] for g in gs]):
-            best = max(best, abs(math.fsum(xs) - math.fsum(xs2)))
-    return best / lam
-
-
 def pdp_numeric_gaussian(
     model: GaussianModel,
     i: int,
     K: Iterable[int],
-    r_grid: np.ndarray | None = None,
     expansion: Mu0Expansion | None = None,
 ) -> float:
     """Grid supremum of the Gaussian-model log-ratio; numeric ground truth.
 
     The output density given (x_i, x_K) is, up to shared factors,
     G(t / lam; sigma0 / lam) with t the output centered at the conditional
-    mean, and the two hypotheses differ by |1 + mu0i| * M in t. The default
-    grid spans +-(12 sigma0 + 4 sigma0^2/lam + 20 lam + |delta|): the
+    mean, and the two hypotheses differ by |1 + mu0i| * M in t. The grid
+    spans +-(12 sigma0 + 4 sigma0^2/lam + 20 lam + |delta|): the
     log-slope of G saturates only past sigma0^2/lam, so the span must grow
     with that scale, not just with sigma0.
 
@@ -314,68 +277,9 @@ def pdp_numeric_gaussian(
     lam = model.lam
     if sigma0 <= 1e-12 * max(1.0, model.M):
         return abs(delta) / lam
-    if r_grid is None:
-        span = 12.0 * sigma0 + 4.0 * exp.sigma0_sq / lam + 20.0 * lam + abs(delta)
-        r_grid = np.linspace(-span, span, 20001)
+    span = 12.0 * sigma0 + 4.0 * exp.sigma0_sq / lam + 20.0 * lam + abs(delta)
+    r_grid = np.linspace(-span, span, 20001)
     b = sigma0 / lam
     vals = log_g(r_grid / lam, b) - log_g((r_grid - delta) / lam, b)
     return float(np.max(np.abs(vals)))
 
-
-def bayesian_gain(
-    dist: JointDistribution,
-    query: QuerySpec,
-    lam: float,
-    i: int,
-    xi_a: float,
-    xi_b: float,
-    k_assign: Mapping[int, float],
-    r: float,
-) -> float:
-    """Adversary's information gain: posterior log-odds minus prior log-odds.
-
-    gain = log [Pr(x_i=a | r, x_K) / Pr(x_i=b | r, x_K)]
-         - log [Pr(x_i=a | x_K) / Pr(x_i=b | x_K)]
-
-    computed through the explicit posterior (prior times output likelihood,
-    normalized over every feasible hypothesis), which equals the output
-    log-density ratio pointwise. Zero-probability events raise
-    ImpossibleCondition.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    y = transform_linear_query(dist, query)
-    ks = sorted(set(int(k) for k in k_assign))
-    if i in ks:
-        raise ValueError("attacked tuple cannot be in the prior set")
-    # tuple values arrive in original units; the analysis runs on the
-    # sum-query form, so map them through the query coefficients (r is an
-    # output value and needs no mapping)
-    coef = query.coefficients
-    assignment = {int(k): coef[int(k)] * float(v) for k, v in k_assign.items()}
-    xi_a = coef[i] * float(xi_a)
-    xi_b = coef[i] * float(xi_b)
-    prior = conditional(y, [i], assignment) if ks else marginal(y, [i])
-    dom = y.domains[i]
-    log_prior = {}
-    for pos, a in enumerate(dom):
-        p = float(prior.probs[pos])
-        if p >= PROB_FLOOR:
-            log_prior[a] = math.log(p)
-    for v in (xi_a, xi_b):
-        if dom[y.value_index(i, v)] not in log_prior:
-            raise ImpossibleCondition(f"Pr(x_{i}={v}, x_K) is zero")
-    xi_a = dom[y.value_index(i, xi_a)]
-    xi_b = dom[y.value_index(i, xi_b)]
-    law = _SumLaw(y, i, ks)
-    k_pos = [y.value_index(k, assignment[k]) for k in ks]
-    known = math.fsum(assignment.values())
-    log_lik = {}
-    for a in log_prior:
-        centers, weights = law.mixture(dom.index(a), k_pos, a + known)
-        log_lik[a] = float(logsumexp(-np.abs(r - centers) / lam, b=weights))
-    joint = {a: log_prior[a] + log_lik[a] for a in log_prior}
-    norm = logsumexp(np.array(list(joint.values())))
-    post_a = joint[xi_a] - norm
-    post_b = joint[xi_b] - norm
-    return (post_a - post_b) - (log_prior[xi_a] - log_prior[xi_b])

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True, order=True)
@@ -31,11 +30,6 @@ class AdversaryNode:
     def to_json(self) -> list:
         return [self.attack, list(self.prior)]
 
-    @classmethod
-    def from_json(cls, obj: Iterable) -> "AdversaryNode":
-        attack, prior = obj
-        return cls(int(attack), tuple(int(k) for k in prior))
-
 
 @dataclass
 class LeakageReport:
@@ -48,7 +42,8 @@ class LeakageReport:
     leakage : float
         Overall supremum = max over layer_max.
     argmax : AdversaryNode
-        A node attaining the supremum (smallest node key on ties).
+        A node attaining the supremum. On ties the graph searches take the
+        first in (attack, sorted prior tuple) order.
     node_count : int
         Number of nodes computed.
     elapsed : float
@@ -78,20 +73,3 @@ class LeakageReport:
             "metadata": self.metadata,
         }
 
-
-def summarize_layers(values: Mapping[AdversaryNode, float], n: int) -> tuple[dict[int, float], float, AdversaryNode | None]:
-    """(per-layer maxima, overall max, deterministic argmax) of node values."""
-    layer_max: dict[int, float] = {}
-    best_val = float("-inf")
-    best_node: AdversaryNode | None = None
-    for node in sorted(values):
-        v = values[node]
-        k = node.layer(n)
-        if k not in layer_max or v > layer_max[k]:
-            layer_max[k] = v
-        if v > best_val:
-            best_val = v
-            best_node = node
-    if best_node is None:
-        return {}, 0.0, None
-    return layer_max, best_val, best_node

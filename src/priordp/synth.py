@@ -18,6 +18,7 @@ from scipy.special import betaincinv
 
 from .errors import InfeasibleCorrelation
 from .model_discrete import JointDistribution, pearson_corr
+from .whg import edge_indices
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -84,10 +85,8 @@ class EdgeMap:
         """Vectorized lookup; child_masks are bitmasks of the child's K, and
         j is one removed tuple or an int64 array of them aligned with
         child_masks."""
-        js = np.asarray(j, dtype=np.int64)
-        if not 0 <= i < self.n or ((js < 0) | (js >= self.n) | (js == i)).any():
-            raise ValueError("tuple indices out of range")
-        masks = np.asarray(child_masks, dtype=np.uint64)
+        masks, js = edge_indices(self.n, i, child_masks, j)
+        masks = masks.astype(np.uint64)
         if self._m == 0.0:
             return np.zeros(masks.shape)
         if self._m == 1.0:
@@ -97,17 +96,6 @@ class EdgeMap:
         u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         b = self.alpha * (1.0 - self._m) / self._m
         return self._sign * self.scale * betaincinv(self.alpha, b, u)
-
-    def __call__(self, i: int, prior: tuple[int, ...], j: int) -> float:
-        """Scalar lookup by explicit child prior set."""
-        if j not in prior:
-            raise ValueError("removed tuple j must belong to the child prior")
-        mask = 0
-        for t in prior:
-            if not 0 <= t < self.n or t == i:
-                raise ValueError("invalid prior set")
-            mask |= 1 << t
-        return float(self.values(i, np.asarray([mask], dtype=np.uint64), j)[0])
 
 
 def gen_whg_edges(
@@ -122,15 +110,13 @@ def gen_whg_edges(
     return edges, {i: scale for i in range(n)}
 
 
-def gen_covariance(n: int, aver_coeff: float, seed: int | None = None) -> np.ndarray:
+def gen_covariance(n: int, aver_coeff: float) -> np.ndarray:
     """Equicorrelated covariance: unit off-diagonals, diagonal 1/|aver_coeff|.
 
     Every pair then has correlation exactly aver_coeff. aver_coeff = 0 gives
     the identity matrix. Negative values are only feasible (positive
     semidefinite) for |aver_coeff| <= 1/(n-1); beyond that the requested
     matrix is not a covariance and InfeasibleCorrelation reports the range.
-    `seed` is accepted for interface symmetry; the construction is
-    deterministic.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

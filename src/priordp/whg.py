@@ -37,17 +37,20 @@ with an attribute `n` and a method `values(i, masks, j)`, where `masks` is
 an int64 array of child prior sets K (bit t set when t is in K) and j the
 removed tuple of each edge: one int for all of them, or an int64 array
 aligned with `masks`. Every j must lie in [0, n), differ from i and belong
-to its child's K; a j outside that range or equal to i raises ValueError.
-It returns either one increment per child (synthetic edges) or a (cmin,
-cmax) pair of arrays, the extremes of each child's candidate set (a
-table). |l + c| is convex in c, so the kernel takes cmax when
-|l + cmax| >= |l + cmin| and cmin otherwise; a NaN pair marks an edge with
-no feasible candidate, which leaves its parent untouched.
+to its child's K, and no K holds i; both edge sources check this with
+edge_indices, which raises ValueError otherwise. It returns either one
+increment per child (synthetic edges) or a (cmin, cmax) pair of arrays, the
+extremes of each child's candidate set (a table). |l + c| is convex in c,
+so the kernel takes cmax when |l + cmax| >= |l + cmin| and cmin otherwise;
+a NaN pair marks an edge with no feasible candidate, which leaves its
+parent untouched.
 
 The kernel makes one values() call per attacked tuple i and layer, with
 the (mask, j) pairs of every removed tuple j != i in j-major order, split
 into chunks of at most _EXPAND_CHUNK expanded masks so that memory stays
 flat on wide layers. Its on_edges hook gets (i, js, masks, increments).
+Both searches build their report from its on_layer calls through one
+streaming summary, _Summary.
 
 A table's edge source computes the candidates of whole prior sets
 T = {i} u K, every (i, j) pair of T at once, stacking the sets of one size
@@ -61,11 +64,11 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DegenerateVariable, SearchSpaceExceeded
+from .errors import SearchSpaceExceeded
 from .model_discrete import (
     PROB_FLOOR,
     JointDistribution,
@@ -75,7 +78,7 @@ from .model_discrete import (
     marginal,
     transform_linear_query,
 )
-from .report import AdversaryNode, LeakageReport, summarize_layers
+from .report import AdversaryNode, LeakageReport
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
 
@@ -115,35 +118,6 @@ class WeightedHierGraph:
         for layer in self.layers:
             out.update(layer)
         return out
-
-    def to_json(self) -> dict:
-        nodes = []
-        for k, layer in enumerate(self.layers, start=1):
-            for node in sorted(layer):
-                nodes.append(
-                    {"node": node.to_json(), "leakage": layer[node], "layer": k}
-                )
-        edges = [
-            {"node": node.to_json(), "removed": j, "ic": ic}
-            for (node, j), ic in sorted(
-                self.edges.items(), key=lambda kv: (kv[0][0], kv[0][1])
-            )
-        ]
-        return {"layers": nodes, "edges": edges}
-
-
-def ir_value(ic: float, ls_j: float, lam: float) -> float:
-    """Increment ratio IC / (LS_j / lam), clamped to [-1, 1].
-
-    The ratio is sign-linked to the conditional correlation of the attacked
-    and removed tuples and never exceeds 1 in magnitude; the clamp only
-    absorbs float rounding.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if ls_j <= 0:
-        raise DegenerateVariable("removed tuple has zero local sensitivity")
-    return float(np.clip(ic / (ls_j / lam), -1.0, 1.0))
 
 
 def first_layer(
@@ -219,8 +193,8 @@ class _TableEdges:
     def values(
         self, i: int, child_masks: np.ndarray, j: int | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        js = _removed(self.n, i, j)
-        t = child_masks | (1 << i)
+        masks, js = edge_indices(self.n, i, child_masks, j)
+        t = masks | (1 << i)
         off = self._off[t]
         if (off < 0).any():
             # one set T appears once per removed tuple j of its child
@@ -334,13 +308,20 @@ class _TableEdges:
         return _segment_extremes(lo_up)
 
 
-def _removed(n: int, i: int, j: int | np.ndarray) -> np.ndarray:
-    """The removed tuple(s) j of an edge-source call as int64, checked to lie
-    in [0, n) and differ from the attacked tuple i, element by element."""
+def edge_indices(
+    n: int, i: int, child_masks: np.ndarray, j: int | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The child masks and removed tuple(s) of an edge-source call as int64
+    arrays, checked element by element: i and every j lie in [0, n), j != i,
+    each j belongs to its child's K, and no K holds i."""
+    masks = np.asarray(child_masks, dtype=np.int64)
     js = np.asarray(j, dtype=np.int64)
     if not 0 <= i < n or ((js < 0) | (js >= n) | (js == i)).any():
         raise ValueError("tuple indices out of range")
-    return js
+    bit = 1 << js
+    if ((masks & (bit | (1 << i))) != bit).any():
+        raise ValueError("edge indices invalid: j must belong to K, and i must not")
+    return masks, js
 
 
 def _lead(pj: int, k: int) -> tuple[int, ...]:
@@ -445,6 +426,52 @@ def _kernel(
                 expand = parents
 
 
+class _Summary:
+    """The report of a search, streamed from the kernel's on_layer calls:
+    per-layer maxima, the supremum, its argmax and the node count.
+
+    argmax is the first maximal node in (attack, sorted prior tuple) order.
+    The kernel reports attacked tuples in ascending order, so a later one
+    takes over only with a larger value; within one attacked tuple, a tie
+    goes to the smaller prior tuple, whatever the layers.
+    """
+
+    def __init__(self) -> None:
+        self.t0 = time.perf_counter()
+        self.layer_max: dict[int, float] = {}
+        self.leakage = -math.inf
+        self.argmax: AdversaryNode | None = None
+        self.node_count = 0
+
+    def __call__(self, i: int, layer: int, masks: np.ndarray, vals: np.ndarray) -> None:
+        self.node_count += vals.size
+        if vals.size == 0:
+            return
+        top = float(vals.max())
+        if top > self.layer_max.get(layer, -math.inf):
+            self.layer_max[layer] = top
+        if top > self.leakage or (top == self.leakage and i == self.argmax.attack):
+            prior = min(map(_mask_to_tuple, masks[vals == top].tolist()))
+            if top > self.leakage or prior < self.argmax.prior:
+                self.leakage = top
+                self.argmax = AdversaryNode(i, prior)
+
+    def report(self, algorithm: str, metadata: dict) -> LeakageReport:
+        return LeakageReport(
+            layer_max=self.layer_max,
+            leakage=self.leakage,
+            argmax=self.argmax,
+            node_count=self.node_count,
+            elapsed=time.perf_counter() - self.t0,
+            algorithm=algorithm,
+            metadata=metadata,
+        )
+
+
+def _mask_to_tuple(mask: int) -> tuple[int, ...]:
+    return tuple(t for t in range(mask.bit_length()) if (mask >> t) & 1)
+
+
 def _search_distribution(
     dist: JointDistribution,
     query: QuerySpec,
@@ -468,13 +495,14 @@ def _search_distribution(
             int(t): query.coefficients[int(t)] * float(v)
             for t, v in prior_values.items()
         }
-    t0 = time.perf_counter()
+    summary = _Summary()
     first = list(first_layer(y, QuerySpec.sum_query(n), lam).values())
     layers: list[dict[AdversaryNode, float]] = [{} for _ in range(n)]
     edges: dict[tuple[AdversaryNode, int], float] = {}
     last: dict[int, AdversaryNode] = {}  # child mask -> node, latest layer
 
     def on_layer(i: int, layer: int, masks: np.ndarray, vals: np.ndarray) -> None:
+        summary(i, layer, masks, vals)
         last.clear()
         for mask, v in zip(masks.tolist(), vals.tolist()):
             nd = last[mask] = AdversaryNode(i, _mask_to_tuple(mask))
@@ -487,23 +515,14 @@ def _search_distribution(
     _kernel(_TableEdges(y, lam, prior_values), first, fast, on_layer, on_edges)
     while not layers[-1]:
         layers.pop()
-    graph = WeightedHierGraph(n, tuple(layers), edges)
-    values = graph.all_values()
-    layer_max, best, argmax = summarize_layers(values, n)
-    report = LeakageReport(
-        layer_max=layer_max,
-        leakage=best,
-        argmax=argmax,
-        node_count=len(values),
-        elapsed=time.perf_counter() - t0,
-        algorithm="fast" if fast else "full",
-        metadata={
+    return WeightedHierGraph(n, tuple(layers), edges), summary.report(
+        "fast" if fast else "full",
+        {
             "edge_candidates": "two_sided",
             "assignment_mode": "fixed" if prior_values is not None else "max",
             "lambda": lam,
         },
     )
-    return graph, report
 
 
 def full_space_search(
@@ -545,68 +564,19 @@ def fast_search(
     return _search_distribution(dist, query, lam, fast=True, prior_values=prior_values)
 
 
-class _DictEdges:
-    """Adapter exposing a {(i, K tuple, j): ic} mapping as a batch lookup."""
-
-    def __init__(self, mapping: Mapping[tuple[int, tuple[int, ...], int], float], n: int):
-        self.n = n
-        self._map = {
-            (int(i), tuple(sorted(int(t) for t in K)), int(j)): float(v)
-            for (i, K, j), v in mapping.items()
-        }
-
-    def values(self, i: int, child_masks: np.ndarray, j: int | np.ndarray) -> np.ndarray:
-        js = np.broadcast_to(j, np.shape(child_masks)).tolist()
-        out = np.empty(len(js))
-        for pos, (mask, jj) in enumerate(zip(np.asarray(child_masks).tolist(), js)):
-            key = (i, _mask_to_tuple(mask), jj)
-            if key not in self._map:
-                raise KeyError(f"synthetic edge map is missing edge {key}")
-            out[pos] = self._map[key]
-        return out
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(t for t in range(mask.bit_length()) if (mask >> t) & 1)
-
-
-def load_synthetic_edges(
-    records: Iterable[Mapping], n: int
-) -> dict[tuple[int, tuple[int, ...], int], float]:
-    """Parse a JSON edge list [{"i":.., "K":[..], "j":.., "ic":..}, ...]."""
-    out = {}
-    for rec in records:
-        key = (int(rec["i"]), tuple(sorted(int(t) for t in rec["K"])), int(rec["j"]))
-        if key[2] not in key[1]:
-            raise ValueError(f"edge {key}: removed tuple j must belong to K")
-        out[key] = float(rec["ic"])
-    if not out:
-        raise ValueError("synthetic edge list is empty")
-    for (i, K, j) in out:
-        if i in K or max((i, *K)) >= n:
-            raise ValueError(f"edge ({i}, {K}, {j}) invalid for n={n}")
-    return out
-
-
 def search_synthetic(
     edges,
     first_layer_values: Mapping[int, float] | float,
     mode: str = "full",
-    n: int | None = None,
 ) -> LeakageReport:
     """Run the exhaustive or pruned search over externally supplied edges.
 
-    `edges` is either an edge source (see the module notes) or a mapping
-    keyed by (i, sorted K tuple, j). Node and edge semantics match the
-    distribution-driven searches; values are already in leakage units, so
-    no noise scale is involved here.
+    `edges` is an edge source (see the module notes). Node and edge
+    semantics match the distribution-driven searches; values are already in
+    leakage units, so no noise scale is involved here.
     """
     if mode not in ("full", "fast"):
         raise ValueError("mode must be 'full' or 'fast'")
-    if isinstance(edges, Mapping):
-        if n is None:
-            raise ValueError("n is required with a mapping edge source")
-        edges = _DictEdges(edges, n)
     n = edges.n
     if isinstance(first_layer_values, (int, float)):
         fl = {i: float(first_layer_values) for i in range(n)}
@@ -614,32 +584,6 @@ def search_synthetic(
         fl = {int(i): float(v) for i, v in first_layer_values.items()}
         if sorted(fl) != list(range(n)):
             raise ValueError("first_layer_values must cover every attacked tuple")
-    t0 = time.perf_counter()
-    layer_max: dict[int, float] = {}
-    best = -math.inf
-    best_node: AdversaryNode | None = None
-    node_count = 0
-
-    def record(i: int, layer: int, masks: np.ndarray, vals: np.ndarray) -> None:
-        nonlocal best, best_node, node_count
-        node_count += vals.size
-        if vals.size == 0:
-            return
-        top = float(vals.max())
-        if layer not in layer_max or top > layer_max[layer]:
-            layer_max[layer] = top
-        if top > best:
-            # smallest mask attaining the max keeps argmax deterministic
-            best = top
-            best_node = AdversaryNode(i, _mask_to_tuple(int(masks[vals == top].min())))
-
-    _kernel(edges, [fl[i] for i in range(n)], mode == "fast", record)
-    return LeakageReport(
-        layer_max=layer_max,
-        leakage=best,
-        argmax=best_node,
-        node_count=node_count,
-        elapsed=time.perf_counter() - t0,
-        algorithm=mode,
-        metadata={"synthetic": True, "n": n},
-    )
+    summary = _Summary()
+    _kernel(edges, [fl[i] for i in range(n)], mode == "fast", summary)
+    return summary.report(mode, {"synthetic": True, "n": n})

@@ -4,16 +4,20 @@ per-removed-tuple kernel loop, kept as test-side reference code.
 The package runs every search on one bitmask kernel with per-prior-set
 edge candidates. This module is the earlier, direct formulation: one
 conditional table and one scipy log-sum-exp per hypothesis and edge, and a
-node-by-node dict loop; and `reference_kernel`, the bitmask kernel as it was
-before it batched every removed tuple into one edge-source call. Tests
-cross-check the package against them value for value; nothing in the
-package imports this module.
+node-by-node dict loop summarized by sorting every node; and
+`reference_kernel`, the bitmask kernel as it was before it batched every
+removed tuple into one edge-source call. Tests cross-check the package
+against them value for value; nothing in the package imports this module.
+It also holds the conditional tables the oracle reference uses, the
+increment-ratio sign law, and `DictEdges`, an edge source over a
+hand-built {(i, K, j): ic} mapping.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -21,17 +25,69 @@ from scipy.special import logsumexp
 
 from priordp import (
     AdversaryNode,
+    DegenerateVariable,
+    ImpossibleCondition,
     JointDistribution,
     QuerySpec,
-    conditional,
     first_layer,
     marginal,
-    summarize_layers,
     transform_linear_query,
 )
 from priordp.model_discrete import PROB_FLOOR
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
+
+
+def conditional(
+    dist: JointDistribution,
+    targets: Iterable[int],
+    given: Mapping[int, float],
+) -> SimpleNamespace:
+    """Pr(x_targets | x_given), Bayes-normalized: `domains` and `probs` over
+    the targets in ascending order. Raises ImpossibleCondition when the
+    conditioning event has probability below 1e-12."""
+    tgt = tuple(sorted(set(int(i) for i in targets)))
+    giv = {int(k): float(v) for k, v in given.items()}
+    if not tgt:
+        raise ValueError("targets must be non-empty")
+    if set(tgt) & set(giv):
+        raise ValueError("targets and given indices overlap")
+    idx: list[object] = [slice(None)] * dist.n
+    for k, v in giv.items():
+        idx[k] = dist.value_index(k, v)
+    sliced = dist.probs[tuple(idx)]
+    remaining = [i for i in range(dist.n) if i not in giv]
+    sum_axes = tuple(ax for ax, i in enumerate(remaining) if i not in tgt)
+    table = sliced.sum(axis=sum_axes) if sum_axes else sliced
+    mass = float(table.sum())
+    if mass < PROB_FLOOR:
+        raise ImpossibleCondition(f"Pr(given={giv}) = {mass!r} is (near) zero")
+    return SimpleNamespace(domains=tuple(dist.domains[i] for i in tgt), probs=table / mass)
+
+
+def corr_sign_2x2(dist: JointDistribution, i: int, j: int) -> str:
+    """Sign of the correlation of two binary tuples, '+', '-' or '0', from
+    the cross-product p00*p11 - p01*p10, which for 2x2 tables has exactly
+    the sign of the Pearson correlation."""
+    cond = conditional(dist, (i, j), {})
+    if any(len(d) != 2 for d in cond.domains):
+        raise ValueError("corr_sign_2x2 requires binary domains for both tuples")
+    p = cond.probs
+    cross = float(p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
+    if abs(cross) <= 1e-15:
+        return "0"
+    return "+" if cross > 0 else "-"
+
+
+def ir_value(ic: float, ls_j: float, lam: float) -> float:
+    """Increment ratio IC / (LS_j / lam), clamped to [-1, 1] against float
+    rounding; sign-linked to the correlation of the attacked and removed
+    tuples."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    if ls_j <= 0:
+        raise DegenerateVariable("removed tuple has zero local sensitivity")
+    return float(np.clip(ic / (ls_j / lam), -1.0, 1.0))
 
 
 def ic_pair(
@@ -234,6 +290,43 @@ def search_distribution(
         "argmax": argmax,
         "node_count": len(values),
     }
+
+
+def summarize_layers(
+    values: Mapping[AdversaryNode, float], n: int
+) -> tuple[dict[int, float], float, AdversaryNode | None]:
+    """(per-layer maxima, overall max, argmax) of node values, the argmax
+    being the first maximal node in sorted node order."""
+    layer_max: dict[int, float] = {}
+    best_val = float("-inf")
+    best_node: AdversaryNode | None = None
+    for node in sorted(values):
+        v = values[node]
+        k = node.layer(n)
+        if k not in layer_max or v > layer_max[k]:
+            layer_max[k] = v
+        if v > best_val:
+            best_val = v
+            best_node = node
+    if best_node is None:
+        return {}, 0.0, None
+    return layer_max, best_val, best_node
+
+
+class DictEdges:
+    """Edge source over a {(i, K tuple, j): ic} mapping; a missing edge
+    raises KeyError."""
+
+    def __init__(self, mapping: Mapping[tuple[int, tuple[int, ...], int], float], n: int):
+        self.n = n
+        self._map = {(i, tuple(sorted(K)), j): float(v) for (i, K, j), v in mapping.items()}
+
+    def values(self, i: int, child_masks: np.ndarray, j) -> np.ndarray:
+        js = np.broadcast_to(j, np.shape(child_masks)).tolist()
+        return np.asarray([
+            self._map[(i, tuple(t for t in range(self.n) if (mask >> t) & 1), jj)]
+            for mask, jj in zip(np.asarray(child_masks).tolist(), js)
+        ])
 
 
 def reference_kernel(

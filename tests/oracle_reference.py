@@ -5,7 +5,9 @@ instead of conditional tables, and one log-sum-exp per mixture shape. This
 module is the earlier, direct formulation: one conditional table, one
 mixture and three log-sum-exps per (assignment, hypothesis), and feasibility
 read cell by cell. Tests require the package to match it in every
-OracleResult field, bit for bit; nothing in the package imports it.
+OracleResult field, bit for bit; nothing in the package imports it. It also
+holds `bayesian_gain`, the adversary's posterior log-odds gain, which tests
+check against the output log-density ratio.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from priordp import (
     JointDistribution,
     OracleResult,
     QuerySpec,
-    conditional,
     marginal,
     transform_linear_query,
 )
 from priordp.model_discrete import PROB_FLOOR, logsumexp
 from priordp.oracle import _merge_centers
+
+from chain_reference import conditional
 
 _NEG_RAY = float("-inf")
 _POS_RAY = float("inf")

@@ -30,7 +30,7 @@ from priordp import (
     search_synthetic,
 )
 
-from chain_reference import edge_value, gamma_set
+from chain_reference import DictEdges, edge_value, gamma_set
 from conftest import (
     ACCEPTANCE_NOTES,
     LEAK_A_STRONG,
@@ -307,10 +307,10 @@ def test_criterion_10_algorithm_relations(synthetic_sweep):
         for j in K
     }
     neg = {k: -0.1 for k in pos}
-    top = search_synthetic(pos, 1.0, "full", n=n)
+    top = search_synthetic(DictEdges(pos, n), 1.0, "full")
     assert top.argmax.layer(n) == n
     assert top.leakage == pytest.approx(1.0 + (n - 1) * 0.3, abs=1e-12)
-    bottom = search_synthetic(neg, 1.0, "full", n=n)
+    bottom = search_synthetic(DictEdges(neg, n), 1.0, "full")
     assert bottom.argmax.layer(n) == 1
     assert bottom.leakage == pytest.approx(1.0, abs=1e-12)
 

@@ -343,6 +343,14 @@ class TestExperiment:
             "334eb3f165fefbbc33dce00e6f192f5d7be2954dc995deb15e85d43e1f081a37"
         )
 
+    def test_negative_sweep_as_separate_argument(self, tmp_path):
+        # argparse alone reads "-0.3,0.2" after --averCorr as an option
+        base = ["experiment", "--kind", "discrete", "--n", "6", "--seeds", "1"]
+        rc1, out1 = self.run(tmp_path, "a.csv", base + ["--averCorr", "-0.3,0.2"])
+        rc2, out2 = self.run(tmp_path, "b.csv", base + ["--averCorr=-0.3,0.2"])
+        assert rc1 == rc2 == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_workers_follow_cpu_affinity(self, monkeypatch):
         monkeypatch.delenv("PDP_THREADS", raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)

@@ -12,8 +12,6 @@ from priordp import (
     ImpossibleCondition,
     JointDistribution,
     QuerySpec,
-    conditional,
-    corr_sign_2x2,
     distribution_to_json,
     global_sensitivity,
     load_distribution,
@@ -23,6 +21,7 @@ from priordp import (
     transform_linear_query,
 )
 
+from chain_reference import conditional, corr_sign_2x2
 from conftest import binary_table, CELLS_A, CELLS_B, CELLS_C, random_instance, sized_table
 
 

@@ -1,11 +1,12 @@
-"""Brute-force oracle: frozen fixture values, witness consistency, DP, gain.
+"""Brute-force oracle: frozen fixture values, witness consistency, gain.
 
 The reference density below recomputes Pr(r | x_i, x_K) with plain Python
 loops and math.exp, sharing no code with the package internals. The frozen
 constants in conftest were produced by this oracle and independently
 confirmed with 50-digit arithmetic; here they guard against regressions.
 The batched oracle is also checked bit for bit against the per-hypothesis
-loop kept in oracle_reference.py.
+loop kept in oracle_reference.py, whose posterior-odds gain is checked
+against the reference density.
 """
 
 import dataclasses
@@ -19,8 +20,6 @@ from priordp import (
     ImpossibleCondition,
     JointDistribution,
     QuerySpec,
-    bayesian_gain,
-    dp_exact,
     gen_discrete_corr,
     local_sensitivity,
     marginal,
@@ -31,6 +30,7 @@ from priordp import oracle
 from priordp.model_discrete import PROB_FLOOR
 
 import oracle_reference
+from oracle_reference import bayesian_gain
 from conftest import (
     CELLS_C,
     LEAK_A_WEAK,
@@ -179,25 +179,6 @@ class TestProductDistribution:
                     assert res.leakage == pytest.approx(want, abs=1e-9)
 
 
-class TestDPExact:
-    def test_single_tuple_sensitivity(self, table_d, sum2):
-        assert dp_exact(table_d, sum2, 1.0) == pytest.approx(5.0)
-        assert dp_exact(table_d, sum2, 2.0) == pytest.approx(2.5)
-
-    def test_group_widens(self, table_d, sum2):
-        assert dp_exact(table_d, sum2, 1.0, group=[0, 1]) == pytest.approx(6.0)
-        assert dp_exact(table_d, sum2, 1.0, group=[0]) == pytest.approx(1.0)
-
-    def test_group_validation(self, table_d, sum2):
-        with pytest.raises(ValueError):
-            dp_exact(table_d, sum2, 1.0, group=[2])
-        with pytest.raises(ValueError):
-            dp_exact(table_d, sum2, 0.0)
-
-    def test_coefficients_scale_sensitivity(self, table_a):
-        assert dp_exact(table_a, QuerySpec((3.0, 1.0)), 1.0) == pytest.approx(3.0)
-
-
 class TestBayesianGain:
     def test_equals_output_density_ratio(self, table_a, sum2):
         # posterior-odds gain == log-density ratio, pointwise in r
@@ -317,16 +298,3 @@ class TestBatchedMatchesReference:
         assert res.assignment == {1: 1.0}
         assert res.kinks_evaluated == 3
         assert_oracle_matches_reference(dist, query, 1.0)
-
-    def test_bayesian_gain(self):
-        rng = np.random.default_rng(64)
-        for n, size in ((2, 3), (3, 2), (3, 3), (4, 2)):
-            dist = sized_table(rng, n, size)
-            query = QuerySpec(tuple(rng.choice([-1.0, 1.0, 2.0], size=n)))
-            for K in ((), tuple(range(1, n)), (n - 1,)):
-                assign = {k: dist.domains[k][int(rng.integers(size))] for k in K}
-                a, b = dist.domains[0][0], dist.domains[0][-1]
-                for r in (-2.0, 0.3, 1.7):
-                    got = bayesian_gain(dist, query, 0.5, 0, a, b, assign, r)
-                    want = oracle_reference.bayesian_gain(dist, query, 0.5, 0, a, b, assign, r)
-                    assert repr(got) == repr(want)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import json
 import math
 
 import numpy as np
@@ -17,13 +16,10 @@ from priordp import (
     JointDistribution,
     QuerySpec,
     SearchSpaceExceeded,
-    corr_sign_2x2,
     fast_search,
     first_layer,
     full_space_search,
     gen_whg_edges,
-    ir_value,
-    load_synthetic_edges,
     local_sensitivity,
     pdp_exact_discrete,
     search_synthetic,
@@ -32,11 +28,14 @@ from priordp import (
 from priordp.synth import EdgeMap
 
 from chain_reference import (
+    DictEdges,
     ancestor_leakage,
     chain_rule_path,
+    corr_sign_2x2,
     edge_value,
     gamma_set,
     ic_pair,
+    ir_value,
     reference_kernel,
     search_distribution,
 )
@@ -293,15 +292,6 @@ class TestDistributionSearch:
         _, rep = full_space_search(dist, q, 1.0, cap=2, force=True)
         assert rep.leakage > 0
 
-    def test_graph_json(self, table_a, sum2):
-        graph, _ = full_space_search(table_a, sum2, 1.0)
-        obj = graph.to_json()
-        json.dumps(obj)
-        assert {e["layer"] for e in obj["layers"]} == {1, 2}
-        weak = [e for e in obj["layers"] if e["node"] == [0, []]]
-        assert weak[0]["leakage"] == pytest.approx(LEAK_A_WEAK, abs=1e-9)
-        assert obj["edges"][0]["ic"] == pytest.approx(IC_A, abs=1e-9)
-
     def test_metadata(self, table_a, sum2):
         _, rep = full_space_search(table_a, sum2, 0.5)
         assert rep.metadata["edge_candidates"] == "two_sided"
@@ -474,7 +464,8 @@ def search_repr(dist, prior_values=None):
 
 
 def dense_edges(n, value_fn):
-    """Every (i, K, j) edge for an n-tuple graph from an explicit rule."""
+    """Every (i, K, j) edge for an n-tuple graph from an explicit rule, as a
+    mapping for DictEdges."""
     out = {}
     for i in range(n):
         others = [t for t in range(n) if t != i]
@@ -489,16 +480,16 @@ class TestSyntheticSearch:
     def test_all_positive_edges_peak_at_top_layer(self):
         n, c = 4, 0.3
         edges = dense_edges(n, lambda i, K, j: c)
-        rep = search_synthetic(edges, 1.0, mode="full", n=n)
+        rep = search_synthetic(DictEdges(edges, n), 1.0, mode="full")
         assert rep.leakage == pytest.approx(1.0 + (n - 1) * c, abs=1e-12)
         assert rep.argmax.layer(n) == n
-        fast = search_synthetic(edges, 1.0, mode="fast", n=n)
+        fast = search_synthetic(DictEdges(edges, n), 1.0, mode="fast")
         assert fast.leakage == pytest.approx(rep.leakage, abs=1e-12)
 
     def test_all_negative_edges_peak_at_first_layer(self):
         n, c = 4, 0.2  # c < 1/n keeps every partial sum positive
         edges = dense_edges(n, lambda i, K, j: -c)
-        rep = search_synthetic(edges, 1.0, mode="full", n=n)
+        rep = search_synthetic(DictEdges(edges, n), 1.0, mode="full")
         assert rep.leakage == pytest.approx(1.0, abs=1e-12)
         assert rep.argmax.layer(n) == 1
 
@@ -507,7 +498,7 @@ class TestSyntheticSearch:
             return 0.8 if len(K) == 2 else -1.5
 
         edges = dense_edges(3, rule)
-        rep = search_synthetic(edges, 1.0, mode="full", n=3)
+        rep = search_synthetic(DictEdges(edges, 3), 1.0, mode="full")
         assert rep.leakage == pytest.approx(1.8, abs=1e-12)
         assert rep.argmax.layer(3) == 2
 
@@ -517,30 +508,28 @@ class TestSyntheticSearch:
         edges[(0, (1, 2), 2)] = 0.9
         edges[(0, (2,), 2)] = 0.1
         edges[(0, (1,), 1)] = -0.9
-        rep = search_synthetic(edges, 1.0, mode="full", n=3)
+        rep = search_synthetic(DictEdges(edges, 3), 1.0, mode="full")
         # weakest adversary attacking 0: min(|1.5 + 0.1|, |1.9 - 0.9|) = 1.0
         assert rep.layer_max == pytest.approx({1: 1.0, 2: 1.9, 3: 1.0})
 
     def test_scalar_first_layer_broadcasts(self):
         edges = dense_edges(3, lambda i, K, j: 0.1)
-        r1 = search_synthetic(edges, 2.0, mode="full", n=3)
-        r2 = search_synthetic(edges, {0: 2.0, 1: 2.0, 2: 2.0}, mode="full", n=3)
+        r1 = search_synthetic(DictEdges(edges, 3), 2.0, mode="full")
+        r2 = search_synthetic(DictEdges(edges, 3), {0: 2.0, 1: 2.0, 2: 2.0}, mode="full")
         assert r1.leakage == pytest.approx(r2.leakage)
 
     def test_validation(self):
         edges = dense_edges(3, lambda i, K, j: 0.1)
         with pytest.raises(ValueError):
-            search_synthetic(edges, 1.0, mode="greedy", n=3)
+            search_synthetic(DictEdges(edges, 3), 1.0, mode="greedy")
         with pytest.raises(ValueError):
-            search_synthetic(edges, 1.0, mode="full")  # mapping needs n
-        with pytest.raises(ValueError):
-            search_synthetic(edges, {0: 1.0}, mode="full", n=3)
+            search_synthetic(DictEdges(edges, 3), {0: 1.0}, mode="full")
 
     def test_missing_edge_found(self):
         edges = dense_edges(3, lambda i, K, j: 0.1)
         del edges[(0, (1, 2), 2)]
         with pytest.raises(KeyError):
-            search_synthetic(edges, 1.0, mode="full", n=3)
+            search_synthetic(DictEdges(edges, 3), 1.0, mode="full")
 
     def test_generated_edges_fast_dominates_full(self):
         for seed in range(3):
@@ -558,31 +547,52 @@ class TestSyntheticSearch:
         assert r1.argmax == r2.argmax
 
 
-class TestLoadSyntheticEdges:
-    def test_round_trip(self):
-        records = [
-            {"i": 0, "K": [1, 2], "j": 1, "ic": 0.25},
-            {"i": 0, "K": [2], "j": 2, "ic": -0.1},
-        ]
-        out = load_synthetic_edges(records, 3)
-        assert out[(0, (1, 2), 1)] == 0.25
-        assert out[(0, (2,), 2)] == -0.1
+def peak_edges(peaks):
+    """DictEdges at n=5 on which attacked tuple 4's nodes are worth 2.0 at
+    the prior sets in `peaks`, 1.0 at its first layer and 0.5 elsewhere.
+    Each edge carries the difference of its two node values, so every path
+    into a node gives the node's value exactly. Tuples 0-3 stay at 0.5."""
+    def value(i, K):
+        return 1.0 if i == 4 and len(K) == 4 else 2.0 if i == 4 and K in peaks else 0.5
 
-    def test_j_must_be_in_k(self):
-        with pytest.raises(ValueError):
-            load_synthetic_edges([{"i": 0, "K": [1], "j": 2, "ic": 0.1}], 3)
+    return DictEdges(
+        dense_edges(5, lambda i, K, j: value(i, tuple(t for t in K if t != j)) - value(i, K)), 5
+    )
 
-    def test_attack_cannot_be_known(self):
-        with pytest.raises(ValueError):
-            load_synthetic_edges([{"i": 0, "K": [0], "j": 0, "ic": 0.1}], 3)
 
-    def test_index_range(self):
-        with pytest.raises(ValueError):
-            load_synthetic_edges([{"i": 0, "K": [5], "j": 5, "ic": 0.1}], 3)
+class TestArgmaxRule:
+    """Both searches report the first maximal node in (attack, sorted prior
+    tuple) order, on ties where that order and child-mask order disagree:
+    K=(0,3) (mask 9) against K=(1,2) (mask 6) in one layer, and K=(0,) in
+    layer 4 against K=(1,2) in layer 3."""
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            load_synthetic_edges([], 3)
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    @pytest.mark.parametrize("peaks, want", [({(0, 3), (1, 2)}, (0, 3)), ({(0,), (1, 2)}, (0,))])
+    def test_dict_edges(self, mode, peaks, want):
+        first = {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5, 4: 1.0}
+        rep = search_synthetic(peak_edges(peaks), first, mode)
+        assert (rep.leakage, rep.argmax) == (2.0, AdversaryNode(4, want))
+
+    @pytest.mark.parametrize("domains, cells, want", [
+        # swapping x0 with x1 and x2 with x3 at once leaves the table as it
+        # is and maps K=(0,3) to (1,2)
+        ([(0.0, 1.0)] * 4 + [(0.0, 2.0)],
+         [1, 9, 0, 13, 0, 13, 5, 5, 0, 4, 0, 5, 0, 0, 14, 0,
+          0, 4, 0, 0, 0, 5, 14, 0, 8, 2, 0, 0, 0, 0, 5, 21], (0, 3)),
+        # x0 and x1 are exchangeable, and x2 and x3 take one value, so that
+        # knowing them moves no node value: K=(0,) ties K=(1,) and (1,2)
+        ([(0.0, 1.0), (0.0, 1.0), (0.0,), (0.0,), (0.0, 2.0)],
+         [165, 113, 33, 9, 33, 9, 88, 62], (0,)),
+    ])
+    def test_table(self, domains, cells, want):
+        # cells are multiples of 1/512, so every marginal is exact and the
+        # tied nodes tie bit for bit
+        shape = tuple(len(d) for d in domains)
+        dist = JointDistribution(domains, np.reshape(cells, shape) / sum(cells))
+        graph, report = full_space_search(dist, QuerySpec.sum_query(5), 0.25)
+        ties = sorted(nd for nd, v in graph.all_values().items() if v == report.leakage)
+        assert ties[0] == report.argmax == AdversaryNode(4, want)
+        assert AdversaryNode(4, (1, 2)) in ties
 
 
 def kernel_trace(kernel, edges, first, fast):
@@ -701,3 +711,17 @@ class TestEdgeSourceContract:
             make().values(1, masks, js)
         with pytest.raises(ValueError, match="indices"):
             make().values(1, masks[:1], bad)
+
+    @edge_sources()
+    def test_j_outside_child_rejected(self, make):
+        # j = 3 lies in range but not in the child's K = {1, 2}
+        make().values(0, np.asarray([0b0110]), 2)
+        with pytest.raises(ValueError, match="belong"):
+            make().values(0, np.asarray([0b0110]), 3)
+        with pytest.raises(ValueError, match="belong"):
+            make().values(0, np.asarray([0b0110, 0b1010]), np.asarray([2, 2]))
+
+    @edge_sources()
+    def test_child_holding_i_rejected(self, make):
+        with pytest.raises(ValueError, match="belong"):
+            make().values(0, np.asarray([0b0111]), 2)
