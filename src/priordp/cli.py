@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -38,22 +39,20 @@ from .model_gaussian import (
     max_leakage_gaussian,
 )
 from .oracle import pdp_exact_discrete, pdp_numeric_gaussian
-from .report import AdversaryNode
 from .synth import gen_covariance, gen_whg_edges
-from .whg import fast_search, full_space_search, search_synthetic
+from .whg import FULL_CAP, fast_search, full_space_search, search_synthetic
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_NUMERIC = 4
 
-# the full-space search over a real distribution is far costlier per node
-# than the synthetic variant, so the front end refuses earlier than the
-# library default of 18
-CLI_FULL_CAP = 15
-
 # the brute-force oracle enumerates every adversary, assignment and kink
 ORACLE_CAP = 8
+
+# numeric options that must be positive and finite, by argparse dest
+_POSITIVE = {"lam": "--lambda", "epsilon": "--epsilon", "scale": "--scale", "M": "--M",
+             "beta_alpha": "--beta-alpha"}
 
 
 def _read_json(path: str):
@@ -109,9 +108,7 @@ def cmd_analyze_discrete(args) -> int:
     dist = load_distribution(_read_json(args.dist_file))
     query = _query_for(dist, args.query)
     if args.mode == "full":
-        _, report = full_space_search(
-            dist, query, args.lam, cap=CLI_FULL_CAP, force=args.force
-        )
+        _, report = full_space_search(dist, query, args.lam, force=args.force)
     else:
         _, report = fast_search(dist, query, args.lam)
     payload = report.to_json()
@@ -124,10 +121,11 @@ def _parse_adversary(text: str, n: int) -> tuple[int, tuple[int, ...]]:
     parts = [int(t) for t in text.split(",") if t.strip() != ""]
     if not parts:
         raise ValueError("--adversary needs at least the attacked index")
-    i, K = parts[0], tuple(sorted(parts[1:]))
-    if not 0 <= i < n or any(not 0 <= k < n for k in K) or i in K:
-        raise ValueError(f"adversary ({i}, {K}) invalid for n={n}")
-    return i, K
+    if len(set(parts)) < len(parts) or any(not 0 <= p < n for p in parts):
+        raise ValueError(
+            f"--adversary {text}: indices must be distinct and in 0..{n - 1}"
+        )
+    return parts[0], tuple(sorted(parts[1:]))
 
 
 def cmd_analyze_gaussian(args) -> int:
@@ -161,22 +159,21 @@ def _all_adversaries(n: int):
 
 def cmd_oracle_check(args) -> int:
     kind, obj = _load_any(args.input_file)
+    if obj.n > ORACLE_CAP and not args.force:
+        raise SearchSpaceExceeded(
+            f"oracle-check over n={obj.n} exceeds cap {ORACLE_CAP}; "
+            "pass --force to override"
+        )
     rows = []
     if kind == "discrete":
         dist = obj
-        if dist.n > args.cap and not args.force:
-            raise SearchSpaceExceeded(
-                f"oracle-check over n={dist.n} exceeds cap {args.cap}; "
-                "pass --force to override"
-            )
         tol = args.tolerance if args.tolerance is not None else 1e-9
         query = _query_for(dist, args.query)
         graph, _ = full_space_search(dist, query, args.lam, force=True)
-        values = graph.all_values()
+        values = {(i, mask): v for i, mask, v in graph.nodes.tolist()}
         for i, K in _all_adversaries(dist.n):
-            node = AdversaryNode(i, K)
             oracle = pdp_exact_discrete(dist, query, args.lam, i, K)
-            chain = values.get(node)
+            chain = values.get((i, sum(1 << k for k in K)))
             ok = chain is not None and oracle.leakage <= chain + tol
             rows.append(
                 {
@@ -191,11 +188,6 @@ def cmd_oracle_check(args) -> int:
         cols = ("chain", "oracle")
     else:
         model = obj
-        if model.n > args.cap and not args.force:
-            raise SearchSpaceExceeded(
-                f"oracle-check over n={model.n} exceeds cap {args.cap}; "
-                "pass --force to override"
-            )
         tol = args.tolerance if args.tolerance is not None else 1e-3
         for i, K in _all_adversaries(model.n):
             # one expansion feeds both the closed form and the grid oracle
@@ -317,8 +309,6 @@ def cmd_experiment(args) -> int:
 def cmd_calibrate(args) -> int:
     kind, obj = _load_any(args.input_file)
     eps = args.epsilon
-    if eps <= 0:
-        raise ValueError("--epsilon must be positive")
     if kind == "discrete":
         dist = obj
         query = _query_for(dist, args.query)
@@ -326,7 +316,7 @@ def cmd_calibrate(args) -> int:
         if gs <= 0:
             raise ValueError("query has zero sensitivity; any lambda works")
         n = dist.n
-        cap = ORACLE_CAP if args.method == "oracle" else CLI_FULL_CAP
+        cap = ORACLE_CAP if args.method == "oracle" else FULL_CAP
         if n > cap and not args.force:
             raise SearchSpaceExceeded(
                 f"calibrate --method {args.method} over n={n} exceeds cap {cap}; "
@@ -414,6 +404,14 @@ def _scale_gaussian(
     return lam, model.M / lam * v, 0
 
 
+def _check_positive(args) -> None:
+    """Reject a numeric option that is not positive and finite."""
+    for dest, flag in _POSITIVE.items():
+        value = getattr(args, dest, None)
+        if value is not None and not 0 < value < math.inf:
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
+
+
 def _invocation(args) -> str:
     return " ".join(args.argv)
 
@@ -457,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--query", default=None)
-    p.add_argument("--cap", type=int, default=ORACLE_CAP)
     p.add_argument("--force", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle_check)
@@ -511,6 +508,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_glue_sweep(argv))
     args.argv = ["priordp"] + argv
     try:
+        _check_positive(args)
         return args.func(args)
     except SearchSpaceExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -247,21 +247,19 @@ def _adversary_values(model: GaussianModel) -> Iterator[tuple[int, np.ndarray, n
     yield n, np.arange(n)[:, None] * half + half - 1, np.full((n, 1), scale)
 
 
-def max_leakage_gaussian(
-    model: GaussianModel, cap: int = ENUM_CAP, force: bool = False
-) -> LeakageReport:
+def max_leakage_gaussian(model: GaussianModel, force: bool = False) -> LeakageReport:
     """Exact supremum of leakage_gaussian over all adversaries (i, K).
 
     Enumerates all n * 2^(n-1) adversaries, one solve per prior set (see
-    _adversary_values); refuses above `cap` tuples unless force=True. Layers
+    _adversary_values); refuses above ENUM_CAP tuples unless force=True. Layers
     follow the graph convention: layer = n - |K|. argmax is the first
     adversary, in (i, mask over the other tuples) order, whose value equals
     the maximum.
     """
     n = model.n
-    if n > cap and not force:
+    if n > ENUM_CAP and not force:
         raise SearchSpaceExceeded(
-            f"n={n} would enumerate {n * 2 ** (n - 1)} adversaries (cap {cap})"
+            f"n={n} would enumerate {n * 2 ** (n - 1)} adversaries (cap {ENUM_CAP})"
         )
     t0 = time.perf_counter()
     layer_max: dict[int, float] = {}
@@ -285,7 +283,7 @@ def max_leakage_gaussian(
         node_count=n * half,
         elapsed=time.perf_counter() - t0,
         algorithm="enumerate",
-        metadata={"n": n, "cap": cap},
+        metadata={"n": n, "cap": ENUM_CAP},
     )
 
 

@@ -50,7 +50,8 @@ the (mask, j) pairs of every removed tuple j != i in j-major order, split
 into chunks of at most _EXPAND_CHUNK expanded masks so that memory stays
 flat on wide layers. Its on_edges hook gets (i, js, masks, increments).
 Both searches build their report from its on_layer calls through one
-streaming summary, _Summary.
+streaming summary, _Summary. A table search also returns its graph: the
+arrays of its on_layer and on_edges calls, joined into one array each.
 
 A table's edge source computes the candidates of whole prior sets
 T = {i} u K, every (i, j) pair of T at once, stacking the sets of one size
@@ -97,27 +98,32 @@ _PAIRWISE = 8
 # where a layer is wide.
 _EXPAND_CHUNK = 512
 
+# most tuples a full table search takes without force=True
+FULL_CAP = 15
+
+_NODE = np.dtype([("attack", "i8"), ("mask", "i8"), ("value", "f8")])
+_EDGE = np.dtype([("attack", "i8"), ("j", "i8"), ("mask", "i8"), ("ic", "f8")])
+
 
 @dataclass(frozen=True, eq=False)
 class WeightedHierGraph:
-    """Layered adversary graph with node leakages and edge increments.
+    """A table search's graph as two structured arrays, rows in kernel order.
 
-    layers[k-1] maps the layer-k nodes to their leakage; edges maps
-    (child node, removed tuple j) to the increment IC chosen for that edge.
+    nodes has one row (attack, mask, value) per computed node, with bit t of
+    mask set when t is in K. edges has one row (attack, j, mask, ic) per edge
+    taken: the child (attack, mask) forgets tuple j at increment ic.
     """
 
     n: int
-    layers: tuple[Mapping[AdversaryNode, float], ...]
-    edges: Mapping[tuple[AdversaryNode, int], float]
+    nodes: np.ndarray
+    edges: np.ndarray
 
     def node_value(self, node: AdversaryNode) -> float:
-        return self.layers[node.layer(self.n) - 1][node]
-
-    def all_values(self) -> dict[AdversaryNode, float]:
-        out: dict[AdversaryNode, float] = {}
-        for layer in self.layers:
-            out.update(layer)
-        return out
+        mask = sum(1 << t for t in node.prior)
+        rows = self.nodes[(self.nodes["attack"] == node.attack) & (self.nodes["mask"] == mask)]
+        if rows.size == 0:
+            raise KeyError(node)
+        return float(rows["value"][0])
 
 
 def first_layer(
@@ -479,14 +485,13 @@ def _search_distribution(
     *,
     fast: bool,
     prior_values: Mapping[int, float] | None = None,
-    cap: int = 18,
     force: bool = False,
 ) -> tuple[WeightedHierGraph, LeakageReport]:
     y = transform_linear_query(dist, query)
     n = y.n
-    if not fast and n > cap and not force:
+    if not fast and n > FULL_CAP and not force:
         raise SearchSpaceExceeded(
-            f"n={n} would materialize {n * 2 ** (n - 1)} nodes (cap {cap}); "
+            f"n={n} would materialize {n * 2 ** (n - 1)} nodes (cap {FULL_CAP}); "
             "pass force=True to override"
         )
     if prior_values is not None:
@@ -497,25 +502,23 @@ def _search_distribution(
         }
     summary = _Summary()
     first = list(first_layer(y, QuerySpec.sum_query(n), lam).values())
-    layers: list[dict[AdversaryNode, float]] = [{} for _ in range(n)]
-    edges: dict[tuple[AdversaryNode, int], float] = {}
-    last: dict[int, AdversaryNode] = {}  # child mask -> node, latest layer
+    nodes: list[np.ndarray] = []
+    edges = [np.empty(0, _EDGE)]  # a one-tuple table has no edges
 
     def on_layer(i: int, layer: int, masks: np.ndarray, vals: np.ndarray) -> None:
         summary(i, layer, masks, vals)
-        last.clear()
-        for mask, v in zip(masks.tolist(), vals.tolist()):
-            nd = last[mask] = AdversaryNode(i, _mask_to_tuple(mask))
-            layers[layer - 1][nd] = v
+        rows = np.empty(masks.size, _NODE)
+        rows["attack"], rows["mask"], rows["value"] = i, masks, vals
+        nodes.append(rows)
 
     def on_edges(i: int, js: np.ndarray, masks: np.ndarray, ics: np.ndarray) -> None:
-        for mask, j, ic in zip(masks.tolist(), js.tolist(), ics.tolist()):
-            edges[(last[mask], j)] = ic
+        rows = np.empty(masks.size, _EDGE)
+        rows["attack"], rows["j"], rows["mask"], rows["ic"] = i, js, masks, ics
+        edges.append(rows)
 
     _kernel(_TableEdges(y, lam, prior_values), first, fast, on_layer, on_edges)
-    while not layers[-1]:
-        layers.pop()
-    return WeightedHierGraph(n, tuple(layers), edges), summary.report(
+    graph = WeightedHierGraph(n, np.concatenate(nodes), np.concatenate(edges))
+    return graph, summary.report(
         "fast" if fast else "full",
         {
             "edge_candidates": "two_sided",
@@ -531,16 +534,15 @@ def full_space_search(
     lam: float,
     *,
     prior_values: Mapping[int, float] | None = None,
-    cap: int = 18,
     force: bool = False,
 ) -> tuple[WeightedHierGraph, LeakageReport]:
     """Materialize every adversary node layer by layer (exhaustive search).
 
     A node reachable through several removal orders keeps the minimum of the
-    candidate leakages. Refuses n > cap (default 18) unless force=True.
+    candidate leakages. Refuses n > FULL_CAP unless force=True.
     """
     return _search_distribution(
-        dist, query, lam, fast=False, prior_values=prior_values, cap=cap, force=force
+        dist, query, lam, fast=False, prior_values=prior_values, force=force
     )
 
 

@@ -9,8 +9,9 @@ node-by-node dict loop summarized by sorting every node; and
 removed tuple into one edge-source call. Tests cross-check the package
 against them value for value; nothing in the package imports this module.
 It also holds the conditional tables the oracle reference uses, the
-increment-ratio sign law, and `DictEdges`, an edge source over a
-hand-built {(i, K, j): ic} mapping.
+increment-ratio sign law, `DictEdges`, an edge source over a hand-built
+{(i, K, j): ic} mapping, and `graph_dicts`, which turns a search's node and
+edge arrays back into the reference's dicts.
 """
 
 from __future__ import annotations
@@ -311,6 +312,38 @@ def summarize_layers(
     if best_node is None:
         return {}, 0.0, None
     return layer_max, best_val, best_node
+
+
+def graph_dicts(graph) -> tuple[list[dict[AdversaryNode, float]], dict]:
+    """The (layers, edges) dicts of a table search's graph, in the order the
+    search emitted its rows: layers[k-1] maps the layer-k nodes to their
+    leakage, trailing empty layers dropped, and edges maps (child node,
+    removed tuple j) to the increment taken on that edge."""
+    n = graph.n
+    layers: list[dict[AdversaryNode, float]] = [{} for _ in range(n)]
+    for i, mask, value in graph.nodes.tolist():
+        node = AdversaryNode(i, mask_tuple(mask))
+        layers[node.layer(n) - 1][node] = value
+    while layers and not layers[-1]:
+        layers.pop()
+    edges = {
+        (AdversaryNode(i, mask_tuple(mask)), j): ic
+        for i, j, mask, ic in graph.edges.tolist()
+    }
+    return layers, edges
+
+
+def all_values(graph) -> dict[AdversaryNode, float]:
+    """Every node value of a table search's graph, layer by layer."""
+    out: dict[AdversaryNode, float] = {}
+    for layer in graph_dicts(graph)[0]:
+        out.update(layer)
+    return out
+
+
+def mask_tuple(mask: int) -> tuple[int, ...]:
+    """The sorted tuple of the set bits of a prior-set mask."""
+    return tuple(t for t in range(mask.bit_length()) if (mask >> t) & 1)
 
 
 class DictEdges:

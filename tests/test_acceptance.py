@@ -30,7 +30,7 @@ from priordp import (
     search_synthetic,
 )
 
-from chain_reference import DictEdges, edge_value, gamma_set
+from chain_reference import DictEdges, all_values, edge_value, gamma_set
 from conftest import (
     ACCEPTANCE_NOTES,
     LEAK_A_STRONG,
@@ -62,7 +62,7 @@ def domination_survey():
         graph, _ = full_space_search(dist, query, 1.0)
         ls = [local_sensitivity(dist, query, j) for j in range(n)]
         gs = global_sensitivity(dist, query)
-        for node, chain in graph.all_values().items():
+        for node, chain in all_values(graph).items():
             oracle = pdp_exact_discrete(
                 dist, query, 1.0, node.attack, node.prior
             ).leakage

@@ -23,6 +23,7 @@ from priordp import (
     model_gaussian,
     oracle,
     pdp_exact_discrete,
+    whg,
 )
 from priordp.cli import main
 
@@ -110,6 +111,14 @@ class TestAnalyzeDiscrete:
         assert main(["analyze-discrete", str(path)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "0"])
+    def test_bad_lambda(self, table_a_file, tmp_path, capsys, lam):
+        out = tmp_path / "rep.json"
+        argv = ["analyze-discrete", table_a_file, "--lambda", lam, "--out", str(out)]
+        assert main(argv) == 2
+        assert "--lambda" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyzeGaussian:
     def test_single_adversary(self, gauss_file, capsys):
@@ -140,6 +149,16 @@ class TestAnalyzeGaussian:
     def test_bad_adversary(self, gauss_file, capsys):
         assert main(["analyze-gaussian", gauss_file, "--adversary", "5"]) == 2
         assert main(["analyze-gaussian", gauss_file, "--adversary", "0,0"]) == 2
+
+    def test_repeated_prior_index(self, tmp_path, capsys):
+        # K = {1} written twice would echo "K": [1, 1]
+        model = {"mu": [0.0] * 3, "sigma": np.eye(3).tolist(), "M": 1.0, "lambda": 1.0}
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(model))
+        assert main(["analyze-gaussian", str(path), "--adversary", "0,1,1"]) == 2
+        assert "distinct" in capsys.readouterr().err
+        assert main(["analyze-gaussian", str(path), "--adversary", "0,2,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["K"] == [1, 2]
 
 
 class TestOracleCheck:
@@ -316,6 +335,22 @@ class TestExperiment:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("discrete", "--scale", "inf"),
+        ("discrete", "--beta-alpha", "nan"),
+        ("gaussian", "--M", "inf"),
+        ("gaussian", "--lambda", "-1"),
+    ])
+    def test_bad_numeric_options(self, tmp_path, capsys, kind, flag, value):
+        rc, out = self.run(
+            tmp_path,
+            "bad.csv",
+            ["experiment", "--kind", kind, "--n", "4", "--seeds", "1", flag, value],
+        )
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PDP_THREADS", "0")
         rc, _ = self.run(
@@ -426,6 +461,17 @@ class TestCalibrate:
         assert main(["calibrate", table_a_file, "--epsilon", "-2"]) == 2
         capsys.readouterr()
 
+    def test_nan_epsilon(self, table_a_file, tmp_path, capsys):
+        # a NaN target once bisected to "lambda": NaN, which is not JSON
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", table_a_file, "--epsilon", "nan", "--out", str(out)]) == 2
+        assert "--epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gaussian_infinite_epsilon(self, gauss_file, capsys):
+        assert main(["calibrate", gauss_file, "--epsilon", "inf"]) == 2
+        assert "--epsilon" in capsys.readouterr().err
+
     def test_zero_sensitivity(self, tmp_path, capsys):
         # the only weighted tuple has a single-point domain
         path = tmp_path / "flat.json"
@@ -437,7 +483,7 @@ class TestCalibrate:
         assert "sensitivity" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "method, cap", [("full", cli.CLI_FULL_CAP), ("fast", cli.CLI_FULL_CAP),
+        "method, cap", [("full", whg.FULL_CAP), ("fast", whg.FULL_CAP),
                         ("oracle", cli.ORACLE_CAP)]
     )
     def test_size_cap(self, method, cap, tmp_path, monkeypatch, capsys):

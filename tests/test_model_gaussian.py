@@ -324,11 +324,13 @@ class TestMaxLeakage:
         for layer in range(1, 4):
             assert rep.layer_max[layer] <= rep.layer_max[layer + 1] + 1e-12
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         m = equicorrelated(3, 0.2)
-        with pytest.raises(SearchSpaceExceeded):
-            max_leakage_gaussian(m, cap=2)
-        rep = max_leakage_gaussian(m, cap=2, force=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(model_gaussian, "ENUM_CAP", 2)
+            with pytest.raises(SearchSpaceExceeded):
+                max_leakage_gaussian(m)
+            rep = max_leakage_gaussian(m, force=True)
         assert rep.node_count == 12
         big = GaussianModel(mu=[0.0] * 21, sigma=np.eye(21))
         with pytest.raises(SearchSpaceExceeded):

@@ -29,13 +29,16 @@ from priordp.synth import EdgeMap
 
 from chain_reference import (
     DictEdges,
+    all_values,
     ancestor_leakage,
     chain_rule_path,
     corr_sign_2x2,
     edge_value,
     gamma_set,
+    graph_dicts,
     ic_pair,
     ir_value,
+    mask_tuple,
     reference_kernel,
     search_distribution,
 )
@@ -202,7 +205,7 @@ class TestDistributionSearch:
             gf, rf = full_space_search(dist, sum2, 1.0)
             ga, ra = fast_search(dist, sum2, 1.0)
             assert ra.leakage == pytest.approx(rf.leakage, abs=1e-12)
-            assert gf.all_values() == pytest.approx(ga.all_values())
+            assert all_values(gf) == pytest.approx(all_values(ga))
 
     def test_fast_dominates_full(self):
         rng = np.random.default_rng(29)
@@ -219,12 +222,13 @@ class TestDistributionSearch:
         dist = random_instance(rng, 4)
         q = QuerySpec.sum_query(4)
         graph, _ = full_space_search(dist, q, 1.0)
-        values = graph.all_values()
+        values = all_values(graph)
+        layers, edges = graph_dicts(graph)
         for k in range(2, 5):  # layers below the strongest
-            layer = graph.layers[k - 1]
+            layer = layers[k - 1]
             for parent, val in layer.items():
                 cands = []
-                for (child, j), ic in graph.edges.items():
+                for (child, j), ic in edges.items():
                     if child.attack != parent.attack:
                         continue
                     if tuple(t for t in child.prior if t != j) != parent.prior:
@@ -247,7 +251,7 @@ class TestDistributionSearch:
             cells /= cells.sum()
             dist = binary_table(cells.tolist())
             graph, _ = full_space_search(dist, sum2, 1.0)
-            for node, val in graph.all_values().items():
+            for node, val in all_values(graph).items():
                 exact = pdp_exact_discrete(
                     dist, sum2, 1.0, node.attack, node.prior
                 )
@@ -261,7 +265,7 @@ class TestDistributionSearch:
         for _ in range(6):
             dist = random_instance(rng, 3)
             graph, _ = full_space_search(dist, q, 1.0)
-            for node, val in graph.all_values().items():
+            for node, val in all_values(graph).items():
                 if node.layer(3) == 1:
                     exact = pdp_exact_discrete(
                         dist, q, 1.0, node.attack, node.prior
@@ -274,22 +278,23 @@ class TestDistributionSearch:
         q = QuerySpec.sum_query(3)
         _, rep_max = full_space_search(dist, q, 1.0)
         graph_max, _ = full_space_search(dist, q, 1.0)
-        vmax = graph_max.all_values()
+        vmax = all_values(graph_max)
         for combo in itertools.product(*dist.domains):
             fixed = {t: combo[t] for t in range(3)}
             graph_fx, rep_fx = full_space_search(dist, q, 1.0, prior_values=fixed)
             assert rep_fx.metadata["assignment_mode"] == "fixed"
-            for node, v in graph_fx.all_values().items():
+            for node, v in all_values(graph_fx).items():
                 assert v <= vmax[node] + 1e-9
         assert rep_max.metadata["assignment_mode"] == "max"
 
-    def test_cap_and_force(self, sum2):
+    def test_cap_and_force(self, sum2, monkeypatch):
         rng = np.random.default_rng(43)
         dist = random_instance(rng, 3)
         q = QuerySpec.sum_query(3)
+        monkeypatch.setattr(whg, "FULL_CAP", 2)
         with pytest.raises(SearchSpaceExceeded):
-            full_space_search(dist, q, 1.0, cap=2)
-        _, rep = full_space_search(dist, q, 1.0, cap=2, force=True)
+            full_space_search(dist, q, 1.0)
+        _, rep = full_space_search(dist, q, 1.0, force=True)
         assert rep.leakage > 0
 
     def test_metadata(self, table_a, sum2):
@@ -303,8 +308,9 @@ def assert_matches_reference(dist, query, lam, prior_values=None):
     for fast, search in ((False, full_space_search), (True, fast_search)):
         graph, report = search(dist, query, lam, prior_values=prior_values)
         ref = search_distribution(dist, query, lam, fast=fast, prior_values=prior_values)
-        assert [dict(layer) for layer in graph.layers] == ref["layers"]
-        assert dict(graph.edges) == ref["edges"]
+        layers, edges = graph_dicts(graph)
+        assert layers == ref["layers"]
+        assert edges == ref["edges"]
         assert report.node_count == ref["node_count"]
         assert report.argmax == ref["argmax"]
         assert report.leakage == ref["leakage"]
@@ -336,11 +342,12 @@ class TestKernelMatchesReference:
             assert_matches_reference(dist, q, 1.0)
             graph, _ = full_space_search(dist, q, 1.0)
             missing += n * (n - 1) * 2 ** (n - 2) - len(graph.edges)
-            values = graph.all_values()
+            values = all_values(graph)
+            _, edges = graph_dicts(graph)
             for parent, val in values.items():
                 ins = [
                     abs(values[child] + ic)
-                    for (child, j), ic in graph.edges.items()
+                    for (child, j), ic in edges.items()
                     if child.attack == parent.attack
                     and tuple(t for t in child.prior if t != j) == parent.prior
                 ]
@@ -431,14 +438,51 @@ class TestKernelMatchesReference:
         ).reshape((2,) * n)
         dist = JointDistribution([(0.0, 1.0)] * n, cells)
         graph, report = fast_search(dist, QuerySpec.sum_query(n), 1.0)
+        layers, edges = graph_dicts(graph)
         for i in range(n):
-            layer3 = [nd for nd in graph.layers[2] if nd.attack == i]
-            assert len({graph.layers[2][nd] for nd in layer3}) == 1
+            layer3 = [nd for nd in layers[2] if nd.attack == i]
+            assert len({layers[2][nd] for nd in layer3}) == 1
             assert len(layer3) == 10
-            expanded = {nd for (nd, _) in graph.edges if nd in layer3}
+            expanded = {nd for (nd, _) in edges if nd in layer3}
             by_mask = sorted(layer3, key=lambda nd: sum(1 << t for t in nd.prior))
             assert expanded == set(by_mask[:n])
         assert report.node_count == 180
+
+
+class TestGraphArrays:
+    """The node and edge arrays of a table search, on binary and ternary
+    tables without zero cells."""
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    @pytest.mark.parametrize("size, sizes_n", [(2, (2, 3, 4, 5, 6)), (3, (2, 3, 4))])
+    def test_rows(self, mode, size, sizes_n):
+        rng = np.random.default_rng(61 + size)
+        search = full_space_search if mode == "full" else fast_search
+        for n in sizes_n:
+            graph, report = search(sized_table(rng, n, size), QuerySpec.sum_query(n), 1.0)
+            nodes, edges = graph.nodes, graph.edges
+            assert graph.n == n
+            assert len(nodes) == report.node_count
+            keys = set(zip(nodes["attack"].tolist(), nodes["mask"].tolist()))
+            assert len(keys) == len(nodes)
+            assert not ((nodes["mask"] >> nodes["attack"]) & 1).any()
+            # edge_indices' contract: j is in the child's K and attack is not
+            assert ((edges["mask"] >> edges["j"]) & 1 == 1).all()
+            assert not ((edges["mask"] >> edges["attack"]) & 1).any()
+            # every edge joins a computed child to a computed ancestor
+            for i, j, mask, _ in edges.tolist():
+                assert (i, mask) in keys and (i, mask ^ (1 << j)) in keys
+            if mode == "full":
+                assert len(nodes) == n * 2 ** (n - 1)
+                assert len(edges) == n * (n - 1) * 2 ** (n - 2)
+
+    def test_node_value(self, table_a, sum2):
+        graph, _ = full_space_search(table_a, sum2, 1.0)
+        for i, mask, value in graph.nodes.tolist():
+            assert graph.node_value(AdversaryNode(i, mask_tuple(mask))) == value
+        # a two-tuple table has no tuple 2 to attack
+        with pytest.raises(KeyError):
+            graph.node_value(AdversaryNode(2, ()))
 
 
 def mixed_table(rng, sizes, zero_frac=0.0):
@@ -458,8 +502,8 @@ def search_repr(dist, prior_values=None):
     out = []
     for search in (full_space_search, fast_search):
         graph, report = search(dist, q, 0.9, prior_values=prior_values)
-        out.append(repr(([dict(layer) for layer in graph.layers], dict(graph.edges),
-                         report.node_count, report.argmax, report.leakage, report.layer_max)))
+        out.append(repr((*graph_dicts(graph), report.node_count, report.argmax,
+                         report.leakage, report.layer_max)))
     return out
 
 
@@ -590,7 +634,7 @@ class TestArgmaxRule:
         shape = tuple(len(d) for d in domains)
         dist = JointDistribution(domains, np.reshape(cells, shape) / sum(cells))
         graph, report = full_space_search(dist, QuerySpec.sum_query(5), 0.25)
-        ties = sorted(nd for nd, v in graph.all_values().items() if v == report.leakage)
+        ties = sorted(nd for nd, v in all_values(graph).items() if v == report.leakage)
         assert ties[0] == report.argmax == AdversaryNode(4, want)
         assert AdversaryNode(4, (1, 2)) in ties
 
@@ -659,8 +703,8 @@ class TestBatchedKernel:
                 for search in (full_space_search, fast_search):
                     graph, report = search(dist, QuerySpec.sum_query(dist.n), 0.9,
                                            prior_values=fixed)
-                    out.append(repr(([dict(layer) for layer in graph.layers],
-                                     sorted(graph.edges.items()),
+                    layers, edges = graph_dicts(graph)
+                    out.append(repr((layers, sorted(edges.items()),
                                      dataclasses.replace(report, elapsed=0.0))))
             return out
 
