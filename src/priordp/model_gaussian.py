@@ -31,7 +31,6 @@ from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-from scipy.special import erfcx
 
 from .errors import SearchSpaceExceeded, SingularConditioning
 from .report import AdversaryNode, LeakageReport
@@ -168,6 +167,10 @@ def leakage_gaussian(
 
 
 def _log_erfcx(z: np.ndarray) -> np.ndarray:
+    # imported on first use: scipy.special is half of a bare import's time
+    # and memory, and only the grid oracle needs it here
+    from scipy.special import erfcx
+
     z = np.asarray(z, dtype=float)
     small = z < _ERFCX_SWITCH
     if not small.any():

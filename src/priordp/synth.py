@@ -14,7 +14,6 @@ import warnings
 from itertools import combinations
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import InfeasibleCorrelation
 from .model_discrete import JointDistribution, pearson_corr
@@ -95,6 +94,10 @@ class EdgeMap:
         h = splitmix64(key ^ self._base)
         u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         b = self.alpha * (1.0 - self._m) / self._m
+        # imported on first use, so commands without synthetic edges never
+        # load scipy.special
+        from scipy.special import betaincinv
+
         return self._sign * self.scale * betaincinv(self.alpha, b, u)
 
 

@@ -1,14 +1,18 @@
 """Command-line front end: exit codes, report payloads, CSV contract.
 
 Commands run in-process through cli.main(argv) so exit codes and outputs
-are captured exactly; one subprocess test covers the installed script.
+are captured exactly; subprocess tests cover the installed script and the
+modules a fresh interpreter loads.
 """
 
 import csv
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,10 +23,13 @@ from priordp import (
     QuerySpec,
     cli,
     full_space_search,
+    leakage_gaussian,
+    load_gaussian_model,
     max_leakage_gaussian,
     model_gaussian,
     oracle,
     pdp_exact_discrete,
+    pdp_numeric_gaussian,
     whg,
 )
 from priordp.cli import main
@@ -222,6 +229,70 @@ class TestOracleCheck:
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(model))
         assert main(["oracle-check", str(path)]) == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+    def test_bad_tolerance(self, table_a_file, tmp_path, capsys, value):
+        out = tmp_path / "check.json"
+        # the = form: argparse would read a separate "-inf" as an option
+        rc = main(["oracle-check", table_a_file, f"--tolerance={value}", "--out", str(out)])
+        assert rc == 2
+        assert "--tolerance must be non-negative and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_tolerance_accepted(self, gauss_file, capsys):
+        rc = main(["oracle-check", gauss_file, "--tolerance", "0"])
+        assert rc in (0, 4)
+        assert "(tol 0)" in capsys.readouterr().out
+
+
+class TestGaussianOraclePool:
+    """Gaussian oracle-check rows run on the worker pool."""
+
+    N = 5
+
+    @pytest.fixture
+    def model_file(self, tmp_path):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(self.N, self.N))
+        sigma = a @ a.T / self.N + 0.5 * np.eye(self.N)
+        model = {"mu": rng.normal(size=self.N).tolist(), "sigma": sigma.tolist(),
+                 "M": 1.5, "lambda": 0.8}
+        path = tmp_path / "random5.json"
+        path.write_text(json.dumps(model))
+        return path
+
+    def rows(self, path, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("PDP_THREADS", threads)
+        out = tmp_path / f"rows{threads}.json"
+        assert main(["oracle-check", str(path), "--out", str(out)]) == 0
+        return read_json(out)["rows"]
+
+    def test_rows_same_for_any_pool_size(self, model_file, tmp_path, monkeypatch, capsys):
+        one = self.rows(model_file, tmp_path, monkeypatch, "1")
+        two = self.rows(model_file, tmp_path, monkeypatch, "2")
+        assert len(one) == self.N * 2 ** (self.N - 1)
+        assert json.dumps(one) == json.dumps(two)
+
+    def test_rows_match_serial_recomputation(self, model_file, tmp_path, monkeypatch, capsys):
+        rows = self.rows(model_file, tmp_path, monkeypatch, "2")
+        model = load_gaussian_model(read_json(model_file))
+        expected = []
+        for i, K in cli._all_adversaries(self.N):
+            closed = leakage_gaussian(model, i, K)
+            numeric = pdp_numeric_gaussian(model, i, K)
+            expected.append({"i": i, "K": list(K), "closed_form": closed, "oracle": numeric,
+                             "pass": abs(closed - numeric) <= 1e-3})
+        assert rows == expected
+
+    def test_singular_sigma_exits_numeric(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PDP_THREADS", "2")
+        path = tmp_path / "ones.json"
+        path.write_text(json.dumps({"mu": [0.0] * 4, "sigma": np.ones((4, 4)).tolist(),
+                                    "M": 1.0, "lambda": 1.0}))
+        out = tmp_path / "check.json"
+        assert main(["oracle-check", str(path), "--out", str(out)]) == 4
+        assert "conditioning block is singular" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExperiment:
@@ -558,6 +629,26 @@ class TestCalibrateMonotonicity:
                 for lam in self.LAMS
             ]
             assert max(scaled) - min(scaled) <= 1e-12
+
+
+def test_scipy_special_loaded_on_demand(table_a_file, tmp_path):
+    # a fresh interpreter: this test process has already loaded scipy.special
+    script = (
+        "import sys\n"
+        "import priordp, priordp.cli\n"
+        "from priordp.cli import main\n"
+        "assert main(['analyze-discrete', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert main(['oracle-check', sys.argv[1], '--out', sys.argv[3]]) == 0\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, table_a_file,
+         str(tmp_path / "report.json"), str(tmp_path / "check.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_installed_script(gauss_file):
