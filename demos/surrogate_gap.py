@@ -9,7 +9,8 @@ This script quantifies the gap on random instances instead of trusting it.
 
 import numpy as np
 
-from priordp import JointDistribution, QuerySpec, full_space_search, pdp_exact_discrete
+from priordp import JointDistribution, QuerySpec, full_space_search, pdp_exact_all
+from priordp.oracle import _all_adversaries
 
 
 def random_instance(rng, n):
@@ -28,10 +29,11 @@ def main():
         dist = random_instance(rng, n)
         query = QuerySpec.sum_query(n)
         graph, _ = full_space_search(dist, query, 1.0)
+        oracle = dict(zip(_all_adversaries(n), pdp_exact_all(dist, query, 1.0)))
         # one row (attacked tuple, prior-set bitmask, chain value) per node
         for i, mask, chain in graph.nodes.tolist():
             K = tuple(t for t in range(n) if (mask >> t) & 1)
-            exact = pdp_exact_discrete(dist, query, 1.0, i, K)
+            exact = oracle[i, K]
             gap = chain - exact.leakage
             gaps.append(gap)
             if worst is None or gap < worst[0]:

@@ -9,7 +9,6 @@ cross-check. Synthetic generators feed scaling experiments, and the
 
 from .errors import (
     DegenerateVariable,
-    ImpossibleCondition,
     InfeasibleCorrelation,
     PrivacyModelError,
     SearchSpaceExceeded,
@@ -37,6 +36,7 @@ from .model_gaussian import (
 )
 from .oracle import (
     OracleResult,
+    pdp_exact_all,
     pdp_exact_discrete,
     pdp_numeric_gaussian,
 )
@@ -64,7 +64,6 @@ __all__ = [
     "DegenerateVariable",
     "EdgeMap",
     "GaussianModel",
-    "ImpossibleCondition",
     "InfeasibleCorrelation",
     "JointDistribution",
     "LeakageReport",
@@ -92,6 +91,7 @@ __all__ = [
     "max_leakage_gaussian",
     "mean_pairwise_corr",
     "mu0_expand",
+    "pdp_exact_all",
     "pdp_exact_discrete",
     "pdp_numeric_gaussian",
     "pearson_corr",

@@ -10,8 +10,8 @@ sorted deterministically.
 
 One thread pool, capped by the env var PDP_THREADS and otherwise one thread
 per usable CPU, runs the `experiment` cells and the Gaussian `oracle-check`
-rows. Discrete `oracle-check` stays serial: each row is hundreds of small
-numpy calls that hold the GIL, and two threads made it slower.
+rows. Discrete `oracle-check` stays serial: its oracle batches ran slower on
+two threads.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .model_gaussian import (
     load_gaussian_model,
     max_leakage_gaussian,
 )
-from .oracle import pdp_exact_discrete, pdp_numeric_gaussian
+from .oracle import _all_adversaries, pdp_exact_all, pdp_numeric_gaussian
 from .synth import gen_covariance, gen_whg_edges
 from .whg import FULL_CAP, fast_search, full_space_search, search_synthetic
 
@@ -167,13 +167,6 @@ def cmd_analyze_gaussian(args) -> int:
     return EXIT_OK
 
 
-def _all_adversaries(n: int):
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        for mask in range(1 << len(others)):
-            yield i, tuple(o for p, o in enumerate(others) if (mask >> p) & 1)
-
-
 def cmd_oracle_check(args) -> int:
     kind, obj = _load_any(args.input_file)
     if obj.n > ORACLE_CAP and not args.force:
@@ -182,17 +175,17 @@ def cmd_oracle_check(args) -> int:
             "pass --force to override"
         )
     if kind == "discrete":
-        # serial: each row runs hundreds of small numpy calls under the GIL;
-        # on the 428 adversaries of six small skewed tables, two threads took
-        # 0.81-1.17 s against 0.68-0.80 s serially (2-core x86 host)
+        # serial: on the 428 adversaries of six small skewed tables, the
+        # oracle's per-layer batches on two threads took 0.33-0.45 s against
+        # 0.25-0.33 s serially (perfbench wall_s, 5 alternating pairs, 2-core
+        # x86 host)
         dist = obj
         tol = args.tolerance if args.tolerance is not None else 1e-9
         query = _query_for(dist, args.query)
         graph, _ = full_space_search(dist, query, args.lam, force=True)
         values = {(i, mask): v for i, mask, v in graph.nodes.tolist()}
         rows = []
-        for i, K in _all_adversaries(dist.n):
-            oracle = pdp_exact_discrete(dist, query, args.lam, i, K)
+        for (i, K), oracle in zip(_all_adversaries(dist.n), pdp_exact_all(dist, query, args.lam)):
             chain = values.get((i, sum(1 << k for k in K)))
             ok = chain is not None and oracle.leakage <= chain + tol
             rows.append(
@@ -346,10 +339,7 @@ def cmd_calibrate(args) -> int:
 
         if args.method == "oracle":
             def leak(lam: float) -> float:
-                return max(
-                    pdp_exact_discrete(dist, query, lam, i, K).leakage
-                    for i, K in _all_adversaries(n)
-                )
+                return max(r.leakage for r in pdp_exact_all(dist, query, lam))
         elif args.method == "fast":
             def leak(lam: float) -> float:
                 return fast_search(dist, query, lam)[1].leakage

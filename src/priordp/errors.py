@@ -10,14 +10,6 @@ class PrivacyModelError(Exception):
     """Base class for all semantic errors raised by this package."""
 
 
-class ImpossibleCondition(PrivacyModelError):
-    """Conditioning on an event of (near-)zero probability.
-
-    Raised by conditional-distribution computations; callers that take
-    suprema over conditioning contexts must skip such contexts.
-    """
-
-
 class DegenerateVariable(PrivacyModelError):
     """A variable has zero variance (or zero sensitivity) where a
     normalization by it is required."""

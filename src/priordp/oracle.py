@@ -17,20 +17,26 @@ for discrete data.
 All mixture arithmetic runs through log-sum-exp so that lam much smaller
 than the domain width cannot underflow.
 
-pdp_exact_discrete evaluates one adversary in one pass. Each feasible
-(assignment of x_K, hypothesis x_i) pair gives one mixture row, read from a
-slice of the table; the rows of one assignment share its kinks, the union of
-their centers. Rows are grouped by shape (number of kinks, number of
-centers), and each group takes one log-sum-exp over a (rows, kinks, centers)
-stack for the values at the kinks and one per output ray, split at
-_STACK_CELLS cells (a single row above that, along its kinks). Groups are
-never padded to a common shape: zero-weight terms change how numpy's
-pairwise summation groups the terms of a row longer than 8, and with it the
-last bits of the sum, whereas an unpadded stack reduces each row exactly as
-a call on that row alone would. The candidates
-are then scanned in a fixed order (assignment, hypothesis x_i, hypothesis
-x_i', then kink, r -> -inf, r -> +inf) with a strict >, so the witness is
-the first candidate that reaches the supremum.
+pdp_exact_all evaluates every adversary of a table, one batch per layer |K|
+(split at _STACK_CELLS mixture terms on a wide table), and
+pdp_exact_discrete is the same kernel on a batch of one. Adversaries with
+the same T = {i} u K share their x_T slices: each slice is read once, with
+its own sum as the mass, for every i in T. Each feasible (adversary,
+assignment of x_K, hypothesis x_i) triple gives one mixture row; rows of
+one length merge their centers together (argsort along the row, the 1e-12
+rule, one np.add.at in sorted order), and the rows of one assignment share
+its kinks, the union of their centers. Rows are then grouped by shape
+(number of kinks, number of centers) across the batch, and each group takes
+one log-sum-exp over a (rows, kinks, centers) stack for the values at the
+kinks and one per output ray, split at _STACK_CELLS cells (a single row
+above that, along its kinks). Groups are never padded to a common shape:
+zero-weight terms change how numpy's pairwise summation groups the terms of
+a row longer than 8, and with it the last bits of the sum, whereas an
+unpadded stack reduces each row exactly as a call on that row alone would.
+The candidates keep a fixed scan order (assignment, hypothesis x_i,
+hypothesis x_i', then kink, r -> -inf, r -> +inf), and the witness is the
+first candidate that reaches the supremum; a NaN candidate never wins. The
+results are bit for bit those of one adversary, one hypothesis at a time.
 """
 
 from __future__ import annotations
@@ -38,11 +44,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ImpossibleCondition
 from .model_discrete import (
     PROB_FLOOR,
     JointDistribution,
@@ -56,10 +61,11 @@ from .model_gaussian import GaussianModel, Mu0Expansion, log_g, mu0_expand
 _NEG_RAY = float("-inf")
 _POS_RAY = float("inf")
 
-# Most cells stacked into one log-sum-exp. Stacking saves calls on the many
-# small mixtures of a node; the rows of a wide table hold thousands of cells
-# each, and stacking all of them would multiply the node's memory. A single
-# row above the budget is split along its kinks.
+# Most cells stacked into one log-sum-exp or one scan, and most mixture terms
+# in one batch of pdp_exact_all. Stacking saves calls on the many small
+# mixtures of a table; the rows of a wide table hold thousands of cells each,
+# and stacking all of them would multiply the memory. A single row above the
+# budget is split along its kinks, and a single adversary is a batch.
 _STACK_CELLS = 1 << 14
 
 
@@ -87,61 +93,318 @@ class OracleResult:
         return "ray" if math.isinf(self.r_star) else "kink"
 
 
-def _merge_centers(centers: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse duplicate mixture centers (within 1e-12) summing weights."""
-    order = np.argsort(centers)
-    c = centers[order]
-    w = weights[order]
-    keep = np.empty(c.size, dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(c), 1e-12, out=keep[1:])
-    idx = np.cumsum(keep) - 1
-    out_c = c[keep]
-    out_w = np.zeros(out_c.size)
-    np.add.at(out_w, idx, w)
-    return out_c, out_w
+def _all_adversaries(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every adversary (i, K) over n tuples, K a sorted tuple: by attacked
+    tuple i, then by the bitmask of K over the other tuples."""
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        for mask in range(1 << len(others)):
+            yield i, tuple(o for p, o in enumerate(others) if (mask >> p) & 1)
 
 
-class _SumLaw:
-    """Output law of adversary (i, K) as Laplace mixture centers and weights.
+class _Table:
+    """A transformed table and what every batch reads from it per subset of
+    tuples: which cells of a marginal reach PROB_FLOOR, and the fsum of each
+    x_K assignment. Each is computed once, on first use."""
 
-    Pr(r | x_i, x_K) mixes Laplace densities centered at x_i + sum(x_K) plus
-    each achievable sum of the unknown tuples U, weighted by Pr(x_U | x_i,
-    x_K). Those weights are one slice of the table; the sums of U over every
-    cell of a slice are computed once per adversary.
+    def __init__(self, y: JointDistribution):
+        self.y = y
+        self.doms = [np.asarray(d, dtype=float) for d in y.domains]
+        self._live: dict[tuple[int, ...], np.ndarray] = {}
+        self._known: dict[tuple[int, ...], np.ndarray] = {}
+
+    def shape(self, axes: Sequence[int]) -> tuple[int, ...]:
+        return tuple(len(self.y.domains[t]) for t in axes)
+
+    def live(self, axes: tuple[int, ...]) -> np.ndarray:
+        """Pr(x_axes) >= PROB_FLOOR per cell, in product order."""
+        if axes not in self._live:
+            self._live[axes] = marginal(self.y, axes).probs.ravel() >= PROB_FLOOR
+        return self._live[axes]
+
+    def known(self, ks: tuple[int, ...]) -> np.ndarray:
+        """math.fsum of the values of each x_K assignment, in product order."""
+        if ks not in self._known:
+            self._known[ks] = np.array(
+                [math.fsum(c) for c in product(*[self.y.domains[k] for k in ks])]
+            )
+        return self._known[ks]
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Offsets of consecutive blocks of the given sizes, plus the total."""
+    off = np.zeros(sizes.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=off[1:])
+    return off
+
+
+def _merge_rows(
+    values: np.ndarray, lengths: np.ndarray, tol: float, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Sort each row and merge every value within tol of the one before it.
+
+    Rows of the given lengths lie back to back in values. Rows of one length
+    are merged together: one argsort along the row and, with weights, one
+    np.add.at in sorted order, so each merged weight adds its terms in the
+    order a row merged alone would. With tol 0 this is np.unique of each
+    row. Returns the merged values and weights (None without weights), row
+    after row, and the offset of each row plus the total.
     """
+    start = _starts(lengths)
+    parts = []
+    kept = np.empty(lengths.size, dtype=np.intp)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        src = start[rows, None] + np.arange(length)
+        src = np.take_along_axis(src, np.argsort(values[src], axis=1), axis=1)
+        v = values[src]
+        keep = np.empty(v.shape, dtype=bool)
+        keep[:, 0] = True
+        np.greater(np.diff(v, axis=1), tol, out=keep[:, 1:])
+        rank = np.cumsum(keep, axis=1) - 1
+        kept[rows] = rank[:, -1] + 1
+        parts.append((rows, src, v, keep, rank))
+    off = _starts(kept)
+    out = np.empty(off[-1])
+    out_w = None if weights is None else np.zeros(off[-1])
+    for rows, src, v, keep, rank in parts:
+        dest = off[rows, None] + rank
+        out[dest[keep]] = v[keep]
+        if out_w is not None:
+            np.add.at(out_w, dest.ravel(), weights[src].ravel())
+    return out, out_w, off
 
-    def __init__(self, y: JointDistribution, i: int, ks: list[int]):
-        self._y = y
-        self._i = i
-        self._ks = ks
-        self.unknown = [u for u in range(y.n) if u != i and u not in ks]
-        grids = np.meshgrid(*[np.asarray(y.domains[u]) for u in self.unknown], indexing="ij")
-        self._sums = sum(grids).ravel() if self.unknown else None
 
-    def mixture(
-        self, a: int, k_pos: Sequence[int], base: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Centers and weights given x_i = dom(x_i)[a] and x_K at positions k_pos.
+def _slices(
+    tab: _Table, ts: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mixture terms of every x_T slice of the table, T = ts.
 
-        base = x_i + sum(x_K) puts the centers on the true output axis;
-        centers within 1e-12 merge. Raises ImpossibleCondition when
-        Pr(x_i, x_K) is below 1e-12. With no unknown tuple the law is the
-        noise alone, whatever the table holds.
-        """
-        if not self.unknown:
-            return np.array([base]), np.array([1.0])
-        cell: list[object] = [slice(None)] * self._y.n
-        cell[self._i] = a
-        for k, p in zip(self._ks, k_pos):
-            cell[k] = p
-        table = self._y.probs[tuple(cell)]
-        mass = float(table.sum())
-        if mass < PROB_FLOOR:
-            raise ImpossibleCondition(f"Pr(x_{self._i}, x_K) = {mass!r} is (near) zero")
-        w = (table / mass).ravel()
-        pos = w > 0.0
-        return _merge_centers(self._sums[pos] + base, w[pos])
+    Returns (slot, weights, sums, lengths). slot gives each x_T cell, in
+    the T shape, its row of lengths, or -1 where Pr(x_T) is below
+    PROB_FLOOR or the slice itself sums below it. weights and sums hold,
+    slice after slice, Pr(x_U | x_T) and the sum of x_U over the cells of
+    the slice with positive weight, U the tuples outside T.
+    """
+    y = tab.y
+    shape = tab.shape(ts)
+    cells = np.flatnonzero(tab.live(ts))
+    mass = np.empty(cells.size)
+    view: list[object] = [slice(None)] * y.n
+    for j, cell in enumerate(np.transpose(np.unravel_index(cells, shape)).tolist()):
+        for t, p in zip(ts, cell):
+            view[t] = p
+        # each slice's own sum: a sum over the U axes of the whole table
+        # differs from it in the last bit on some cells
+        mass[j] = y.probs[tuple(view)].sum()
+    ok = mass >= PROB_FLOOR
+    slot = np.full(math.prod(shape), -1)
+    slot[cells[ok]] = np.arange(int(ok.sum()))
+    unknown = [u for u in range(y.n) if u not in ts]
+    table = np.moveaxis(y.probs, ts, range(len(ts))).reshape(slot.size, -1)
+    w = table[cells[ok]] / mass[ok, None]
+    pos = w > 0.0
+    sums = sum(np.meshgrid(*[tab.doms[u] for u in unknown], indexing="ij")).ravel()
+    return slot.reshape(shape), w[pos], np.broadcast_to(sums, w.shape)[pos], pos.sum(axis=1)
+
+
+def _rows(tab: _Table, adversaries: list[tuple[int, tuple[int, ...]]]) -> tuple[np.ndarray, ...]:
+    """The mixture rows of a batch, one per (adversary, assignment of x_K,
+    hypothesis x_i), in that order; an assignment is one context.
+
+    Returns (centers, weights, m_off, hyp, ctx_cell, ctx_first, adv_ctx):
+    the merged terms of row r at m_off[r] : m_off[r + 1], its x_i index,
+    each context's x_K cell and first row, and each adversary's first
+    context; the offsets end with the total.
+    """
+    y, n = tab.y, tab.y.n
+    # slot 0 is the law of an adversary who knows every other tuple: the
+    # noise alone, one center at its base (adding -0.0 keeps every bit)
+    w_parts, s_parts, len_parts = [np.ones(1)], [np.full(1, -0.0)], [np.ones(1, dtype=np.intp)]
+    slots: dict[tuple[int, ...], np.ndarray] = {}
+    n_slots = 1
+    for ts in dict.fromkeys(tuple(sorted((i,) + ks)) for i, ks in adversaries):
+        if len(ts) < n:
+            slot, w, s, lengths = _slices(tab, ts)
+            slots[ts] = np.where(slot < 0, -1, slot + n_slots)
+            w_parts.append(w)
+            s_parts.append(s)
+            len_parts.append(lengths)
+            n_slots += lengths.size
+
+    row_slot, row_base, row_hyp, ctx_cell, ctx_h, adv_ctx = [], [], [], [], [], [0]
+    for i, ks in adversaries:
+        ts = tuple(sorted((i,) + ks))
+        d_i = len(y.domains[i])
+        if len(ts) == n:
+            # assignment-independent: one context with an empty assignment
+            ctx, hyp = np.zeros(d_i, dtype=np.intp), np.arange(d_i)
+            slot, known = np.zeros(d_i, dtype=np.intp), np.zeros(1)
+        else:
+            # Pr(x_K) gates the assignments and Pr(x_i, x_K) the hypotheses:
+            # one row per x_K cell in product order, one column per x_i value
+            p = ts.index(i)
+            use = np.moveaxis(tab.live(ts).reshape(tab.shape(ts)), p, -1).reshape(-1, d_i)
+            if ks:
+                use = use & tab.live(ks)[:, None]
+            slot_ik = np.moveaxis(slots[ts], p, -1).reshape(-1, d_i)
+            # a hypothesis whose slice sums below PROB_FLOOR voids the assignment
+            use[(use & (slot_ik < 0)).any(axis=1)] = False
+            ctx, hyp = np.nonzero(use)
+            slot, known = slot_ik[ctx, hyp], tab.known(ks)
+        counts = np.bincount(ctx, minlength=1)
+        cells = np.flatnonzero(counts)
+        row_slot.append(slot)
+        row_base.append(tab.doms[i][hyp] + known[ctx])
+        row_hyp.append(hyp)
+        ctx_cell.append(cells)
+        ctx_h.append(counts[cells])
+        adv_ctx.append(adv_ctx[-1] + cells.size)
+
+    # gather each row's terms from its slice, centers at sum(x_U) + base
+    slot_len = np.concatenate(len_parts)
+    row_slot = np.concatenate(row_slot)
+    lengths = slot_len[row_slot]
+    src = np.repeat(_starts(slot_len)[row_slot] - _starts(lengths)[:-1], lengths)
+    src += np.arange(src.size)
+    raw = np.concatenate(s_parts)[src]
+    raw += np.repeat(np.concatenate(row_base), lengths)
+    centers, weights, m_off = _merge_rows(raw, lengths, 1e-12, np.concatenate(w_parts)[src])
+    return (centers, weights, m_off, np.concatenate(row_hyp), np.concatenate(ctx_cell),
+            _starts(np.concatenate(ctx_h)), np.array(adv_ctx))
+
+
+def _log_mixtures(
+    lam: float, centers: np.ndarray, weights: np.ndarray, m_off: np.ndarray,
+    kinks: np.ndarray, k_off: np.ndarray, ctx_first: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Log mixture of every row at each kink of its context and on both
+    output rays: (log_at, at_off, low, up), row r's kink values at
+    log_at[at_off[r] : at_off[r + 1]].
+
+    Rows of one shape (kinks, centers) are stacked, _STACK_CELLS cells at a
+    time; a single row above that is reduced a slice of its kinks at a
+    time.
+    """
+    row_ctx = np.repeat(np.arange(ctx_first.size - 1), np.diff(ctx_first))
+    row_nk = np.diff(k_off)[row_ctx]
+    row_nc = np.diff(m_off)
+    at_off = _starts(row_nk)
+    log_at = np.empty(at_off[-1])
+    low = np.empty(row_nc.size)
+    up = np.empty(row_nc.size)
+    shapes = row_nk * (row_nc.max(initial=0) + 1) + row_nc
+    for key in np.unique(shapes).tolist():
+        ids = np.flatnonzero(shapes == key)
+        nk, nc = int(row_nk[ids[0]]), int(row_nc[ids[0]])
+        step = max(1, _STACK_CELLS // (nk * nc))
+        k_step = max(1, _STACK_CELLS // nc)
+        for s in range(0, ids.size, step):
+            part = ids[s : s + step]
+            kk = kinks[k_off[row_ctx[part], None] + np.arange(nk)]
+            cc = centers[m_off[part, None] + np.arange(nc)]
+            ww = weights[m_off[part, None] + np.arange(nc)]
+            at = np.concatenate([
+                logsumexp(
+                    -np.abs(kk[:, k : k + k_step, None] - cc[:, None, :]) / lam,
+                    axis=2,
+                    b=ww[:, None, :],
+                )
+                for k in range(0, nk, k_step)
+            ], axis=1)
+            log_at[at_off[part, None] + np.arange(nk)] = at
+            low[part] = logsumexp(-cc / lam, axis=1, b=ww)
+            up[part] = logsumexp(cc / lam, axis=1, b=ww)
+    return log_at, at_off, low, up
+
+
+def _candidates(
+    log_at: np.ndarray, at_off: np.ndarray, low: np.ndarray, up: np.ndarray,
+    kinks: np.ndarray, k_off: np.ndarray, ctx_first: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every candidate value and its output r, in scan order: context,
+    hypothesis x_i, hypothesis x_i' != x_i, then the best kink, r -> -inf
+    and r -> +inf. Returns (values, r, cand_off): a context of h rows has
+    3 h (h - 1) candidates, from cand_off of it.
+
+    The best kink of a pair is the first argmax of its log-ratio over the
+    kinks, so a NaN there makes the kink candidate NaN. Contexts of one
+    shape (rows, kinks) are stacked, _STACK_CELLS cells at a time.
+    """
+    ctx_h = np.diff(ctx_first)
+    ctx_nk = np.diff(k_off)
+    cand_off = _starts(3 * ctx_h * (ctx_h - 1))
+    values = np.empty(cand_off[-1])
+    r_at = np.empty(cand_off[-1])
+    shapes = ctx_h * (ctx_nk.max(initial=0) + 1) + ctx_nk
+    for key in np.unique(shapes[ctx_h > 1]).tolist():
+        ids = np.flatnonzero(shapes == key)
+        h, nk = int(ctx_h[ids[0]]), int(ctx_nk[ids[0]])
+        pairs = ~np.eye(h, dtype=bool)
+        block = np.arange(3 * h * (h - 1))
+        step = max(1, _STACK_CELLS // (h * h * nk))
+        for s in range(0, ids.size, step):
+            part = ids[s : s + step]
+            rows = ctx_first[part, None] + np.arange(h)
+            la = log_at[at_off[rows][:, :, None] + np.arange(nk)]
+            diff = la[:, :, None, :] - la[:, None, :, :]
+            k_best = np.argmax(diff, axis=3)[..., None]
+            r_kink = kinks[k_off[part, None, None] + k_best[..., 0]]
+            v = np.stack([
+                np.take_along_axis(diff, k_best, axis=3)[..., 0],
+                low[rows][:, :, None] - low[rows][:, None, :],
+                up[rows][:, :, None] - up[rows][:, None, :],
+            ], axis=3)
+            r = np.stack([
+                r_kink, np.full(r_kink.shape, _NEG_RAY), np.full(r_kink.shape, _POS_RAY)
+            ], axis=3)
+            dest = cand_off[part, None] + block
+            values[dest] = v[:, pairs].reshape(part.size, -1)
+            r_at[dest] = r[:, pairs].reshape(part.size, -1)
+    return values, r_at, cand_off
+
+
+def _exact(tab: _Table, lam: float, adversaries: list[tuple[int, tuple[int, ...]]]) -> list[OracleResult]:
+    """OracleResult of each adversary (i, K) of tab.y, K a sorted tuple."""
+    y = tab.y
+    centers, weights, m_off, hyp, ctx_cell, ctx_first, adv_ctx = _rows(tab, adversaries)
+    # the kinks of a context are the union of its rows' centers
+    kinks, _, k_off = _merge_rows(centers, np.diff(m_off[ctx_first]), 0.0)
+    log_at, at_off, low, up = _log_mixtures(lam, centers, weights, m_off, kinks, k_off, ctx_first)
+    values, r_at, cand_off = _candidates(log_at, at_off, low, up, kinks, k_off, ctx_first)
+    # the first candidate that reaches the supremum is the witness; a NaN
+    # candidate never wins
+    ranked = np.where(np.isnan(values), -np.inf, values)
+    kink_counts = np.diff(k_off[adv_ctx]).tolist()
+    results = []
+    for a, (i, ks) in enumerate(adversaries):
+        best = OracleResult(0.0, None, None, 0.0, kinks_evaluated=kink_counts[a])
+        lo, hi = cand_off[adv_ctx[a]], cand_off[adv_ctx[a + 1]]
+        j = lo + int(np.argmax(ranked[lo:hi])) if hi > lo else lo
+        if hi > lo and values[j] > best.leakage:
+            c = int(np.searchsorted(cand_off, j, side="right")) - 1
+            pair = (j - cand_off[c]) // 3
+            ai, bi = divmod(pair, int(ctx_first[c + 1] - ctx_first[c]) - 1)
+            bi += bi >= ai
+            if ks and len(ks) + 1 < y.n:
+                k_pos = np.unravel_index(ctx_cell[c], tab.shape(ks))
+                best.assignment = {k: y.domains[k][p] for k, p in zip(ks, k_pos)}
+            best.leakage = float(values[j])
+            best.xi = y.domains[i][hyp[ctx_first[c] + ai]]
+            best.xi_prime = y.domains[i][hyp[ctx_first[c] + bi]]
+            best.r_star = float(r_at[j])
+        results.append(best)
+    return results
+
+
+def _check_adversary(n: int, i: int, K: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    i = int(i)
+    ks = tuple(sorted(set(int(k) for k in K)))
+    if i in ks:
+        raise ValueError("attacked tuple cannot be in the prior set")
+    if not all(0 <= t < n for t in (i,) + ks):
+        raise ValueError(f"adversary ({i}, {list(ks)}) out of range for n={n}")
+    return i, ks
 
 
 def pdp_exact_discrete(
@@ -165,89 +428,32 @@ def pdp_exact_discrete(
     if lam <= 0:
         raise ValueError("lambda must be positive")
     y = transform_linear_query(dist, query)
-    i = int(i)
-    ks = sorted(set(int(k) for k in K))
-    if i in ks:
-        raise ValueError("attacked tuple cannot be in the prior set")
-    law = _SumLaw(y, i, ks)
-    dom_i = y.domains[i]
-    if law.unknown:
-        # Pr(x_K) gates the assignments and Pr(x_i, x_K) the hypotheses: one
-        # row per x_K cell in product order, one column per x_i value (the
-        # x_i axis of the sorted marginal moves last)
-        live = marginal(y, ks).probs.ravel() >= PROB_FLOOR if ks else [True]
-        joint_ik = np.moveaxis(marginal(y, [i] + ks).probs, sum(k < i for k in ks), -1)
-        feasible = joint_ik.reshape(-1, len(dom_i)) >= PROB_FLOOR
-        axes = ks
-    else:
-        # pure-mechanism conditional: the value is assignment-independent
-        live = [True]
-        feasible = np.ones((1, len(dom_i)), dtype=bool)
-        axes = []
+    return _exact(_Table(y), lam, [_check_adversary(y.n, i, K)])[0]
 
-    contexts = []  # (assignment, hypothesis values, kinks, first row)
-    rows = []  # (kinks, centers, weights) per assignment and hypothesis
-    kink_count = 0
-    for c, k_pos in enumerate(product(*[range(len(y.domains[k])) for k in axes])):
-        hyps = np.flatnonzero(feasible[c]).tolist() if live[c] else []
-        if not hyps:
-            continue
-        assignment = {k: y.domains[k][p] for k, p in zip(axes, k_pos)}
-        known = math.fsum(assignment.values())
-        try:
-            mixtures = [law.mixture(a, k_pos, dom_i[a] + known) for a in hyps]
-        except ImpossibleCondition:
-            continue
-        kinks = np.unique(np.concatenate([centers for centers, _ in mixtures]))
-        kink_count += kinks.size
-        contexts.append((assignment, [dom_i[a] for a in hyps], kinks, len(rows)))
-        rows += [(kinks, centers, weights) for centers, weights in mixtures]
 
-    groups: dict[tuple[int, int], list[int]] = {}
-    for r, (kinks, centers, _) in enumerate(rows):
-        groups.setdefault((kinks.size, centers.size), []).append(r)
-    log_at = [None] * len(rows)
-    low = np.empty(len(rows))
-    up = np.empty(len(rows))
-    for (nk, nc), ids in groups.items():
-        step = max(1, _STACK_CELLS // (nk * nc))
-        # a row wider than the budget is reduced a slice of its kinks at a time
-        k_step = max(1, _STACK_CELLS // nc)
-        for s in range(0, len(ids), step):
-            part = ids[s : s + step]
-            kinks, centers, weights = (np.stack([rows[r][f] for r in part]) for f in range(3))
-            at = np.concatenate([
-                logsumexp(
-                    -np.abs(kinks[:, k : k + k_step, None] - centers[:, None, :]) / lam,
-                    axis=2,
-                    b=weights[:, None, :],
-                )
-                for k in range(0, nk, k_step)
-            ], axis=1)
-            for r, row_at in zip(part, at):
-                log_at[r] = row_at
-            low[part] = logsumexp(-centers / lam, axis=1, b=weights)
-            up[part] = logsumexp(centers / lam, axis=1, b=weights)
+def pdp_exact_all(dist: JointDistribution, query: QuerySpec, lam: float) -> list[OracleResult]:
+    """pdp_exact_discrete of every adversary, in _all_adversaries order.
 
-    best = OracleResult(0.0, None, None, 0.0)
-    for assignment, hyp, kinks, first in contexts:
-        for ai, a in enumerate(hyp):
-            for bi, b in enumerate(hyp):
-                if ai == bi:
-                    continue
-                ra, rb = first + ai, first + bi
-                diff = log_at[ra] - log_at[rb]
-                k_best = int(np.argmax(diff))
-                cands = (
-                    (float(diff[k_best]), float(kinks[k_best])),
-                    (float(low[ra] - low[rb]), _NEG_RAY),
-                    (float(up[ra] - up[rb]), _POS_RAY),
-                )
-                for v, r in cands:
-                    if v > best.leakage:
-                        best = OracleResult(v, a, b, r, dict(assignment))
-    best.kinks_evaluated = kink_count
-    return best
+    The table is transformed once and each marginal taken once. Each layer
+    |K| is one batch, ordered by T = {i} u K so that adversaries sharing
+    their slices meet in one batch. An adversary has at most one mixture
+    term per table cell, so a layer is split into batches of at most
+    _STACK_CELLS table cells; that keeps a wide table's memory near one
+    adversary's, while small tables run whole layers.
+    """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    tab = _Table(transform_linear_query(dist, query))
+    adversaries = list(_all_adversaries(tab.y.n))
+    step = max(1, _STACK_CELLS // tab.y.probs.size)
+    found = {}
+    for size in range(tab.y.n):
+        layer = sorted((a for a in adversaries if len(a[1]) == size),
+                       key=lambda a: sorted((a[0],) + a[1]))
+        for s in range(0, len(layer), step):
+            batch = layer[s : s + step]
+            found.update(zip(batch, _exact(tab, lam, batch)))
+    return [found[a] for a in adversaries]
 
 
 def pdp_numeric_gaussian(

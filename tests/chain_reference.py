@@ -27,8 +27,8 @@ from scipy.special import logsumexp
 from priordp import (
     AdversaryNode,
     DegenerateVariable,
-    ImpossibleCondition,
     JointDistribution,
+    PrivacyModelError,
     QuerySpec,
     first_layer,
     marginal,
@@ -37,6 +37,11 @@ from priordp import (
 from priordp.model_discrete import PROB_FLOOR
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
+
+
+class ImpossibleCondition(PrivacyModelError):
+    """Conditioning on an event of (near-)zero probability; the reference
+    oracle skips such contexts."""
 
 
 def conditional(

@@ -19,7 +19,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from priordp import (
-    ImpossibleCondition,
     JointDistribution,
     OracleResult,
     QuerySpec,
@@ -27,12 +26,26 @@ from priordp import (
     transform_linear_query,
 )
 from priordp.model_discrete import PROB_FLOOR, logsumexp
-from priordp.oracle import _merge_centers
 
-from chain_reference import conditional
+from chain_reference import ImpossibleCondition, conditional
 
 _NEG_RAY = float("-inf")
 _POS_RAY = float("inf")
+
+
+def _merge_centers(centers: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse duplicate mixture centers (within 1e-12) summing weights."""
+    order = np.argsort(centers)
+    c = centers[order]
+    w = weights[order]
+    keep = np.empty(c.size, dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(c), 1e-12, out=keep[1:])
+    idx = np.cumsum(keep) - 1
+    out_c = c[keep]
+    out_w = np.zeros(out_c.size)
+    np.add.at(out_w, idx, w)
+    return out_c, out_w
 
 
 def _hypothesis_mixture(

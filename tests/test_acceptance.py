@@ -24,11 +24,13 @@ from priordp import (
     leakage_gaussian,
     local_sensitivity,
     log_g,
+    pdp_exact_all,
     pdp_exact_discrete,
     pdp_numeric_gaussian,
     pearson_corr,
     search_synthetic,
 )
+from priordp.oracle import _all_adversaries
 
 from chain_reference import DictEdges, all_values, edge_value, gamma_set
 from conftest import (
@@ -62,10 +64,9 @@ def domination_survey():
         graph, _ = full_space_search(dist, query, 1.0)
         ls = [local_sensitivity(dist, query, j) for j in range(n)]
         gs = global_sensitivity(dist, query)
+        exact = dict(zip(_all_adversaries(n), pdp_exact_all(dist, query, 1.0)))
         for node, chain in all_values(graph).items():
-            oracle = pdp_exact_discrete(
-                dist, query, 1.0, node.attack, node.prior
-            ).leakage
+            oracle = exact[node.attack, node.prior].leakage
             unknown = [
                 j for j in range(n) if j != node.attack and j not in node.prior
             ]

@@ -573,10 +573,10 @@ class TestCalibrate:
         def stand_in(dist, query, lam, *rest, **kw):
             calls.append(lam)
             report = SimpleNamespace(leakage=1.0 / lam)
-            return report if method == "oracle" else (None, report)
+            return [report] if method == "oracle" else (None, report)
 
         target = {"full": "full_space_search", "fast": "fast_search",
-                  "oracle": "pdp_exact_discrete"}[method]
+                  "oracle": "pdp_exact_all"}[method]
         monkeypatch.setattr(cli, target, stand_in)
         assert main(argv + ["--force"]) == 0
         assert calls

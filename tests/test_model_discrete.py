@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from priordp import (
     DegenerateVariable,
-    ImpossibleCondition,
     JointDistribution,
     QuerySpec,
     distribution_to_json,
@@ -21,7 +20,7 @@ from priordp import (
     transform_linear_query,
 )
 
-from chain_reference import conditional, corr_sign_2x2
+from chain_reference import ImpossibleCondition, conditional, corr_sign_2x2
 from conftest import binary_table, CELLS_A, CELLS_B, CELLS_C, random_instance, sized_table
 
 

@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from priordp import (
-    ImpossibleCondition,
     JointDistribution,
     QuerySpec,
     gen_discrete_corr,
     local_sensitivity,
     marginal,
+    pdp_exact_all,
     pdp_exact_discrete,
     transform_linear_query,
 )
@@ -30,6 +30,7 @@ from priordp import oracle
 from priordp.model_discrete import PROB_FLOOR
 
 import oracle_reference
+from chain_reference import ImpossibleCondition
 from oracle_reference import bayesian_gain
 from conftest import (
     CELLS_C,
@@ -298,3 +299,73 @@ class TestBatchedMatchesReference:
         assert res.assignment == {1: 1.0}
         assert res.kinks_evaluated == 3
         assert_oracle_matches_reference(dist, query, 1.0)
+
+
+def assert_all_matches_reference(dist, query, lam):
+    """pdp_exact_all equals the per-hypothesis loop on every adversary, bit
+    for bit, in _all_adversaries order; returns its results."""
+    got = pdp_exact_all(dist, query, lam)
+    adversaries = list(oracle._all_adversaries(dist.n))
+    assert len(got) == len(adversaries) == dist.n * 2 ** (dist.n - 1)
+    for (i, K), res in zip(adversaries, got):
+        want = oracle_reference.pdp_exact_discrete(dist, query, lam, i, K)
+        assert repr(dataclasses.astuple(res)) == repr(dataclasses.astuple(want)), (i, K)
+    return got
+
+
+class TestAllMatchesReference:
+    """The all-adversary batches on the tables of TestBatchedMatchesReference."""
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_random_tables(self, size):
+        rng = np.random.default_rng(60 + size)
+        for n in range(1, 6 if size == 2 else 5):
+            for lam in (0.05, 1.0, 4.0):
+                dist = sized_table(rng, n, size, zero_frac=0.2 if n > 2 else 0.0)
+                assert_all_matches_reference(dist, QuerySpec.sum_query(n), lam)
+
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_stack_bounds_move_no_bit(self, monkeypatch, cells):
+        # stacks of one row, or split along their kinks, and scan stacks of
+        # one context: each row and pair still reduces on its own
+        monkeypatch.setattr(oracle, "_STACK_CELLS", cells)
+        rng = np.random.default_rng(65)
+        for n, size in ((3, 3), (4, 2), (4, 3)):
+            dist = sized_table(rng, n, size, zero_frac=0.1)
+            for lam in (0.05, 1.0):
+                assert_all_matches_reference(dist, QuerySpec.sum_query(n), lam)
+
+    def test_zero_cell_tables(self):
+        for dist in (binary_table(CELLS_C), gen_discrete_corr(3, 1.0, 2),
+                     gen_discrete_corr(4, 1.0, 2)):
+            for lam in (0.05, 1.0):
+                assert_all_matches_reference(dist, QuerySpec.sum_query(dist.n), lam)
+
+    def test_signed_query_with_zero_coefficient(self):
+        rng = np.random.default_rng(63)
+        for n, size in ((3, 2), (3, 3), (4, 2)):
+            dist = sized_table(rng, n, size, zero_frac=0.2)
+            coeffs = (-1.0, 0.0) + tuple(rng.choice([-2.0, 0.5, 2.0], size=n - 2))
+            assert_all_matches_reference(dist, QuerySpec(coeffs), 1.0)
+
+    def test_integer_domains_merge_equal_sums(self):
+        # many cells of a slice share one sum, so merged centers add three
+        # or more weights, whose order of addition shows in the last bits
+        rng = np.random.default_rng(66)
+        for n, size in ((5, 2), (4, 3)):
+            domain = tuple(float(v) for v in range(size))
+            dist = JointDistribution([domain] * n, rng.dirichlet(np.ones(size**n)).reshape((size,) * n))
+            for lam in (0.05, 1.0):
+                assert_all_matches_reference(dist, QuerySpec.sum_query(n), lam)
+
+    def test_impossible_condition_skips_assignment(self):
+        # the table of TestBatchedMatchesReference: the x_0 = 0, x_1 = 0
+        # slice sums below PROB_FLOOR, so adversary (0, [1]) drops x_1 = 0
+        cells = [4.999999999999999e-13, 4.999999999999999e-13, 0.43542451977082214,
+                 0.00017061625178585555, 0.30063624609172834, 0.009605342689260906,
+                 0.14168668124598127, 0.11247659394942147]
+        dist = JointDistribution([(0.0, 1.0)] * 3, np.reshape(cells, (2, 2, 2)))
+        got = assert_all_matches_reference(dist, QuerySpec.sum_query(3), 1.0)
+        res = got[list(oracle._all_adversaries(3)).index((0, (1,)))]
+        assert res.assignment == {1: 1.0}
+        assert res.kinks_evaluated == 3
