@@ -397,16 +397,6 @@ def _exact(tab: _Table, lam: float, adversaries: list[tuple[int, tuple[int, ...]
     return results
 
 
-def _check_adversary(n: int, i: int, K: Iterable[int]) -> tuple[int, tuple[int, ...]]:
-    i = int(i)
-    ks = tuple(sorted(set(int(k) for k in K)))
-    if i in ks:
-        raise ValueError("attacked tuple cannot be in the prior set")
-    if not all(0 <= t < n for t in (i,) + ks):
-        raise ValueError(f"adversary ({i}, {list(ks)}) out of range for n={n}")
-    return i, ks
-
-
 def pdp_exact_discrete(
     dist: JointDistribution,
     query: QuerySpec,
@@ -428,7 +418,13 @@ def pdp_exact_discrete(
     if lam <= 0:
         raise ValueError("lambda must be positive")
     y = transform_linear_query(dist, query)
-    return _exact(_Table(y), lam, [_check_adversary(y.n, i, K)])[0]
+    i = int(i)
+    ks = tuple(sorted(set(int(k) for k in K)))
+    if i in ks:
+        raise ValueError("attacked tuple cannot be in the prior set")
+    if not all(0 <= t < y.n for t in (i,) + ks):
+        raise ValueError(f"adversary ({i}, {list(ks)}) out of range for n={y.n}")
+    return _exact(_Table(y), lam, [(i, ks)])[0]
 
 
 def pdp_exact_all(dist: JointDistribution, query: QuerySpec, lam: float) -> list[OracleResult]:

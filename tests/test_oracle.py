@@ -125,6 +125,15 @@ class TestFrozenValues:
         with pytest.raises(ValueError):
             pdp_exact_discrete(table_a, sum2, 1.0, 0, [0])
 
+    def test_out_of_range_adversary(self, table_a, sum2):
+        # (-1, [0, 1]) leaves no unknown tuple, and a negative index would
+        # read the last tuple's domain
+        for i, K in ((-1, [0, 1]), (2, []), (0, [2])):
+            with pytest.raises(ValueError, match="out of range"):
+                pdp_exact_discrete(table_a, sum2, 1.0, i, K)
+        with pytest.raises(ValueError):
+            pdp_exact_all(table_a, sum2, 0.0)
+
 
 class TestWitnessConsistency:
     """The reported supremum must be reproducible from its own witness."""
