@@ -52,7 +52,6 @@ from .synth import (
 from .whg import (
     WeightedHierGraph,
     fast_search,
-    first_layer,
     full_space_search,
     search_synthetic,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "WeightedHierGraph",
     "distribution_to_json",
     "fast_search",
-    "first_layer",
     "full_space_search",
     "gen_covariance",
     "gen_discrete_corr",

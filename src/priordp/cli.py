@@ -274,6 +274,12 @@ def cmd_experiment(args) -> int:
             )
         for a in sweep:
             gen_covariance(args.n, a)  # fail fast on infeasible sweep points
+    elif args.n > FULL_CAP:
+        # each cell runs a full search over 2^n-entry kernel arrays
+        raise SearchSpaceExceeded(
+            f"experiment --kind discrete over n={args.n} exceeds the full "
+            f"search cap {FULL_CAP}"
+        )
 
     def run_cell(cell):
         a, seed = cell

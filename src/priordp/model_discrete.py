@@ -96,14 +96,6 @@ class JointDistribution:
         """Number of tuples."""
         return len(self.domains)
 
-    def value_index(self, i: int, value: float) -> int:
-        """Index of `value` inside dom(x_i), matched within 1e-9."""
-        dom = self.domains[i]
-        k = int(np.argmin([abs(d - value) for d in dom]))
-        if abs(dom[k] - value) > 1e-9 * max(1.0, abs(value)):
-            raise ValueError(f"value {value!r} not in dom(x_{i}) = {dom}")
-        return k
-
 
 @dataclass(frozen=True)
 class QuerySpec:

@@ -28,9 +28,9 @@ supremum can exceed the chain value at any noise scale. The chain is the
 scalable surrogate, the brute-force oracle the ground truth, and the gap
 between them is a measured quantity, not an assumed sign.
 
-Node leakage quantifies over prior-knowledge *values*: by default the max
-over all positive-probability assignments of x_K' enters the candidate set
-("max" mode); pass prior_values= to fix one concrete assignment instead.
+Node leakage quantifies over prior-knowledge *values*: the max over all
+positive-probability assignments of x_K' enters the candidate set ("max"
+mode).
 
 All searches run on one bitmask kernel fed by an edge source: an object
 with an attribute `n` and a method `values(i, masks, j)`, where `masks` is
@@ -126,27 +126,6 @@ class WeightedHierGraph:
         return float(rows["value"][0])
 
 
-def first_layer(
-    dist: JointDistribution, query: QuerySpec, lam: float
-) -> dict[AdversaryNode, float]:
-    """Leakage of every strongest adversary: LS_i(f) / lam.
-
-    With all other tuples known, the output density is the bare Laplace
-    kernel, so the value depends only on the domain widths, never on the
-    probability table.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    n = dist.n
-    return {
-        AdversaryNode(i, tuple(t for t in range(n) if t != i)): local_sensitivity(
-            dist, query, i
-        )
-        / lam
-        for i in range(n)
-    }
-
-
 class _TableEdges:
     """Edge source over a sum-query table: (cmin, cmax) per child.
 
@@ -170,20 +149,10 @@ class _TableEdges:
     so values() is one gather. Marginals are not kept.
     """
 
-    def __init__(
-        self, y: JointDistribution, lam: float, prior_values: Mapping[int, float] | None
-    ):
+    def __init__(self, y: JointDistribution, lam: float):
         n = self.n = y.n
         self._y = y
         self._lam = lam
-        self._fixed: list[int] | None = None
-        if prior_values is not None and n > 2:
-            # with |T| = 2 no tuple besides i and j is known, and every tuple
-            # lies in a larger set
-            for a in range(n):
-                if a not in prior_values:
-                    raise ValueError(f"prior_values is missing tuple {a}")
-            self._fixed = [y.value_index(a, prior_values[a]) for a in range(n)]
         # cells of all slices of a size class: k * e_k(domain sizes)
         e = [1] + [0] * n
         for d in y.domains:
@@ -297,15 +266,6 @@ class _TableEdges:
         # the joint mass m cancels the conditional normalization
         lse = logsumexp(lt, axis=axis).reshape((3, g) + dims)
         feasible = lse[0] >= _LOG_FLOOR
-        if self._fixed is not None and len(dims) > 1:
-            # a pair along the x_i axis lies on the line through the fixed
-            # values iff both its cells differ from them in at most one axis
-            want = [
-                [self._fixed[a] for p, a in enumerate(axes[row]) if p != pj]
-                for row, pj in chunk
-            ]
-            want = np.asarray(want).T.reshape((len(dims), g) + (1,) * len(dims))
-            feasible &= (np.indices(dims)[:, None] != want).sum(axis=0) <= 1
         with np.errstate(invalid="ignore"):
             # zero-mass rows yield -inf - -inf = nan; 'feasible' masks them out
             lo_up = lse[1:] - lse[0]
@@ -484,7 +444,6 @@ def _search_distribution(
     lam: float,
     *,
     fast: bool,
-    prior_values: Mapping[int, float] | None = None,
     force: bool = False,
 ) -> tuple[WeightedHierGraph, LeakageReport]:
     y = transform_linear_query(dist, query)
@@ -494,14 +453,13 @@ def _search_distribution(
             f"n={n} would materialize {n * 2 ** (n - 1)} nodes (cap {FULL_CAP}); "
             "pass force=True to override"
         )
-    if prior_values is not None:
-        # searches run on the sum-query form; map the fixed values with it
-        prior_values = {
-            int(t): query.coefficients[int(t)] * float(v)
-            for t, v in prior_values.items()
-        }
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
     summary = _Summary()
-    first = list(first_layer(y, QuerySpec.sum_query(n), lam).values())
+    # a strongest adversary's leakage is LS_i(f) / lam: with all other
+    # tuples known the output density is the bare Laplace kernel
+    sum_query = QuerySpec.sum_query(n)
+    first = [local_sensitivity(y, sum_query, i) / lam for i in range(n)]
     nodes: list[np.ndarray] = []
     edges = [np.empty(0, _EDGE)]  # a one-tuple table has no edges
 
@@ -516,13 +474,13 @@ def _search_distribution(
         rows["attack"], rows["j"], rows["mask"], rows["ic"] = i, js, masks, ics
         edges.append(rows)
 
-    _kernel(_TableEdges(y, lam, prior_values), first, fast, on_layer, on_edges)
+    _kernel(_TableEdges(y, lam), first, fast, on_layer, on_edges)
     graph = WeightedHierGraph(n, np.concatenate(nodes), np.concatenate(edges))
     return graph, summary.report(
         "fast" if fast else "full",
         {
             "edge_candidates": "two_sided",
-            "assignment_mode": "fixed" if prior_values is not None else "max",
+            "assignment_mode": "max",
             "lambda": lam,
         },
     )
@@ -533,7 +491,6 @@ def full_space_search(
     query: QuerySpec,
     lam: float,
     *,
-    prior_values: Mapping[int, float] | None = None,
     force: bool = False,
 ) -> tuple[WeightedHierGraph, LeakageReport]:
     """Materialize every adversary node layer by layer (exhaustive search).
@@ -541,17 +498,13 @@ def full_space_search(
     A node reachable through several removal orders keeps the minimum of the
     candidate leakages. Refuses n > FULL_CAP unless force=True.
     """
-    return _search_distribution(
-        dist, query, lam, fast=False, prior_values=prior_values, force=force
-    )
+    return _search_distribution(dist, query, lam, fast=False, force=force)
 
 
 def fast_search(
     dist: JointDistribution,
     query: QuerySpec,
     lam: float,
-    *,
-    prior_values: Mapping[int, float] | None = None,
 ) -> tuple[WeightedHierGraph, LeakageReport]:
     """Pruned search: per layer and attacked tuple, only the min(n, count)
     largest nodes are expanded further.
@@ -563,7 +516,7 @@ def fast_search(
     values, so fast leakage >= full leakage; with n <= 2 no pruning is
     possible and the result is identical to full_space_search.
     """
-    return _search_distribution(dist, query, lam, fast=True, prior_values=prior_values)
+    return _search_distribution(dist, query, lam, fast=True)
 
 
 def search_synthetic(

@@ -8,10 +8,12 @@ node-by-node dict loop summarized by sorting every node; and
 `reference_kernel`, the bitmask kernel as it was before it batched every
 removed tuple into one edge-source call. Tests cross-check the package
 against them value for value; nothing in the package imports this module.
-It also holds the conditional tables the oracle reference uses, the
-increment-ratio sign law, `DictEdges`, an edge source over a hand-built
-{(i, K, j): ic} mapping, and `graph_dicts`, which turns a search's node and
-edge arrays back into the reference's dicts.
+It also holds `value_index`, which finds a value in a tuple's domain, the
+conditional tables the oracle reference uses, `first_layer`, the strongest
+adversaries' leakage as a node dict, the increment-ratio sign law,
+`DictEdges`, an edge source over a hand-built {(i, K, j): ic} mapping, and
+`graph_dicts`, which turns a search's node and edge arrays back into the
+reference's dicts.
 """
 
 from __future__ import annotations
@@ -30,13 +32,22 @@ from priordp import (
     JointDistribution,
     PrivacyModelError,
     QuerySpec,
-    first_layer,
+    local_sensitivity,
     marginal,
     transform_linear_query,
 )
 from priordp.model_discrete import PROB_FLOOR
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
+
+
+def value_index(dist: JointDistribution, i: int, value: float) -> int:
+    """Index of `value` inside dom(x_i), matched within 1e-9."""
+    dom = dist.domains[i]
+    k = int(np.argmin([abs(d - value) for d in dom]))
+    if abs(dom[k] - value) > 1e-9 * max(1.0, abs(value)):
+        raise ValueError(f"value {value!r} not in dom(x_{i}) = {dom}")
+    return k
 
 
 class ImpossibleCondition(PrivacyModelError):
@@ -60,7 +71,7 @@ def conditional(
         raise ValueError("targets and given indices overlap")
     idx: list[object] = [slice(None)] * dist.n
     for k, v in giv.items():
-        idx[k] = dist.value_index(k, v)
+        idx[k] = value_index(dist, k, v)
     sliced = dist.probs[tuple(idx)]
     remaining = [i for i in range(dist.n) if i not in giv]
     sum_axes = tuple(ax for ax, i in enumerate(remaining) if i not in tgt)
@@ -145,7 +156,7 @@ def gamma_set(
     feas = []
     for a in dist.domains[i]:
         vals = [a if t == i else prior_assign[t] for t in axes]
-        idx = tuple(joint.value_index(pos, v) for pos, v in enumerate(vals))
+        idx = tuple(value_index(joint, pos, v) for pos, v in enumerate(vals))
         if float(joint.probs[idx]) >= PROB_FLOOR:
             feas.append(a)
     return tuple(
@@ -174,6 +185,27 @@ def ancestor_leakage(l_child: float, ic: float) -> float:
     return abs(l_child + ic)
 
 
+def first_layer(
+    dist: JointDistribution, query: QuerySpec, lam: float
+) -> dict[AdversaryNode, float]:
+    """Leakage of every strongest adversary: LS_i(f) / lam.
+
+    With all other tuples known, the output density is the bare Laplace
+    kernel, so the value depends only on the domain widths, never on the
+    probability table.
+    """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    n = dist.n
+    return {
+        AdversaryNode(i, tuple(t for t in range(n) if t != i)): local_sensitivity(
+            dist, query, i
+        )
+        / lam
+        for i in range(n)
+    }
+
+
 def chain_rule_path(start: float, ics: Iterable[float]) -> float:
     """Nested-absolute-value accumulation of increments along a path."""
     value = abs(start)
@@ -188,7 +220,6 @@ def edge_candidates(
     j: int,
     k_prime: tuple[int, ...],
     lam: float,
-    prior_values: Mapping[int, float] | None,
 ) -> np.ndarray:
     """All increment candidates for the edge (i, K'+{j}) -> (i, K'): both
     ray orientations for every feasible assignment of x_K' and ordered pair
@@ -199,16 +230,7 @@ def edge_candidates(
     pos_j = axes.index(j)
     rest = [p for p in range(len(axes)) if p not in (pos_i, pos_j)]
     table = np.transpose(sub.probs, rest + [pos_i, pos_j])
-    if prior_values is not None:
-        sel: list[object] = []
-        for p in rest:
-            t = axes[p]
-            if t not in prior_values:
-                raise ValueError(f"prior_values is missing tuple {t}")
-            sel.append(sub.value_index(p, prior_values[t]))
-        table = table[tuple(sel)][None, ...]
-    else:
-        table = table.reshape(-1, table.shape[-2], table.shape[-1])
+    table = table.reshape(-1, table.shape[-2], table.shape[-1])
     with np.errstate(divide="ignore"):
         log_t = np.log(table)
     xj = np.asarray(y.domains[j])
@@ -239,17 +261,11 @@ def search_distribution(
     lam: float,
     *,
     fast: bool,
-    prior_values: Mapping[int, float] | None = None,
 ):
     """Dict-based chain search: (layers, edges, layer_max, leakage, argmax,
     node_count). In fast mode ties among equal nodes break by node order."""
     y = transform_linear_query(dist, query)
     n = y.n
-    if prior_values is not None:
-        prior_values = {
-            int(t): query.coefficients[int(t)] * float(v)
-            for t, v in prior_values.items()
-        }
     layers: list[dict[AdversaryNode, float]] = [
         first_layer(y, QuerySpec.sum_query(n), lam)
     ]
@@ -261,7 +277,7 @@ def search_distribution(
             l_child = expand[node]
             for j in node.prior:
                 k_prime = tuple(t for t in node.prior if t != j)
-                cands = edge_candidates(y, node.attack, j, k_prime, lam, prior_values)
+                cands = edge_candidates(y, node.attack, j, k_prime, lam)
                 if cands.size == 0:
                     continue
                 ic = pick_edge(l_child, cands)

@@ -27,7 +27,7 @@ from priordp import (
 )
 from priordp.model_discrete import PROB_FLOOR, logsumexp
 
-from chain_reference import ImpossibleCondition, conditional
+from chain_reference import ImpossibleCondition, conditional, value_index
 
 _NEG_RAY = float("-inf")
 _POS_RAY = float("inf")
@@ -118,7 +118,7 @@ def pdp_exact_discrete(
             for a in y.domains[i]:
                 vals_by_axis = [a if t == i else assignment[t] for t in axes]
                 idx = tuple(
-                    joint_ik.value_index(pos, v) for pos, v in enumerate(vals_by_axis)
+                    value_index(joint_ik, pos, v) for pos, v in enumerate(vals_by_axis)
                 )
                 if float(joint_ik.probs[idx]) >= PROB_FLOOR:
                     feas.append(a)
@@ -184,10 +184,10 @@ def bayesian_gain(
         if p >= PROB_FLOOR:
             log_prior[a] = math.log(p)
     for v in (xi_a, xi_b):
-        if dom[y.value_index(i, v)] not in log_prior:
+        if dom[value_index(y, i, v)] not in log_prior:
             raise ImpossibleCondition(f"Pr(x_{i}={v}, x_K) is zero")
-    xi_a = dom[y.value_index(i, xi_a)]
-    xi_b = dom[y.value_index(i, xi_b)]
+    xi_a = dom[value_index(y, i, xi_a)]
+    xi_b = dom[value_index(y, i, xi_b)]
     log_lik = {}
     for a in log_prior:
         centers, weights = _hypothesis_mixture(y, i, a, assignment, unknown)

@@ -365,6 +365,18 @@ class TestExperiment:
         assert "cap" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
+    def test_discrete_size_cap(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "search_synthetic", lambda *a, **k: calls.append(a))
+        rc, out = self.run(
+            tmp_path,
+            "wide.csv",
+            ["experiment", "--kind", "discrete", "--n", "16", "--averCorr", "0.2"],
+        )
+        assert rc == 3
+        assert "cap" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_gaussian_infeasible_sweep(self, tmp_path, capsys):
         rc, _ = self.run(
             tmp_path,

