@@ -119,14 +119,15 @@ class QuerySpec:
 
 
 def logsumexp(a, axis=None, b=None) -> np.ndarray | float:
-    """log(sum(b * exp(a))) over `axis` (all axes when None), for real input.
+    """log(sum(b * exp(a))) over `axis` (all axes when None), real a, b >= 0.
 
     The arithmetic of scipy.special.logsumexp (scipy 1.17) without its
     array-API dispatch: terms equal to the maximum are split out, the rest
     summed as s, and the result is log1p(s/m) + log(m) + max, with the plain
     log(sum(b * exp(a))) taken wherever that is not finite. Results are
     bitwise equal to scipy's, at a fraction of its cost per call on the
-    small arrays the searches and the oracle reduce.
+    small arrays the searches and the oracle reduce. Negative weights, which
+    no caller has, are not supported.
     """
     a = np.asarray(a, dtype=float)
     if b is not None:
@@ -147,24 +148,18 @@ def logsumexp(a, axis=None, b=None) -> np.ndarray | float:
             e = np.subtract(x, x_max)
             np.exp(e, out=e)
             e *= ~i_max
-            if b is None:
-                # m counts the maxima and s >= 0, so no term turns negative
-                m = np.sum(i_max, axis=axis, keepdims=True, dtype=float)
-                s = np.sum(e, axis=axis, keepdims=True)
-                # log1p(where(s == 0, s, s / m)) + log(m) + x_max, in place
-                out = np.divide(s, m)
-                np.copyto(out, s, where=s == 0)
-                np.log1p(out, out=out)
-                out += np.log(m, out=m)
-                out += x_max
-            else:
-                m = np.sum(b * i_max, axis=axis, keepdims=True, dtype=float)
-                s = np.sum(b * e, axis=axis, keepdims=True)
-                s = np.where(s == 0, s, s / m)
-                negative = np.sign(s + 1) * np.sign(m) < 0
-                s = np.where(s < -1, -s - 2, s)
-                out = np.log1p(s) + np.log(np.abs(m)) + x_max
-                out[negative] = np.nan
+            if b is not None:
+                e *= b
+                i_max = i_max * b
+            # m counts the maxima by weight, and s >= 0 as the weights are
+            m = np.sum(i_max, axis=axis, keepdims=True, dtype=float)
+            s = np.sum(e, axis=axis, keepdims=True)
+            # log1p(where(s == 0, s, s / m)) + log(m) + x_max, in place
+            out = np.divide(s, m)
+            np.copyto(out, s, where=s == 0)
+            np.log1p(out, out=out)
+            out += np.log(m, out=m)
+            out += x_max
             finite = np.isfinite(out)
             if not finite.all():
                 b_exp_a = np.exp(a) if b is None else b * np.exp(a)
@@ -262,6 +257,8 @@ def local_sensitivity(dist: JointDistribution, query: QuerySpec, i: int) -> floa
     """
     if len(query.coefficients) != dist.n:
         raise ValueError("query length does not match number of tuples")
+    if not 0 <= i < dist.n:
+        raise ValueError(f"tuple index {i} out of range for n={dist.n}")
     a = query.coefficients[i]
     dom = dist.domains[i]
     best = 0.0

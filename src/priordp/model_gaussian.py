@@ -119,36 +119,42 @@ def _solve_block(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(blocks, rhs)
 
 
+def _coefficients(S: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, c), both (sets, |C|), for the sorted proper prior sets C in the
+    rows of idx: c = 1^T Sigma_UC sums each member's sigma row outside C, and
+    w = Sigma_CC^{-1} c holds each member's coefficient inside mu0."""
+    blocks = S[idx[:, :, None], idx[:, None, :]]
+    c = S.sum(axis=1)[idx] - blocks.sum(axis=2)
+    return _solve_block(blocks, c[:, :, None])[:, :, 0], c
+
+
 def mu0_expand(model: GaussianModel, i: int, K: Iterable[int]) -> Mu0Expansion:
     """Expand the conditional mean/variance of the unknown-tuple sum.
 
     The sum s_U of tuples outside {i} | K, conditioned on (x_i, x_K), is
     N(mu0, sigma0_sq); mu0 is affine in the conditioning values and its
-    coefficients are extracted here by linearity.
+    coefficients are extracted here by linearity, from the same solve as
+    the enumeration's, so both give the same leakage bit for bit.
     """
     i = int(i)
     ks = sorted(set(int(k) for k in K))
     if i in ks:
         raise ValueError("attacked tuple cannot be in the prior set")
-    if i >= model.n or (ks and ks[-1] >= model.n):
+    cond = sorted([i] + ks)
+    if not 0 <= cond[0] <= cond[-1] < model.n:
         raise ValueError("tuple index out of range")
-    cond = [i] + ks
     unknown = [u for u in range(model.n) if u not in cond]
     if not unknown:
         return Mu0Expansion(0.0, 0.0, {k: 0.0 for k in ks}, 0.0)
     S = model.sigma
     mu = np.asarray(model.mu)
-    S_CC = S[np.ix_(cond, cond)]
-    S_UC = S[np.ix_(unknown, cond)]
-    c = S_UC.sum(axis=0)  # 1^T S_UC
-    w = _solve_block(S_CC, c[:, None])[:, 0]
-    mu00 = float(mu[unknown].sum() - w @ mu[cond])
-    sigma0_sq = float(S[np.ix_(unknown, unknown)].sum() - c @ w)
+    (w,), (c,) = _coefficients(S, np.array([cond]))
+    coef = dict(zip(cond, w.tolist()))
     return Mu0Expansion(
-        mu00=mu00,
-        coef_i=float(w[0]),
-        coef_k={k: float(w[1 + pos]) for pos, k in enumerate(ks)},
-        sigma0_sq=max(0.0, sigma0_sq),
+        mu00=float(mu[unknown].sum() - w @ mu[cond]),
+        coef_i=coef.pop(i),
+        coef_k=coef,
+        sigma0_sq=max(0.0, float(S[np.ix_(unknown, unknown)].sum() - c @ w)),
     )
 
 
@@ -233,16 +239,11 @@ def _adversary_values(model: GaussianModel) -> Iterator[tuple[int, np.ndarray, n
     (mask of K over the tuples other than i), its place in enumeration order.
     """
     n = model.n
-    S = model.sigma
-    row_sums = S.sum(axis=1)
     scale = model.M / model.lam
     half = 1 << (n - 1)
     for size in range(1, n):
         for idx in _prior_sets(n, size, max(1, _STACK_CELLS // (size * size))):
-            blocks = S[idx[:, :, None], idx[:, None, :]]
-            # 1^T Sigma_UC: each member's sigma row summed over U, outside C
-            c = row_sums[idx] - blocks.sum(axis=2)
-            w = _solve_block(blocks, c[:, :, None])[:, :, 0]
+            w, _ = _coefficients(model.sigma, idx)
             bit = 1 << idx
             prior = bit.sum(axis=1, keepdims=True) - bit
             pos = idx * half + ((prior & (bit - 1)) | ((prior >> (idx + 1)) << idx))

@@ -28,7 +28,7 @@ from priordp import (
     max_leakage_gaussian,
     model_gaussian,
     oracle,
-    pdp_exact_discrete,
+    pdp_exact_all,
     pdp_numeric_gaussian,
     whg,
 )
@@ -620,12 +620,12 @@ class TestCalibrateMonotonicity:
     def test_discrete_chain_and_oracle(self):
         rng = np.random.default_rng(17)
         query = QuerySpec.sum_query(3)
-        adversaries = list(cli._all_adversaries(3))
         for _ in range(40):
             dist = random_instance(rng, 3)
             chain = [full_space_search(dist, query, lam)[1].leakage for lam in self.LAMS]
+            # what calibrate --method oracle bisects over
             exact = [
-                max(pdp_exact_discrete(dist, query, lam, i, K).leakage for i, K in adversaries)
+                max(r.leakage for r in pdp_exact_all(dist, query, lam))
                 for lam in self.LAMS
             ]
             assert np.all(np.diff(chain) <= 0.0)

@@ -16,6 +16,7 @@ from priordp import (
     load_distribution,
     local_sensitivity,
     marginal,
+    model_discrete,
     pearson_corr,
     transform_linear_query,
 )
@@ -190,11 +191,36 @@ class TestSensitivity:
     def test_global_is_max_local(self, table_d, sum2):
         assert global_sensitivity(table_d, sum2) == 5.0
 
+    def test_index_out_of_range(self, table_d, sum2):
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match="range"):
+                local_sensitivity(table_d, sum2, i)
+
     def test_multivalued_width(self):
         dist = JointDistribution(
             [(0.0, 0.4, 1.7), (0.0, 1.0)], np.full((3, 2), 1 / 6)
         )
         assert local_sensitivity(dist, QuerySpec.sum_query(2), 0) == pytest.approx(1.7)
+
+
+def test_logsumexp_bitwise_equal_to_scipy():
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    rng = np.random.default_rng(29)
+    for _ in range(4000):
+        shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
+        # one decimal, so that maxima tie
+        a = np.round(rng.normal(scale=3.0, size=shape), 1)
+        a[rng.random(shape) < 0.1] = -np.inf
+        a[rng.random(shape) < 0.05] = np.inf
+        b = [None, rng.uniform(0.1, 2.0, size=shape), np.zeros(shape)][rng.integers(3)]
+        if b is not None and rng.random() < 0.5:
+            b[rng.random(shape) < 0.3] = 0.0
+        axis = None if rng.random() < 0.3 else int(rng.integers(-len(shape), len(shape)))
+        got = np.asarray(model_discrete.logsumexp(a, axis=axis, b=b))
+        want = np.asarray(scipy_logsumexp(a, axis=axis, b=b))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (a, b, axis)
 
 
 class TestQuerySpec:

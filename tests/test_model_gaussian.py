@@ -194,10 +194,12 @@ class TestMu0Expand:
         m = random_spd_model(np.random.default_rng(11), 3)
         with pytest.raises(ValueError, match="prior"):
             mu0_expand(m, 1, [1])
-        with pytest.raises(ValueError, match="range"):
-            mu0_expand(m, 3, [])
-        with pytest.raises(ValueError, match="range"):
-            mu0_expand(m, 0, [7])
+        # a negative index would alias a tuple counted from the end
+        for i, K in [(3, []), (0, [7]), (-1, [0]), (0, [-1]), (0, [-3])]:
+            with pytest.raises(ValueError, match="range"):
+                mu0_expand(m, i, K)
+            with pytest.raises(ValueError, match="range"):
+                pdp_numeric_gaussian(m, i, K)
 
     def test_singular_conditioning_block(self):
         # rho = 1 everywhere: conditioning on {i} u K with |K| >= 1 inverts
@@ -377,13 +379,13 @@ class TestEnumeration:
             rep = max_leakage_gaussian(m)
             layer_ref = {}
             for pos, (i, K, v) in enumerate(ref):
-                assert abs(vals[pos] - v) <= 1e-12, (i, K)
+                assert vals[pos] == v, (i, K)
                 layer = n - len(K)
                 layer_ref[layer] = max(layer_ref.get(layer, -math.inf), v)
             assert rep.node_count == len(ref)
             assert rep.layer_max.keys() == layer_ref.keys()
             for layer, v in layer_ref.items():
-                assert abs(rep.layer_max[layer] - v) <= 1e-12
+                assert rep.layer_max[layer] == v
             assert rep.leakage == max(rep.layer_max.values())
             # the report's argmax is the first enumerated maximum
             first = int(np.flatnonzero(vals == vals.max())[0])
