@@ -23,15 +23,20 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
+# EdgeMap.bounds grid: G = 2^_GRID_BITS cells, one per value of a hash's top bits
+_GRID_BITS = 12
+_GRID = 1 << _GRID_BITS
+
 
 def splitmix64(x):
     """SplitMix64 finalizer on uint64 scalars or arrays (wrapping arithmetic)."""
-    z = np.asarray(x, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = z + _MIX
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        z = z ^ (z >> np.uint64(31))
+        z = np.asarray(x, dtype=np.uint64) + _MIX
+        z ^= z >> np.uint64(30)
+        z *= _M1
+        z ^= z >> np.uint64(27)
+        z *= _M2
+        z ^= z >> np.uint64(31)
     return z
 
 
@@ -51,6 +56,16 @@ class EdgeMap:
     alpha=512 the pruned result lands within about 5% of the exhaustive
     one on 15-tuple graphs, versus over 100% for loose shapes like
     alpha=2. Pass a smaller alpha to stress pruning error deliberately.
+
+    bounds() gives each edge an interval without a quantile. On first use
+    the map evaluates the scaled quantile once on the grid u = k / G,
+    k = 0..G, G = 2^_GRID_BITS, in the same expression order as values().
+    An edge's variate u lies in its grid cell [k / G, (k + 1) / G], where k
+    is the top _GRID_BITS bits of its hash, and its interval is the cell
+    widened by one on each side, clamped at the ends. That holds because
+    betaincinv is monotone in u and the product with sign * scale rounds
+    monotonically; the widening leaves a margin of a whole cell (2.4e-4 in
+    u) for betaincinv to be out of order before an interval could miss.
     """
 
     def __init__(
@@ -65,10 +80,10 @@ class EdgeMap:
             raise ValueError("n must be >= 1")
         if not -1.0 <= aver_corr <= 1.0:
             raise ValueError("aver_corr must lie in [-1, 1]")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < scale < math.inf:
+            raise ValueError("scale must be positive and finite")
+        if not 0 < alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if n > 50:
             raise ValueError("edge keys support n <= 50")
         self.n = int(n)
@@ -79,26 +94,56 @@ class EdgeMap:
         self._sign = math.copysign(1.0, aver_corr) if aver_corr else 0.0
         self._m = abs(aver_corr)
         self._base = splitmix64(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF))
+        self._cells: tuple[np.ndarray, np.ndarray] | None = None
 
     def values(self, i: int, child_masks: np.ndarray, j: int | np.ndarray) -> np.ndarray:
         """Vectorized lookup; child_masks are bitmasks of the child's K, and
         j is one removed tuple or an int64 array of them aligned with
         child_masks."""
         masks, js = edge_indices(self.n, i, child_masks, j)
-        masks = masks.astype(np.uint64)
-        if self._m == 0.0:
-            return np.zeros(masks.shape)
-        if self._m == 1.0:
-            return np.full(masks.shape, self._sign * self.scale)
-        key = (masks << np.uint64(12)) | (np.uint64(i << 6) | js.astype(np.uint64))
-        h = splitmix64(key ^ self._base)
+        if self._m in (0.0, 1.0):
+            return np.full(masks.shape, self._sign * self.scale * self._m)
+        h = self._hash(i, masks, js)
         u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        b = self.alpha * (1.0 - self._m) / self._m
+        return self._sign * self.scale * self._quantile(u)
+
+    def bounds(
+        self, i: int, child_masks: np.ndarray, j: int | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi), two new arrays with lo <= values(i, child_masks, j) <= hi
+        element by element: the widened grid cell of each edge, or the exact
+        value twice when m is 0 or 1."""
+        masks, js = edge_indices(self.n, i, child_masks, j)
+        if self._m in (0.0, 1.0):
+            value = np.full(masks.shape, self._sign * self.scale * self._m)
+            return value, value.copy()
+        if self._cells is None:
+            grid = self._sign * self.scale * self._quantile(np.arange(_GRID + 1) / _GRID)
+            k = np.arange(_GRID)
+            below, above = np.maximum(k - 1, 0), np.minimum(k + 2, _GRID)
+            if self._sign < 0:  # the grid descends
+                below, above = above, below
+            self._cells = grid[below], grid[above]
+        lo, hi = self._cells
+        cell = self._hash(i, masks, js)
+        cell >>= np.uint64(64 - _GRID_BITS)
+        return lo[cell], hi[cell]
+
+    def _hash(self, i: int, masks: np.ndarray, js: np.ndarray) -> np.ndarray:
+        # masks and js are non-negative int64, so their uint64 views are
+        # the same numbers
+        key = masks.view(np.uint64) << np.uint64(12)
+        key |= np.uint64(i << 6)
+        key |= js.view(np.uint64)
+        key ^= self._base
+        return splitmix64(key)
+
+    def _quantile(self, u: np.ndarray) -> np.ndarray:
         # imported on first use, so commands without synthetic edges never
         # load scipy.special
         from scipy.special import betaincinv
 
-        return self._sign * self.scale * betaincinv(self.alpha, b, u)
+        return betaincinv(self.alpha, self.alpha * (1.0 - self._m) / self._m, u)
 
 
 def gen_whg_edges(

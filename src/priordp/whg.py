@@ -49,6 +49,20 @@ The kernel makes one values() call per attacked tuple i and layer, with
 the (mask, j) pairs of every removed tuple j != i in j-major order, split
 into chunks of at most _EXPAND_CHUNK expanded masks so that memory stays
 flat on wide layers. Its on_edges hook gets (i, js, masks, increments).
+
+An edge source may also have bounds(i, masks, j) -> (lo, hi), two new
+arrays that hold values() element by element at a fraction of its cost
+(EdgeMap has it; a table's source does not). Then the kernel bounds
+|l + x| over x in [lo, hi] by [lb, ub] for every edge of a chunk, caps each
+parent at the least of its current value and its edges' ub, and passes to
+values() only the edges with lb <= cap. The pruning is exact: a dropped
+edge's value is at least its lb, above the cap, and the cap is either the
+parent's value or the ub of a kept edge whose value is at most the cap.
+Float addition, negation and scaling round monotonically, so the bounds
+hold for the rounded values too, and the min over the kept edges is the
+min over all of them bit for bit. An on_edges hook asks for every edge, so
+a kernel given one evaluates them all.
+
 Both searches build their report from its on_layer calls through one
 streaming summary, _Summary. A table search also returns its graph: the
 arrays of its on_layer and on_edges calls, joined into one array each.
@@ -95,8 +109,12 @@ _PAIRWISE = 8
 # Most expanded masks per edge-source call of the kernel. A call covers
 # every removed tuple of its masks, so it holds up to n - 1 (mask, j) pairs
 # per mask; the bound keeps that and the edge source's temporaries flat
-# where a layer is wide.
-_EXPAND_CHUNK = 512
+# where a layer is wide. With bounds(), a chunk is many short numpy calls,
+# between which two threads running searches hand the GIL back and forth:
+# on the n=14 experiment sweep (2-core x86), two threads took 2.4 s at 512
+# masks, longer than one thread (1.8-2.1 s), and 1.4-1.8 s at 2048, for
+# 0.5 MB more peak memory.
+_EXPAND_CHUNK = 2048
 
 # most tuples a full table search takes without force=True
 FULL_CAP = 15
@@ -336,7 +354,10 @@ def _kernel(
     order, go to values(i, masks, js) with js an int64 array aligned with
     masks, and one np.minimum.at merges them all into their parents. A min
     over the same multiset does not depend on order, so the values equal
-    those of one call per j bit for bit.
+    those of one call per j bit for bit. When the source has bounds() and
+    no on_edges hook is given, only the edges of a chunk that can still set
+    their parent's minimum reach values() (see the module notes and
+    _may_lower); cap holds each parent's bound for the chunk.
 
     Calls on_layer(i, layer, masks, values) once per computed layer of
     attacked tuple i, and on_edges(i, js, child masks, increments) for every
@@ -349,8 +370,10 @@ def _kernel(
     size = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
     masks_pc = [np.flatnonzero(size == k) for k in range(n + 1)]
     tuples = np.arange(n, dtype=np.int64)
+    bounds = getattr(edges, "bounds", None) if on_edges is None else None
 
     values = np.empty(1 << n)
+    cap = np.empty(1 << n)
     for i in range(n):
         values.fill(np.inf)
         start = full_mask ^ (1 << i)
@@ -361,10 +384,12 @@ def _kernel(
         for layer in range(2, n + 1):
             for c in range(0, expand.size, _EXPAND_CHUNK):
                 chunk = expand[c : c + _EXPAND_CHUNK]
-                row, col = np.nonzero((chunk >> others[:, None]) & 1)
-                sel, js = chunk[col], others[row]
-                out = edges.values(i, sel, js)
+                sel, js = _expand(chunk, others)
+                if bounds is not None:
+                    keep = _may_lower(bounds(i, sel, js), sel, js, values, cap)
+                    sel, js = sel[keep], js[keep]
                 child = values[sel]
+                out = edges.values(i, sel, js)
                 if isinstance(out, tuple):
                     cmin, cmax = out
                     ok = ~np.isnan(cmin)
@@ -390,6 +415,46 @@ def _kernel(
                 expand = parents[keep]
             else:
                 expand = parents
+
+
+def _expand(chunk: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (child mask, removed tuple) pairs of a chunk of masks, j-major."""
+    row, col = np.nonzero((chunk >> others[:, None]) & 1)
+    return chunk[col], others[row]
+
+
+def _may_lower(
+    lo_hi: tuple[np.ndarray, np.ndarray],
+    sel: np.ndarray,
+    js: np.ndarray,
+    values: np.ndarray,
+    cap: np.ndarray,
+) -> np.ndarray:
+    """Indices of the edges that can still set their parent's minimum, from
+    the bounds() interval [lo, hi] of each increment; overwrites lo, hi and
+    cap's entries at the parents.
+
+    |child + x| over x in [lo, hi] lies in [lb, ub], with ub = max(hi', -lo')
+    and lb = max(lo', -hi', 0) at lo' = child + lo and hi' = child + hi. The
+    arithmetic runs in place, in lo, hi and one more array, because a chunk
+    holds a layer's worth of edges on each thread that runs a search.
+    """
+    lo, hi = lo_hi
+    ub = values[sel]  # the child values until ub is formed
+    lo += ub
+    hi += ub
+    np.negative(lo, out=ub)
+    np.maximum(ub, hi, out=ub)
+    np.negative(hi, out=hi)
+    lb = np.maximum(lo, hi, out=lo)
+    np.maximum(lb, 0.0, out=lb)
+    parent = 1 << js
+    parent ^= sel
+    # hi is free from here on
+    cap[parent] = np.take(values, parent, out=hi)
+    np.minimum.at(cap, parent, ub)
+    # a NaN bound compares false and keeps its edge
+    return np.flatnonzero(~(lb > np.take(cap, parent, out=hi)))
 
 
 class _Summary:

@@ -93,12 +93,35 @@ class TestEdgeMap:
         with pytest.raises(ValueError, match="alpha"):
             EdgeMap(4, 0.5, alpha=-1.0)
         emap = EdgeMap(4, 0.5)
-        with pytest.raises(ValueError, match="indices"):
-            emap.values(2, np.asarray([1], dtype=np.uint64), 2)
-        with pytest.raises(ValueError, match="belong"):
-            emap.values(0, np.asarray([0b0110]), 3)
-        with pytest.raises(ValueError, match="belong"):
-            emap.values(0, np.asarray([0b0011]), 1)
+        for lookup in (emap.values, emap.bounds):
+            with pytest.raises(ValueError, match="indices"):
+                lookup(2, np.asarray([1], dtype=np.uint64), 2)
+            with pytest.raises(ValueError, match="belong"):
+                lookup(0, np.asarray([0b0110]), 3)
+            with pytest.raises(ValueError, match="belong"):
+                lookup(0, np.asarray([0b0011]), 1)
+
+    @pytest.mark.parametrize("name", ["scale", "alpha"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, bad):
+        # a NaN or infinite edge unit would wipe out every layer past the first
+        with pytest.raises(ValueError, match=name):
+            EdgeMap(4, 0.5, seed=1, **{name: bad})
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 512.0, 1e5])
+    def test_bounds_hold_every_edge(self, alpha):
+        n = 10
+        masks = np.arange(1 << n, dtype=np.int64)
+        for corr in (-1.0, -0.9, -0.3, -0.05, 0.0, 0.05, 0.3, 0.9, 1.0):
+            emap = EdgeMap(n, corr, seed=4, scale=0.37, alpha=alpha)
+            for i in range(n):
+                child = masks[(masks >> i) & 1 == 0]
+                js = np.arange(n)[:, None]
+                row, col = np.nonzero((child >> js) & 1)
+                sel, j = child[col], js[row, 0]
+                vals = emap.values(i, sel, j)
+                lo, hi = emap.bounds(i, sel, j)
+                assert np.all(lo <= vals) and np.all(vals <= hi), (corr, i)
 
     def test_gen_whg_edges_first_layer(self):
         emap, first = gen_whg_edges(6, 0.4, seed=2, scale=1.5)

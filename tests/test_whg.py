@@ -694,6 +694,42 @@ class TestBatchedKernel:
         assert reports() == before
 
 
+# averCorr and alpha values on which the bounded search is checked
+PRUNE_CORRS = (-1.0, -0.9, -0.3, -0.05, 0.0, 0.05, 0.3, 0.9, 1.0)
+PRUNE_ALPHAS = (0.5, 2.0, 512.0, 1e5)
+
+
+class TestBoundedKernel:
+    """Without an on_edges hook the kernel evaluates only the edges whose
+    bounds() interval can still lower their parent's minimum."""
+
+    @pytest.mark.parametrize("n, scales", [(2, (0.37, 1.0, 3.0)), (3, (0.37, 1.0, 3.0)),
+                                           (5, (0.37, 3.0)), (8, (1.0,)), (11, (0.37,))])
+    def test_reports_match_reference(self, n, scales, monkeypatch):
+        corrs = PRUNE_CORRS if n < 11 else (-0.05, 0.9)
+        maps = [EdgeMap(n, corr, seed=n, scale=scale, alpha=alpha)
+                for corr in corrs for alpha in PRUNE_ALPHAS for scale in scales]
+        reports = []
+        for kernel in (whg._kernel, reference_kernel):
+            monkeypatch.setattr(whg, "_kernel", kernel)
+            reports.append([synthetic_repr(e, e.scale, mode)
+                            for e in maps for mode in ("full", "fast")])
+        assert reports[0] == reports[1]
+
+    def test_most_edges_skip_the_quantile(self, monkeypatch):
+        n = 10
+        evaluated = []
+        values = EdgeMap.values
+
+        def counting(self, i, masks, j):
+            evaluated.append(np.size(masks))
+            return values(self, i, masks, j)
+
+        monkeypatch.setattr(EdgeMap, "values", counting)
+        search_synthetic(EdgeMap(n, 0.5, seed=1), 1.0, "full")
+        assert 0 < sum(evaluated) < 0.3 * n * (n - 1) * 2 ** (n - 2)
+
+
 def pairs_of(n, i):
     """Every (child mask, removed tuple j) edge of attacked tuple i, as
     int64 arrays in j-major order."""
