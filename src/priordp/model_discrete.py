@@ -35,6 +35,8 @@ def _as_sorted_values(values: Iterable[float]) -> tuple[float, ...]:
     vals = tuple(float(v) for v in values)
     if len(vals) < 1:
         raise ValueError("every tuple domain needs at least one value")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"domain values must be finite, got {vals}")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError(f"domain values must be strictly increasing, got {vals}")
     return vals
@@ -105,6 +107,8 @@ class QuerySpec:
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(a) for a in self.coefficients)
+        if not all(math.isfinite(a) for a in coeffs):
+            raise ValueError(f"query coefficients must be finite, got {coeffs}")
         if not any(a != 0.0 for a in coeffs):
             raise ValueError("linear query needs at least one nonzero coefficient")
         object.__setattr__(self, "coefficients", coeffs)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Mapping
@@ -33,7 +32,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import SearchSpaceExceeded, SingularConditioning
-from .report import AdversaryNode, LeakageReport
+from .report import LeakageReport, _Summary
 
 _LN2 = math.log(2.0)
 # erfcx(z) for z < -25 is computed from its leading term 2*exp(z^2); the
@@ -49,14 +48,14 @@ class GaussianModel:
     Parameters
     ----------
     mu : sequence of float
-        Mean vector, length n.
+        Mean vector, length n, finite.
     sigma : array_like, shape (n, n)
-        Covariance matrix; symmetric, positive semidefinite.
+        Covariance matrix; finite, symmetric, positive semidefinite.
     M : float
         Bound on |x_i - x_i'| between the two hypothesized values of the
-        attacked tuple. Must be positive.
+        attacked tuple. Must be positive and finite.
     lam : float
-        Laplace noise scale, positive.
+        Laplace noise scale, positive and finite.
     """
 
     mu: tuple[float, ...]
@@ -71,6 +70,8 @@ class GaussianModel:
         n = len(mu)
         if S.shape != (n, n):
             raise ValueError(f"sigma shape {S.shape} does not match len(mu)={n}")
+        if not (all(map(math.isfinite, mu)) and np.isfinite(S).all()):
+            raise ValueError("mu and sigma must be finite")
         scale = max(1.0, float(np.abs(S).max()))
         if np.abs(S - S.T).max() > 1e-10 * scale:
             raise ValueError("sigma must be symmetric")
@@ -81,10 +82,10 @@ class GaussianModel:
         object.__setattr__(self, "sigma", S)
         object.__setattr__(self, "M", float(self.M))
         object.__setattr__(self, "lam", float(self.lam))
-        if self.M <= 0:
-            raise ValueError("M must be positive")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.M < math.inf:
+            raise ValueError("M must be positive and finite")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -226,7 +227,9 @@ def _prior_sets(n: int, size: int, step: int) -> Iterator[np.ndarray]:
         yield idx.reshape(-1, size)
 
 
-def _adversary_values(model: GaussianModel) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _adversary_values(
+    model: GaussianModel,
+) -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
     """Leakages of all adversaries, batched by prior set C = {i} | K.
 
     The coefficient vector w = Sigma_CC^{-1} Sigma_CU 1 depends only on C,
@@ -234,61 +237,39 @@ def _adversary_values(model: GaussianModel) -> Iterator[tuple[int, np.ndarray, n
     adversaries (i, C - {i}) as (M / lambda) * |1 + w[pos(i)]|. The subsets
     of one size are solved in batches of at most _STACK_CELLS block cells.
     The full set is never inverted: with no unknown tuple its adversaries
-    face the noise alone. Each batch yields (|C|, positions, leakages) with
-    two (sets, |C|) arrays. Adversary (i, K) has position i * 2^(n-1) +
-    (mask of K over the tuples other than i), its place in enumeration order.
+    face the noise alone. Each batch yields (attacks, layer, masks,
+    leakages), three aligned (sets, |C|) arrays and the graph layer
+    n - |K|; masks hold each K over all n tuples.
     """
     n = model.n
     scale = model.M / model.lam
-    half = 1 << (n - 1)
     for size in range(1, n):
         for idx in _prior_sets(n, size, max(1, _STACK_CELLS // (size * size))):
             w, _ = _coefficients(model.sigma, idx)
             bit = 1 << idx
-            prior = bit.sum(axis=1, keepdims=True) - bit
-            pos = idx * half + ((prior & (bit - 1)) | ((prior >> (idx + 1)) << idx))
-            yield size, pos, scale * np.abs(1.0 + w)
-    yield n, np.arange(n)[:, None] * half + half - 1, np.full((n, 1), scale)
+            masks = bit.sum(axis=1, keepdims=True) - bit
+            yield idx, n - size + 1, masks, scale * np.abs(1.0 + w)
+    attacks = np.arange(n)[:, None]
+    yield attacks, 1, ((1 << n) - 1) ^ (1 << attacks), np.full((n, 1), scale)
 
 
 def max_leakage_gaussian(model: GaussianModel, force: bool = False) -> LeakageReport:
     """Exact supremum of leakage_gaussian over all adversaries (i, K).
 
     Enumerates all n * 2^(n-1) adversaries, one solve per prior set (see
-    _adversary_values); refuses above ENUM_CAP tuples unless force=True. Layers
-    follow the graph convention: layer = n - |K|. argmax is the first
-    adversary, in (i, mask over the other tuples) order, whose value equals
-    the maximum.
+    _adversary_values), into the graph searches' report summary; refuses
+    above ENUM_CAP tuples unless force=True. Layers follow the graph
+    convention: layer = n - |K|. argmax is the least maximal adversary.
     """
     n = model.n
     if n > ENUM_CAP and not force:
         raise SearchSpaceExceeded(
             f"n={n} would enumerate {n * 2 ** (n - 1)} adversaries (cap {ENUM_CAP})"
         )
-    t0 = time.perf_counter()
-    layer_max: dict[int, float] = {}
-    best, best_pos = -math.inf, 0  # the first maximum and its position
-    for size, pos, vals in _adversary_values(model):
-        peak = float(vals.max())
-        layer = n - size + 1
-        layer_max[layer] = max(layer_max.get(layer, -math.inf), peak)
-        if peak >= best:
-            first = int(pos[vals == peak].min())
-            if peak > best or first < best_pos:
-                best, best_pos = peak, first
-    half = 1 << (n - 1)
-    i, mask = divmod(best_pos, half)
-    others = [j for j in range(n) if j != i]
-    K = tuple(o for p, o in enumerate(others) if (mask >> p) & 1)
-    return LeakageReport(
-        layer_max=layer_max,
-        leakage=best,
-        argmax=AdversaryNode(i, K),
-        node_count=n * half,
-        elapsed=time.perf_counter() - t0,
-        algorithm="enumerate",
-        metadata={"n": n, "cap": ENUM_CAP},
-    )
+    summary = _Summary()
+    for batch in _adversary_values(model):
+        summary(*batch)
+    return summary.report("enumerate", {"n": n, "cap": ENUM_CAP})
 
 
 def load_gaussian_model(data) -> GaussianModel:

@@ -415,8 +415,8 @@ def pdp_exact_discrete(
     table; the result is then assignment-independent and reported with an
     empty assignment.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     y = transform_linear_query(dist, query)
     i = int(i)
     ks = tuple(sorted(set(int(k) for k in K)))
@@ -437,8 +437,8 @@ def pdp_exact_all(dist: JointDistribution, query: QuerySpec, lam: float) -> list
     _STACK_CELLS table cells; that keeps a wide table's memory near one
     adversary's, while small tables run whole layers.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     tab = _Table(transform_linear_query(dist, query))
     adversaries = list(_all_adversaries(tab.y.n))
     step = max(1, _STACK_CELLS // tab.y.probs.size)

@@ -1,8 +1,12 @@
-"""Shared result types: adversary identity and leakage reports."""
+"""Adversary identity, leakage reports and the summary that builds them."""
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -23,10 +27,6 @@ class AdversaryNode:
         if self.attack in prior:
             raise ValueError(f"attacked tuple {self.attack} cannot be in the prior set")
 
-    def layer(self, n: int) -> int:
-        """1-based graph layer: n - |prior| (layer 1 = strongest adversary)."""
-        return n - len(self.prior)
-
     def to_json(self) -> list:
         return [self.attack, list(self.prior)]
 
@@ -42,8 +42,8 @@ class LeakageReport:
     leakage : float
         Overall supremum = max over layer_max.
     argmax : AdversaryNode
-        A node attaining the supremum. On ties the graph searches take the
-        first in (attack, sorted prior tuple) order.
+        The least node attaining the supremum in AdversaryNode order, that
+        is (attack, sorted prior tuple), for every evaluator.
     node_count : int
         Number of nodes computed.
     elapsed : float
@@ -73,3 +73,64 @@ class LeakageReport:
             "metadata": self.metadata,
         }
 
+
+class _Summary:
+    """A leakage report streamed from batches of adversary values: per-layer
+    maxima, the supremum, its argmax and the node count.
+
+    Each call brings one layer's values, their attacked tuple (one int, or
+    an array aligned with the values) and their prior sets K as bitmasks
+    over all n tuples (bit t set when t is in K). argmax is the least
+    maximal node in AdversaryNode order, whatever the order of the calls.
+    """
+
+    def __init__(self) -> None:
+        self.t0 = time.perf_counter()
+        self.layer_max: dict[int, float] = {}
+        self.leakage = -math.inf
+        self.argmax: AdversaryNode | None = None
+        self.node_count = 0
+
+    def __call__(
+        self, attack: int | np.ndarray, layer: int, masks: np.ndarray, vals: np.ndarray
+    ) -> None:
+        self.node_count += vals.size
+        if vals.size == 0:
+            return
+        top = float(vals.max())
+        self.layer_max[layer] = max(self.layer_max.get(layer, -math.inf), top)
+        if not top >= self.leakage:  # NaN compares false
+            return
+        tied = vals == top
+        attack = np.broadcast_to(attack, vals.shape)[tied]
+        i = int(attack.min())
+        if top == self.leakage and i > self.argmax.attack:
+            return
+        node = AdversaryNode(i, _least_prior(masks[tied][attack == i]))
+        if top > self.leakage or node < self.argmax:
+            self.leakage, self.argmax = top, node
+
+    def report(self, algorithm: str, metadata: dict) -> LeakageReport:
+        return LeakageReport(
+            layer_max=self.layer_max,
+            leakage=self.leakage,
+            argmax=self.argmax,
+            node_count=self.node_count,
+            elapsed=time.perf_counter() - self.t0,
+            algorithm=algorithm,
+            metadata=metadata,
+        )
+
+
+def _least_prior(masks: np.ndarray) -> tuple[int, ...]:
+    """The least of a nonempty array of prior-set masks as sorted tuples:
+    keep the masks whose lowest member is the least and strip it, until one
+    mask is left or one is empty, since a tuple sorts before its extensions."""
+    prior = []
+    while masks.size > 1 and masks.all():
+        low = masks & -masks
+        least = low.min()
+        masks = masks[low == least] ^ least
+        prior.append(int(least).bit_length() - 1)
+    rest = int(masks.min())  # the one mask left, or an empty one
+    return tuple(prior) + tuple(t for t in range(rest.bit_length()) if rest >> t & 1)

@@ -29,8 +29,7 @@ scalable surrogate, the brute-force oracle the ground truth, and the gap
 between them is a measured quantity, not an assumed sign.
 
 Node leakage quantifies over prior-knowledge *values*: the max over all
-positive-probability assignments of x_K' enters the candidate set ("max"
-mode).
+positive-probability assignments of x_K' enters the candidate set.
 
 All searches run on one bitmask kernel fed by an edge source: an object
 with an attribute `n` and a method `values(i, masks, j)`, where `masks` is
@@ -63,9 +62,9 @@ hold for the rounded values too, and the min over the kept edges is the
 min over all of them bit for bit. An on_edges hook asks for every edge, so
 a kernel given one evaluates them all.
 
-Both searches build their report from its on_layer calls through one
-streaming summary, _Summary. A table search also returns its graph: the
-arrays of its on_layer and on_edges calls, joined into one array each.
+Both searches feed the kernel's on_layer calls to report._Summary, which
+builds every evaluator's report. A table search also returns its graph:
+the arrays of its on_layer and on_edges calls, joined into one array each.
 
 A table's edge source computes the candidates of whole prior sets
 T = {i} u K, every (i, j) pair of T at once, stacking the sets of one size
@@ -76,7 +75,6 @@ array indexed by the mask of T, so each values() call is one numpy gather.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Mapping
@@ -93,7 +91,7 @@ from .model_discrete import (
     marginal,
     transform_linear_query,
 )
-from .report import AdversaryNode, LeakageReport
+from .report import AdversaryNode, LeakageReport, _Summary
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
 
@@ -457,52 +455,6 @@ def _may_lower(
     return np.flatnonzero(~(lb > np.take(cap, parent, out=hi)))
 
 
-class _Summary:
-    """The report of a search, streamed from the kernel's on_layer calls:
-    per-layer maxima, the supremum, its argmax and the node count.
-
-    argmax is the first maximal node in (attack, sorted prior tuple) order.
-    The kernel reports attacked tuples in ascending order, so a later one
-    takes over only with a larger value; within one attacked tuple, a tie
-    goes to the smaller prior tuple, whatever the layers.
-    """
-
-    def __init__(self) -> None:
-        self.t0 = time.perf_counter()
-        self.layer_max: dict[int, float] = {}
-        self.leakage = -math.inf
-        self.argmax: AdversaryNode | None = None
-        self.node_count = 0
-
-    def __call__(self, i: int, layer: int, masks: np.ndarray, vals: np.ndarray) -> None:
-        self.node_count += vals.size
-        if vals.size == 0:
-            return
-        top = float(vals.max())
-        if top > self.layer_max.get(layer, -math.inf):
-            self.layer_max[layer] = top
-        if top > self.leakage or (top == self.leakage and i == self.argmax.attack):
-            prior = min(map(_mask_to_tuple, masks[vals == top].tolist()))
-            if top > self.leakage or prior < self.argmax.prior:
-                self.leakage = top
-                self.argmax = AdversaryNode(i, prior)
-
-    def report(self, algorithm: str, metadata: dict) -> LeakageReport:
-        return LeakageReport(
-            layer_max=self.layer_max,
-            leakage=self.leakage,
-            argmax=self.argmax,
-            node_count=self.node_count,
-            elapsed=time.perf_counter() - self.t0,
-            algorithm=algorithm,
-            metadata=metadata,
-        )
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    return tuple(t for t in range(mask.bit_length()) if (mask >> t) & 1)
-
-
 def _search_distribution(
     dist: JointDistribution,
     query: QuerySpec,
@@ -518,8 +470,8 @@ def _search_distribution(
             f"n={n} would materialize {n * 2 ** (n - 1)} nodes (cap {FULL_CAP}); "
             "pass force=True to override"
         )
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     summary = _Summary()
     # a strongest adversary's leakage is LS_i(f) / lam: with all other
     # tuples known the output density is the bare Laplace kernel
@@ -545,7 +497,6 @@ def _search_distribution(
         "fast" if fast else "full",
         {
             "edge_candidates": "two_sided",
-            "assignment_mode": "max",
             "lambda": lam,
         },
     )

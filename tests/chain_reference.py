@@ -324,7 +324,7 @@ def summarize_layers(
     best_node: AdversaryNode | None = None
     for node in sorted(values):
         v = values[node]
-        k = node.layer(n)
+        k = n - len(node.prior)
         if k not in layer_max or v > layer_max[k]:
             layer_max[k] = v
         if v > best_val:
@@ -344,7 +344,7 @@ def graph_dicts(graph) -> tuple[list[dict[AdversaryNode, float]], dict]:
     layers: list[dict[AdversaryNode, float]] = [{} for _ in range(n)]
     for i, mask, value in graph.nodes.tolist():
         node = AdversaryNode(i, mask_tuple(mask))
-        layers[node.layer(n) - 1][node] = value
+        layers[n - len(node.prior) - 1][node] = value
     while layers and not layers[-1]:
         layers.pop()
     edges = {

@@ -127,6 +127,41 @@ class TestAnalyzeDiscrete:
         assert not out.exists()
 
 
+class TestNonFiniteInputs:
+    """A NaN or infinity in an input file or a --query coefficient is a
+    validation error (exit 2), never a report."""
+
+    @pytest.mark.parametrize("command", ["analyze-discrete", "oracle-check"])
+    def test_query_coefficient(self, table_a_file, tmp_path, capsys, command):
+        out = tmp_path / "rep.json"
+        assert main([command, table_a_file, "--query", "1,nan", "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_domain_value(self, tmp_path, capsys, bad):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"domains": [[0, bad], [0, 1]], "probs": CELLS_A}))
+        assert main(["analyze-discrete", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["analyze-gaussian", "--all"], "lambda", float("nan")),
+            (["analyze-gaussian", "--all"], "sigma", [[1.0, float("nan")], [float("nan"), 1.0]]),
+            (["calibrate", "--epsilon", "1"], "M", float("inf")),
+        ],
+    )
+    def test_gaussian_model(self, tmp_path, capsys, argv, key, value):
+        model = {"mu": [0.0, 0.0], "sigma": [[1.0, 0.5], [0.5, 1.0]], "M": 1.0, "lambda": 1.0}
+        model[key] = value
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(model))
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
 class TestAnalyzeGaussian:
     def test_single_adversary(self, gauss_file, capsys):
         rc = main(["analyze-gaussian", gauss_file, "--adversary", "0"])

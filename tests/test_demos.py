@@ -2,7 +2,7 @@
 
 Each demo runs as a subprocess with PYTHONPATH=src and must exit 0; together
 they take about 4 s. pruned_vs_exhaustive.py is left out because it takes
-about 38 s on its own.
+about 7-9 s on its own on a 2-core x86 host.
 """
 
 import os

@@ -48,6 +48,11 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             JointDistribution([(0.0, 1.0), (0.0, 1.0)], np.full((2, 2), 0.3))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_validation_rejects_non_finite_domain(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            JointDistribution([(0.0, bad), (0.0, 1.0)], np.full((2, 2), 0.25))
+
     def test_validation_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             JointDistribution([(0.0, 1.0)], np.full((2, 2), 0.25))
@@ -233,6 +238,11 @@ class TestQuerySpec:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             QuerySpec((0.0, 0.0))
+
+    @pytest.mark.parametrize("text", ["1,nan", "inf,1", "1,-inf"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            QuerySpec.parse(text)
 
 
 class TestTransform:

@@ -91,6 +91,17 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="lambda"):
             GaussianModel(mu=[0.0], sigma=[[1.0]], lam=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="M"):
+            GaussianModel(mu=[0.0], sigma=[[1.0]], M=bad)
+        with pytest.raises(ValueError, match="lambda"):
+            GaussianModel(mu=[0.0], sigma=[[1.0]], lam=bad)
+        with pytest.raises(ValueError, match="finite"):
+            GaussianModel(mu=[0.0, bad], sigma=np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            GaussianModel(mu=[0.0, 0.0], sigma=[[1.0, bad], [bad, 1.0]])
+
     def test_sigma_read_only(self):
         m = GaussianModel(mu=[0.0, 0.0], sigma=np.eye(2))
         with pytest.raises(ValueError):
@@ -348,12 +359,17 @@ class TestMaxLeakage:
 
 
 def enumerated_values(model):
-    """Every adversary's leakage from the batched enumeration, in its order."""
+    """Every adversary's leakage from the batched enumeration, keyed by
+    (i, K), checking that each batch's layer is n - |K|."""
     n = model.n
-    vals = np.full(n * 2 ** (n - 1), np.nan)
-    for _, pos, v in model_gaussian._adversary_values(model):
-        vals[pos] = v
-    return vals
+    out = {}
+    for attacks, layer, masks, v in model_gaussian._adversary_values(model):
+        for i, mask, value in zip(attacks.ravel().tolist(), masks.ravel().tolist(),
+                                  v.ravel().tolist()):
+            K = tuple(t for t in range(n) if (mask >> t) & 1)
+            assert layer == n - len(K) and (i, K) not in out
+            out[(i, K)] = value
+    return out
 
 
 def reference_enumeration(model):
@@ -378,8 +394,9 @@ class TestEnumeration:
             vals = enumerated_values(m)
             rep = max_leakage_gaussian(m)
             layer_ref = {}
-            for pos, (i, K, v) in enumerate(ref):
-                assert vals[pos] == v, (i, K)
+            assert len(vals) == len(ref)
+            for i, K, v in ref:
+                assert vals[(i, K)] == v, (i, K)
                 layer = n - len(K)
                 layer_ref[layer] = max(layer_ref.get(layer, -math.inf), v)
             assert rep.node_count == len(ref)
@@ -387,9 +404,11 @@ class TestEnumeration:
             for layer, v in layer_ref.items():
                 assert rep.layer_max[layer] == v
             assert rep.leakage == max(rep.layer_max.values())
-            # the report's argmax is the first enumerated maximum
-            first = int(np.flatnonzero(vals == vals.max())[0])
-            assert (rep.argmax.attack, rep.argmax.prior) == ref[first][:2]
+            # the report's argmax is the least maximal adversary in
+            # AdversaryNode order
+            top = max(vals.values())
+            assert rep.argmax == min(AdversaryNode(i, K) for (i, K), v in vals.items()
+                                     if v == top)
 
     def test_tie_goes_to_first_in_order(self):
         # x_0, x_1 anti-correlated, x_2 independent. Leakage 1 is reached by
@@ -403,6 +422,21 @@ class TestEnumeration:
         rep = max_leakage_gaussian(m)
         assert rep.leakage == 1.0
         assert rep.argmax == AdversaryNode(0, (1,))
+
+    def test_tie_follows_adversary_node_order(self):
+        # tuple 0 is independent, so knowing it changes nothing: (3, (1, 4))
+        # and (3, (0, 1, 4)) tie bit for bit. Over the tuples other than 3,
+        # the mask of (1, 4) is smaller, but (0, 1, 4) sorts first as a node
+        S = np.array([[130, 0, 0, 0, 0],
+                      [0, 82, -8, -13, 8],
+                      [0, -8, 82, 8, -13],
+                      [0, -13, 8, 45, -4],
+                      [0, 8, -13, -4, 45]]) / 128
+        m = GaussianModel(mu=[0.0] * 5, sigma=S, M=1.0, lam=1.0)
+        rep = max_leakage_gaussian(m)
+        assert rep.leakage == 1.139742721733243
+        assert leakage_gaussian(m, 3, (1, 4)) == leakage_gaussian(m, 3, (0, 1, 4))
+        assert rep.argmax == AdversaryNode(3, (0, 1, 4))
 
     @pytest.mark.parametrize("n", [5, 9])
     def test_equicorrelated_argmax_has_no_prior(self, n):

@@ -134,6 +134,13 @@ class TestFrozenValues:
         with pytest.raises(ValueError):
             pdp_exact_all(table_a, sum2, 0.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda(self, table_a, sum2, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            pdp_exact_discrete(table_a, sum2, lam, 0, [])
+        with pytest.raises(ValueError, match="lambda"):
+            pdp_exact_all(table_a, sum2, lam)
+
 
 class TestWitnessConsistency:
     """The reported supremum must be reproducible from its own witness."""

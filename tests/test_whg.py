@@ -209,7 +209,7 @@ class TestDistributionSearch:
         # with anticorrelation the weaker adversary learns less; the report
         # supremum sits on the strongest adversaries
         assert report.leakage == pytest.approx(1.0, abs=1e-12)
-        assert report.argmax.layer(2) == 1
+        assert 2 - len(report.argmax.prior) == 1
 
     def test_fast_equals_full_when_nothing_prunable(self, sum2):
         rng = np.random.default_rng(23)
@@ -246,7 +246,7 @@ class TestDistributionSearch:
                         continue
                     if tuple(t for t in child.prior if t != j) != parent.prior:
                         continue
-                    if child.layer(4) != k - 1:
+                    if 4 - len(child.prior) != k - 1:
                         continue
                     cands.append(abs(values[child] + ic))
                 assert cands, f"no in-edges recorded for {parent}"
@@ -279,11 +279,19 @@ class TestDistributionSearch:
             dist = random_instance(rng, 3)
             graph, _ = full_space_search(dist, q, 1.0)
             for node, val in all_values(graph).items():
-                if node.layer(3) == 1:
+                if 3 - len(node.prior) == 1:
                     exact = pdp_exact_discrete(
                         dist, q, 1.0, node.attack, node.prior
                     )
                     assert val == pytest.approx(exact.leakage, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0])
+    def test_bad_lambda(self, table_a, sum2, lam):
+        # a NaN lambda once passed lam <= 0 and gave leakage -inf
+        with pytest.raises(ValueError, match="lambda"):
+            full_space_search(table_a, sum2, lam)
+        with pytest.raises(ValueError, match="lambda"):
+            fast_search(table_a, sum2, lam)
 
     def test_cap_and_force(self, sum2, monkeypatch):
         rng = np.random.default_rng(43)
@@ -298,7 +306,6 @@ class TestDistributionSearch:
     def test_metadata(self, table_a, sum2):
         _, rep = full_space_search(table_a, sum2, 0.5)
         assert rep.metadata["edge_candidates"] == "two_sided"
-        assert rep.metadata["assignment_mode"] == "max"
         assert rep.metadata["lambda"] == 0.5
 
 
@@ -350,7 +357,7 @@ class TestKernelMatchesReference:
                     if child.attack == parent.attack
                     and tuple(t for t in child.prior if t != j) == parent.prior
                 ]
-                if parent.layer(n) > 1:
+                if n - len(parent.prior) > 1:
                     assert val == min(ins)
         assert missing > 0
 
@@ -513,7 +520,7 @@ class TestSyntheticSearch:
         edges = dense_edges(n, lambda i, K, j: c)
         rep = search_synthetic(DictEdges(edges, n), 1.0, mode="full")
         assert rep.leakage == pytest.approx(1.0 + (n - 1) * c, abs=1e-12)
-        assert rep.argmax.layer(n) == n
+        assert n - len(rep.argmax.prior) == n
         fast = search_synthetic(DictEdges(edges, n), 1.0, mode="fast")
         assert fast.leakage == pytest.approx(rep.leakage, abs=1e-12)
 
@@ -522,7 +529,7 @@ class TestSyntheticSearch:
         edges = dense_edges(n, lambda i, K, j: -c)
         rep = search_synthetic(DictEdges(edges, n), 1.0, mode="full")
         assert rep.leakage == pytest.approx(1.0, abs=1e-12)
-        assert rep.argmax.layer(n) == 1
+        assert n - len(rep.argmax.prior) == 1
 
     def test_mixed_signs_peak_at_interior_layer(self):
         def rule(i, K, j):
@@ -531,7 +538,7 @@ class TestSyntheticSearch:
         edges = dense_edges(3, rule)
         rep = search_synthetic(DictEdges(edges, 3), 1.0, mode="full")
         assert rep.leakage == pytest.approx(1.8, abs=1e-12)
-        assert rep.argmax.layer(3) == 2
+        assert 3 - len(rep.argmax.prior) == 2
 
     def test_min_merge_across_paths(self):
         edges = dense_edges(3, lambda i, K, j: 0.0)
