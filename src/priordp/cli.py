@@ -10,8 +10,10 @@ sorted deterministically.
 
 One thread pool, capped by the env var PDP_THREADS and otherwise one thread
 per usable CPU, runs the `experiment` cells and the Gaussian `oracle-check`
-rows. Discrete `oracle-check` stays serial: its oracle batches ran slower on
-two threads.
+rows. On the n=14 discrete sweep of six cells two threads took 0.93-1.07 s
+against 1.39-1.61 s on one (2-core x86): the search kernel spends its time
+in long numpy calls, which release the GIL. Discrete `oracle-check` stays
+serial: its oracle batches ran slower on two threads.
 """
 
 from __future__ import annotations

@@ -96,24 +96,26 @@ class EdgeMap:
         self._base = splitmix64(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF))
         self._cells: tuple[np.ndarray, np.ndarray] | None = None
 
-    def values(self, i: int, child_masks: np.ndarray, j: int | np.ndarray) -> np.ndarray:
+    def values(
+        self, i: int | np.ndarray, child_masks: np.ndarray, j: int | np.ndarray
+    ) -> np.ndarray:
         """Vectorized lookup; child_masks are bitmasks of the child's K, and
-        j is one removed tuple or an int64 array of them aligned with
-        child_masks."""
-        masks, js = edge_indices(self.n, i, child_masks, j)
+        i and j are each one tuple or an int64 array of them aligned with
+        child_masks: the attacked and the removed tuple of each edge."""
+        atts, masks, js = edge_indices(self.n, i, child_masks, j)
         if self._m in (0.0, 1.0):
             return np.full(masks.shape, self._sign * self.scale * self._m)
-        h = self._hash(i, masks, js)
+        h = self._hash(atts, masks, js)
         u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         return self._sign * self.scale * self._quantile(u)
 
     def bounds(
-        self, i: int, child_masks: np.ndarray, j: int | np.ndarray
+        self, i: int | np.ndarray, child_masks: np.ndarray, j: int | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi), two new arrays with lo <= values(i, child_masks, j) <= hi
         element by element: the widened grid cell of each edge, or the exact
         value twice when m is 0 or 1."""
-        masks, js = edge_indices(self.n, i, child_masks, j)
+        atts, masks, js = edge_indices(self.n, i, child_masks, j)
         if self._m in (0.0, 1.0):
             value = np.full(masks.shape, self._sign * self.scale * self._m)
             return value, value.copy()
@@ -125,15 +127,15 @@ class EdgeMap:
                 below, above = above, below
             self._cells = grid[below], grid[above]
         lo, hi = self._cells
-        cell = self._hash(i, masks, js)
+        cell = self._hash(atts, masks, js)
         cell >>= np.uint64(64 - _GRID_BITS)
         return lo[cell], hi[cell]
 
-    def _hash(self, i: int, masks: np.ndarray, js: np.ndarray) -> np.ndarray:
-        # masks and js are non-negative int64, so their uint64 views are
-        # the same numbers
+    def _hash(self, atts: np.ndarray, masks: np.ndarray, js: np.ndarray) -> np.ndarray:
+        # atts, masks and js are non-negative int64, so their uint64 views
+        # are the same numbers
         key = masks.view(np.uint64) << np.uint64(12)
-        key |= np.uint64(i << 6)
+        key |= atts.view(np.uint64) << np.uint64(6)
         key |= js.view(np.uint64)
         key ^= self._base
         return splitmix64(key)

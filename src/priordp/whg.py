@@ -33,21 +33,25 @@ positive-probability assignments of x_K' enters the candidate set.
 
 All searches run on one bitmask kernel fed by an edge source: an object
 with an attribute `n` and a method `values(i, masks, j)`, where `masks` is
-an int64 array of child prior sets K (bit t set when t is in K) and j the
-removed tuple of each edge: one int for all of them, or an int64 array
-aligned with `masks`. Every j must lie in [0, n), differ from i and belong
-to its child's K, and no K holds i; both edge sources check this with
-edge_indices, which raises ValueError otherwise. It returns either one
-increment per child (synthetic edges) or a (cmin, cmax) pair of arrays, the
-extremes of each child's candidate set (a table). |l + c| is convex in c,
+an int64 array of child prior sets K (bit t set when t is in K), i the
+attacked tuple and j the removed tuple of each edge: each one int for all
+of them, or an int64 array aligned with `masks`. Every i and j must lie in
+[0, n), each j differ from its i and belong to its child's K, and no K
+holds its i; both edge sources check this with edge_indices, which raises
+ValueError otherwise. It returns either one increment per child (synthetic
+edges) or a (cmin, cmax) pair of arrays, the extremes of each child's
+candidate set (a table). |l + c| is convex in c,
 so the kernel takes cmax when |l + cmax| >= |l + cmin| and cmin otherwise;
 a NaN pair marks an edge with no feasible candidate, which leaves its
 parent untouched.
 
-The kernel makes one values() call per attacked tuple i and layer, with
-the (mask, j) pairs of every removed tuple j != i in j-major order, split
-into chunks of at most _EXPAND_CHUNK expanded masks so that memory stays
-flat on wide layers. Its on_edges hook gets (i, js, masks, increments).
+The kernel computes each layer once for every attacked tuple. Its values()
+calls take the (i, mask, j) triples of every attacked tuple i and removed
+tuple j != i of the layer, split into chunks of at most _EXPAND_CHUNK
+expanded masks so that memory stays flat on wide layers; a chunk ends
+where an attacked tuple's masks end, unless they fill more than one chunk.
+Its on_layer and on_edges hooks get aligned arrays of attacked tuples:
+(atts, layer, masks, values) and (atts, js, masks, increments).
 
 An edge source may also have bounds(i, masks, j) -> (lo, hi), two new
 arrays that hold values() element by element at a fraction of its cost
@@ -59,8 +63,11 @@ edge's value is at least its lb, above the cap, and the cap is either the
 parent's value or the ub of a kept edge whose value is at most the cap.
 Float addition, negation and scaling round monotonically, so the bounds
 hold for the rounded values too, and the min over the kept edges is the
-min over all of them bit for bit. An on_edges hook asks for every edge, so
-a kernel given one evaluates them all.
+min over all of them bit for bit. The edges kept depend on how a layer is
+cut into chunks, and each attacked tuple's masks are cut as they would be
+if it were searched alone, so the kept edges are those of a search one
+attacked tuple at a time. An on_edges hook asks for every edge, so a kernel
+given one evaluates them all.
 
 Both searches feed the kernel's on_layer calls to report._Summary, which
 builds every evaluator's report. A table search also returns its graph:
@@ -107,11 +114,11 @@ _PAIRWISE = 8
 # Most expanded masks per edge-source call of the kernel. A call covers
 # every removed tuple of its masks, so it holds up to n - 1 (mask, j) pairs
 # per mask; the bound keeps that and the edge source's temporaries flat
-# where a layer is wide. With bounds(), a chunk is many short numpy calls,
-# between which two threads running searches hand the GIL back and forth:
-# on the n=14 experiment sweep (2-core x86), two threads took 2.4 s at 512
-# masks, longer than one thread (1.8-2.1 s), and 1.4-1.8 s at 2048, for
-# 0.5 MB more peak memory.
+# where a layer is wide. A chunk takes the masks of several attacked tuples,
+# so an n=14 full search makes 79 calls of 9,400 edges on average, and two
+# threads running searches hand the GIL to each other only between those
+# long numpy calls. The bound also fixes which edges the bound pass keeps
+# (see _kernel), so changing it changes the edge counts, not the results.
 _EXPAND_CHUNK = 2048
 
 # most tuples a full table search takes without force=True
@@ -123,7 +130,8 @@ _EDGE = np.dtype([("attack", "i8"), ("j", "i8"), ("mask", "i8"), ("ic", "f8")])
 
 @dataclass(frozen=True, eq=False)
 class WeightedHierGraph:
-    """A table search's graph as two structured arrays, rows in kernel order.
+    """A table search's graph as two structured arrays, rows in kernel order:
+    nodes by layer, then attacked tuple, then mask.
 
     nodes has one row (attack, mask, value) per computed node, with bit t of
     mask set when t is in K. edges has one row (attack, j, mask, ic) per edge
@@ -182,10 +190,10 @@ class _TableEdges:
         self._buf = np.empty(0)
 
     def values(
-        self, i: int, child_masks: np.ndarray, j: int | np.ndarray
+        self, i: int | np.ndarray, child_masks: np.ndarray, j: int | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        masks, js = edge_indices(self.n, i, child_masks, j)
-        t = masks | (1 << i)
+        atts, masks, js = edge_indices(self.n, i, child_masks, j)
+        t = masks | (1 << atts)
         off = self._off[t]
         if (off < 0).any():
             # one set T appears once per removed tuple j of its child
@@ -193,7 +201,7 @@ class _TableEdges:
             off = self._off[t]
         # entry (rank of i in T, rank of j in T) of T's |T| x |T| x 2 block
         k = self._size[t].astype(np.int64)
-        pos = off + 2 * (np.bitwise_count(t & ((1 << i) - 1)) * k
+        pos = off + 2 * (np.bitwise_count(t & ((1 << atts) - 1)) * k
                          + np.bitwise_count(t & ((1 << js) - 1)))
         return self._flat[pos], self._flat[pos + 1]
 
@@ -291,19 +299,21 @@ class _TableEdges:
 
 
 def edge_indices(
-    n: int, i: int, child_masks: np.ndarray, j: int | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The child masks and removed tuple(s) of an edge-source call as int64
-    arrays, checked element by element: i and every j lie in [0, n), j != i,
-    each j belongs to its child's K, and no K holds i."""
+    n: int, i: int | np.ndarray, child_masks: np.ndarray, j: int | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The attacked tuple(s), child masks and removed tuple(s) of an
+    edge-source call as int64 arrays, checked element by element: every i
+    and j lies in [0, n), j != i, each j belongs to its child's K, and no K
+    holds its i."""
+    atts = np.asarray(i, dtype=np.int64)
     masks = np.asarray(child_masks, dtype=np.int64)
     js = np.asarray(j, dtype=np.int64)
-    if not 0 <= i < n or ((js < 0) | (js >= n) | (js == i)).any():
+    if ((atts < 0) | (atts >= n) | (js < 0) | (js >= n) | (js == atts)).any():
         raise ValueError("tuple indices out of range")
     bit = 1 << js
-    if ((masks & (bit | (1 << i))) != bit).any():
+    if ((masks & (bit | (1 << atts))) != bit).any():
         raise ValueError("edge indices invalid: j must belong to K, and i must not")
-    return masks, js
+    return atts, masks, js
 
 
 def _lead(pj: int, k: int) -> tuple[int, ...]:
@@ -340,119 +350,161 @@ def _kernel(
     edges,
     first: list[float],
     fast: bool,
-    on_layer: Callable[[int, int, np.ndarray, np.ndarray], None],
-    on_edges: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
+    on_layer: Callable[[np.ndarray, int, np.ndarray, np.ndarray], None],
+    on_edges: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> None:
-    """Layered min-merge search over child-K bitmasks, one attacked tuple at
-    a time.
+    """Layered min-merge search over child-K bitmasks, every attacked tuple
+    of a layer in one pass.
 
-    Each (attacked tuple i, layer) makes one edge-source call per chunk of
-    at most _EXPAND_CHUNK expanded masks, covering every removed tuple
-    j != i at once: the (child mask, j) pairs of the chunk, in j-major
-    order, go to values(i, masks, js) with js an int64 array aligned with
-    masks, and one np.minimum.at merges them all into their parents. A min
-    over the same multiset does not depend on order, so the values equal
-    those of one call per j bit for bit. When the source has bounds() and
-    no on_edges hook is given, only the edges of a chunk that can still set
-    their parent's minimum reach values() (see the module notes and
-    _may_lower); cap holds each parent's bound for the chunk.
+    Node (i, K) sits at row i and column c, where c is K with bit i squeezed
+    out, ranked among the (n-1)-bit masks of its size: every row holds its
+    layer's nodes in the same columns, and a column order is a mask order.
+    Only the children's layer and the parents' layer are kept, each as a
+    flat array of n rows of C(n-1, |K|) columns, with inf for a node not
+    reached.
 
-    Calls on_layer(i, layer, masks, values) once per computed layer of
-    attacked tuple i, and on_edges(i, js, child masks, increments) for every
-    batch of edges taken, always after the on_layer call of the children's
-    layer. In fast mode each layer keeps the min(n, count) largest nodes
-    for expansion, ties broken by (-value, child mask).
+    Each layer makes one edge-source call per chunk of expanded masks (see
+    _chunks), covering every removed tuple j != i of each: the (attacked
+    tuple, child mask, j) triples of the chunk go to values(atts, masks, js)
+    as aligned int64 arrays, and one np.minimum.at merges them all into
+    their parents. A min over the same multiset does not depend on order, so
+    the values equal those of one call per (i, j) bit for bit. When the
+    source has bounds() and no on_edges hook is given, only the edges of a
+    chunk that can still set their parent's minimum reach values() (see the
+    module notes and _may_lower), with one bound per parent for the chunk.
+    Rows have disjoint parents, so the edges kept depend only on how each
+    row is cut, and a row is cut as if it were searched alone.
+
+    Calls on_layer(atts, layer, masks, values) once per layer, its nodes in
+    (attack, mask) order, and on_edges(atts, js, child masks, increments)
+    for every batch of edges taken, always after the on_layer call of the
+    children's layer. In fast mode each layer keeps, per attacked tuple, the
+    min(n, count) largest nodes for expansion, ties broken by
+    (-value, child mask).
     """
     n = edges.n
-    full_mask = (1 << n) - 1
-    size = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
-    masks_pc = [np.flatnonzero(size == k) for k in range(n + 1)]
-    tuples = np.arange(n, dtype=np.int64)
+    size = np.bitwise_count(np.arange(1 << (n - 1), dtype=np.int64))
+    cols_pc = [np.flatnonzero(size == k) for k in range(n)]
+    rank = np.empty(size.size, dtype=np.int64)
+    for cols in cols_pc:
+        rank[cols] = np.arange(cols.size)
+    bits = 1 << np.arange(n - 1, dtype=np.int64)[:, None]
     bounds = getattr(edges, "bounds", None) if on_edges is None else None
 
-    values = np.empty(1 << n)
-    cap = np.empty(1 << n)
-    for i in range(n):
-        values.fill(np.inf)
-        start = full_mask ^ (1 << i)
-        values[start] = first[i]
-        on_layer(i, 1, np.asarray([start]), np.asarray([first[i]]))
-        others = tuples[tuples != i]
-        expand = np.asarray([start], dtype=np.int64)
-        for layer in range(2, n + 1):
-            for c in range(0, expand.size, _EXPAND_CHUNK):
-                chunk = expand[c : c + _EXPAND_CHUNK]
-                sel, js = _expand(chunk, others)
-                if bounds is not None:
-                    keep = _may_lower(bounds(i, sel, js), sel, js, values, cap)
-                    sel, js = sel[keep], js[keep]
-                child = values[sel]
-                out = edges.values(i, sel, js)
-                if isinstance(out, tuple):
-                    cmin, cmax = out
-                    ok = ~np.isnan(cmin)
-                    sel, js, child, cmin, cmax = sel[ok], js[ok], child[ok], cmin[ok], cmax[ok]
-                    ic = np.where(np.abs(child + cmax) >= np.abs(child + cmin), cmax, cmin)
-                else:
-                    ic = np.asarray(out, dtype=float)
-                np.minimum.at(values, sel ^ (1 << js), np.abs(child + ic))
-                if on_edges is not None:
-                    on_edges(i, js, sel, ic)
-            pc = masks_pc[n - layer]
-            parents = pc[(pc >> i) & 1 == 0]
-            vals = values[parents]
-            done = np.isfinite(vals)
-            parents, vals = parents[done], vals[done]
-            on_layer(i, layer, parents, vals)
-            if parents.size == 0:
-                break
-            if fast:
-                # parents ascend, so the stable sort breaks ties by child mask
-                keep = np.zeros(parents.size, dtype=bool)
-                keep[np.argsort(-vals, kind="stable")[:n]] = True
-                expand = parents[keep]
+    tuples = np.arange(n, dtype=np.int64)
+    # a layer as one flat array: node (i, column rank r) at i * width + r
+    child_layer = np.asarray(first, dtype=float)
+    on_layer(tuples, 1, ((1 << n) - 1) ^ (1 << tuples), child_layer)
+    expand, count = tuples, np.ones(n, dtype=np.int64)
+    for layer in range(2, n + 1):
+        cols, pcols = cols_pc[n + 1 - layer], cols_pc[n - layer]
+        parent_layer = np.full(n * pcols.size, np.inf)
+        for lo, hi in _chunks(count):
+            a, r = np.divmod(expand[lo:hi], cols.size)
+            c, child = cols[r], child_layer[expand[lo:hi]]
+            # the chunk's parents lie in rows a[0] to a[-1]
+            parents = parent_layer[a[0] * pcols.size : (a[-1] + 1) * pcols.size]
+            k, to = _unsqueeze(c, a), (a - a[0]) * pcols.size
+            # numpy finds the nonzeros of a bool array twice as fast
+            b, e = np.nonzero((c & bits) != 0)
+            a, c, k, child, to = a[e], c[e], k[e], child[e], to[e]
+            # in place from here on: a chunk holds thousands of edges on
+            # each thread that runs a search
+            c ^= 1 << b
+            to += rank[c]
+            b += b >= a
+            js = b
+            del b, c, e
+            if bounds is not None:
+                keep = _may_lower(bounds(a, k, js), child, to, parents)
+                a, k, js, child, to = a[keep], k[keep], js[keep], child[keep], to[keep]
+            out = edges.values(a, k, js)
+            if isinstance(out, tuple):
+                cmin, cmax = out
+                ok = ~np.isnan(cmin)
+                a, k, js, child, to = a[ok], k[ok], js[ok], child[ok], to[ok]
+                cmin, cmax = cmin[ok], cmax[ok]
+                ic = np.where(np.abs(child + cmax) >= np.abs(child + cmin), cmax, cmin)
             else:
-                expand = parents
+                ic = np.asarray(out, dtype=float)
+            np.minimum.at(parents, to, np.abs(child + ic))
+            if on_edges is not None:
+                on_edges(a, js, k, ic)
+        child_layer = parent_layer
+        expand = np.flatnonzero(np.isfinite(child_layer))
+        att, r = np.divmod(expand, pcols.size)
+        vals = child_layer[expand]
+        on_layer(att, layer, _unsqueeze(pcols[r], att), vals)
+        if expand.size == 0:
+            break
+        count = np.bincount(att, minlength=n)
+        if fast:
+            # att ascends, so each tuple's nodes are one run of the order;
+            # expand orders a tuple's nodes by column, so by child mask
+            order = np.lexsort((expand, -vals, att))
+            pos = np.arange(att.size) - (np.cumsum(count) - count)[att]
+            keep = np.zeros(att.size, dtype=bool)
+            keep[order[pos < n]] = True
+            expand, count = expand[keep], np.minimum(count, n)
+        del att, r, vals  # not kept through the next layer's chunks
 
 
-def _expand(chunk: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (child mask, removed tuple) pairs of a chunk of masks, j-major."""
-    row, col = np.nonzero((chunk >> others[:, None]) & 1)
-    return chunk[col], others[row]
+def _chunks(counts: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of a layer's expanded masks, from the
+    count of each row. A chunk holds whole rows, up to _EXPAND_CHUNK masks
+    in all; a longer row is cut into pieces of _EXPAND_CHUNK masks from its
+    start, and only its last piece may share a chunk, with the rows after
+    it."""
+    out: list[tuple[int, int]] = []
+    start = 0
+    for count in counts.tolist():
+        for lo in range(start, start + count, _EXPAND_CHUNK):
+            hi = min(lo + _EXPAND_CHUNK, start + count)
+            if out and hi - out[-1][0] <= _EXPAND_CHUNK:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+        start += count
+    return out
+
+
+def _unsqueeze(cols: np.ndarray, atts: np.ndarray) -> np.ndarray:
+    """The prior-set masks K of columns cols in rows atts: a zero bit put
+    back at each attacked tuple."""
+    low = (1 << atts) - 1
+    return (cols & low) | ((cols & ~low) << 1)
 
 
 def _may_lower(
     lo_hi: tuple[np.ndarray, np.ndarray],
-    sel: np.ndarray,
-    js: np.ndarray,
+    child: np.ndarray,
+    to: np.ndarray,
     values: np.ndarray,
-    cap: np.ndarray,
 ) -> np.ndarray:
     """Indices of the edges that can still set their parent's minimum, from
-    the bounds() interval [lo, hi] of each increment; overwrites lo, hi and
-    cap's entries at the parents.
+    the bounds() interval [lo, hi] of each increment, the child's value and
+    the parent's index `to` in values; overwrites lo and hi.
 
     |child + x| over x in [lo, hi] lies in [lb, ub], with ub = max(hi', -lo')
-    and lb = max(lo', -hi', 0) at lo' = child + lo and hi' = child + hi. The
+    and lb = max(lo', -hi', 0) at lo' = child + lo and hi' = child + hi. cap
+    holds each parent's bound: the least of its value and its edges' ub. The
     arithmetic runs in place, in lo, hi and one more array, because a chunk
-    holds a layer's worth of edges on each thread that runs a search.
+    holds thousands of edges on each thread that runs a search.
     """
     lo, hi = lo_hi
-    ub = values[sel]  # the child values until ub is formed
-    lo += ub
-    hi += ub
-    np.negative(lo, out=ub)
+    lo += child
+    hi += child
+    ub = np.negative(lo)
     np.maximum(ub, hi, out=ub)
     np.negative(hi, out=hi)
     lb = np.maximum(lo, hi, out=lo)
     np.maximum(lb, 0.0, out=lb)
-    parent = 1 << js
-    parent ^= sel
-    # hi is free from here on
-    cap[parent] = np.take(values, parent, out=hi)
-    np.minimum.at(cap, parent, ub)
+    # hi is free from here on; cap is read only at the parents it sets
+    cap = np.empty(values.size)
+    cap[to] = np.take(values, to, out=hi)
+    np.minimum.at(cap, to, ub)
     # a NaN bound compares false and keeps its edge
-    return np.flatnonzero(~(lb > np.take(cap, parent, out=hi)))
+    return np.flatnonzero(~(lb > np.take(cap, to, out=hi)))
 
 
 def _search_distribution(
@@ -480,15 +532,15 @@ def _search_distribution(
     nodes: list[np.ndarray] = []
     edges = [np.empty(0, _EDGE)]  # a one-tuple table has no edges
 
-    def on_layer(i: int, layer: int, masks: np.ndarray, vals: np.ndarray) -> None:
-        summary(i, layer, masks, vals)
+    def on_layer(atts: np.ndarray, layer: int, masks: np.ndarray, vals: np.ndarray) -> None:
+        summary(atts, layer, masks, vals)
         rows = np.empty(masks.size, _NODE)
-        rows["attack"], rows["mask"], rows["value"] = i, masks, vals
+        rows["attack"], rows["mask"], rows["value"] = atts, masks, vals
         nodes.append(rows)
 
-    def on_edges(i: int, js: np.ndarray, masks: np.ndarray, ics: np.ndarray) -> None:
+    def on_edges(atts: np.ndarray, js: np.ndarray, masks: np.ndarray, ics: np.ndarray) -> None:
         rows = np.empty(masks.size, _EDGE)
-        rows["attack"], rows["j"], rows["mask"], rows["ic"] = i, js, masks, ics
+        rows["attack"], rows["j"], rows["mask"], rows["ic"] = atts, js, masks, ics
         edges.append(rows)
 
     _kernel(_TableEdges(y, lam), first, fast, on_layer, on_edges)

@@ -6,12 +6,14 @@ edge candidates. This module is the earlier, direct formulation: one
 conditional table and one scipy log-sum-exp per hypothesis and edge, and a
 node-by-node dict loop summarized by sorting every node; and
 `reference_kernel`, the bitmask kernel as it was before it batched every
-removed tuple into one edge-source call. Tests cross-check the package
-against them value for value; nothing in the package imports this module.
+removed tuple, and then every attacked tuple of a layer, into one
+edge-source call. Tests cross-check the package against them value for
+value; nothing in the package imports this module.
 It also holds `value_index`, which finds a value in a tuple's domain, the
 conditional tables the oracle reference uses, `first_layer`, the strongest
 adversaries' leakage as a node dict, the increment-ratio sign law,
-`DictEdges`, an edge source over a hand-built {(i, K, j): ic} mapping, and
+`DictEdges`, an edge source over a hand-built {(i, K, j): ic} mapping that
+takes attacked and removed tuples as ints or aligned arrays, and
 `graph_dicts`, which turns a search's node and edge arrays back into the
 reference's dicts.
 """
@@ -37,6 +39,7 @@ from priordp import (
     transform_linear_query,
 )
 from priordp.model_discrete import PROB_FLOOR
+from priordp.whg import edge_indices
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
 
@@ -368,18 +371,20 @@ def mask_tuple(mask: int) -> tuple[int, ...]:
 
 
 class DictEdges:
-    """Edge source over a {(i, K tuple, j): ic} mapping; a missing edge
-    raises KeyError."""
+    """Edge source over a {(i, K tuple, j): ic} mapping. i and j are each
+    one tuple or an int64 array aligned with the masks; indices are checked
+    with priordp.whg.edge_indices, and a missing edge raises KeyError."""
 
     def __init__(self, mapping: Mapping[tuple[int, tuple[int, ...], int], float], n: int):
         self.n = n
         self._map = {(i, tuple(sorted(K)), j): float(v) for (i, K, j), v in mapping.items()}
 
-    def values(self, i: int, child_masks: np.ndarray, j) -> np.ndarray:
-        js = np.broadcast_to(j, np.shape(child_masks)).tolist()
+    def values(self, i, child_masks: np.ndarray, j) -> np.ndarray:
+        atts, masks, js = edge_indices(self.n, i, child_masks, j)
+        atts, js = (np.broadcast_to(x, masks.shape).tolist() for x in (atts, js))
         return np.asarray([
-            self._map[(i, tuple(t for t in range(self.n) if (mask >> t) & 1), jj)]
-            for mask, jj in zip(np.asarray(child_masks).tolist(), js)
+            self._map[(a, mask_tuple(mask), jj)]
+            for a, mask, jj in zip(atts, masks.tolist(), js)
         ])
 
 
@@ -393,8 +398,10 @@ def reference_kernel(
     """Layered min-merge search over child-K bitmasks with one edge-source
     call per (attacked tuple i, layer, removed tuple j).
 
-    Same hooks as `priordp.whg._kernel`, except that on_edges(i, j, child
-    masks, increments) gets one int j per call.
+    Same hooks as `priordp.whg._kernel`, except that on_layer(i, layer,
+    masks, values) gets one int i per call, one call per attacked tuple and
+    layer, and on_edges(i, j, child masks, increments) one int i and one int
+    j per call.
     """
     n = edges.n
     full_mask = (1 << n) - 1

@@ -413,9 +413,11 @@ class TestKernelMatchesReference:
         fast_search(dist, q, 1.0)
         assert sorted(batches) == [(k, math.comb(5, k)) for k in range(2, 6)]
         # at 40 cells no class of two or more tuples fits: each miss computes
-        # only the sets its call lacks, and each set exactly once
+        # only the sets its call lacks, and each set exactly once; chunks of
+        # two masks make calls that lack only some sets of a class
         batches.clear()
         monkeypatch.setattr(whg, "_STACK_CELLS", 40)
+        monkeypatch.setattr(whg, "_EXPAND_CHUNK", 2)
         graph, _ = full_space_search(dist, q, 1.0)
         assert max(size for _, size in batches) < math.comb(5, 2)
         for k in range(2, 6):
@@ -423,14 +425,8 @@ class TestKernelMatchesReference:
         assert_matches_reference(dist, q, 1.0)
 
     def test_fast_ties_break_by_child_mask(self):
-        # exchangeable table with dyadic cells: every marginal is exact, so
-        # all nodes of a layer and attacked tuple tie bit for bit
         n = 6
-        weight = np.array([40, 8, 2, 1, 2, 8, 40]) / 256
-        cells = np.array(
-            [weight[sum(x)] for x in itertools.product((0, 1), repeat=n)]
-        ).reshape((2,) * n)
-        dist = JointDistribution([(0.0, 1.0)] * n, cells)
+        dist = dyadic_table()
         graph, report = fast_search(dist, QuerySpec.sum_query(n), 1.0)
         layers, edges = graph_dicts(graph)
         for i in range(n):
@@ -477,6 +473,15 @@ class TestGraphArrays:
         # a two-tuple table has no tuple 2 to attack
         with pytest.raises(KeyError):
             graph.node_value(AdversaryNode(2, ()))
+
+
+def dyadic_table():
+    """Exchangeable binary table over 6 tuples with dyadic cells: every
+    marginal is exact, so all nodes of a layer tie bit for bit, within and
+    across attacked tuples."""
+    weight = np.array([40, 8, 2, 1, 2, 8, 40]) / 256
+    cells = np.array([weight[sum(x)] for x in itertools.product((0, 1), repeat=6)])
+    return JointDistribution([(0.0, 1.0)] * 6, cells.reshape((2,) * 6))
 
 
 def mixed_table(rng, sizes, zero_frac=0.0):
@@ -634,20 +639,36 @@ class TestArgmaxRule:
 
 
 def kernel_trace(kernel, edges, first, fast):
-    """The on_layer calls in order, and the set of (i, j, mask, ic) edges a
-    kernel reports, as text, so that equal means equal bit for bit."""
-    layers, taken = [], set()
+    """The nodes a kernel reports, as a map from (attacked tuple, layer) to
+    {mask: value}, and the set of (i, j, mask, ic) edges it reports, values
+    as text, so that equal means equal bit for bit. The attacked and removed
+    tuples of a hook call may be ints or arrays aligned with the masks, and
+    no node may be reported twice."""
+    nodes, taken = {}, set()
 
-    def on_layer(i, layer, masks, vals):
-        layers.append(repr((i, layer, masks.tolist(), vals.tolist())))
+    def on_layer(atts, layer, masks, vals):
+        atts = np.broadcast_to(atts, masks.shape)
+        for i, mask, v in zip(atts.tolist(), masks.tolist(), vals.tolist()):
+            row = nodes.setdefault((i, layer), {})
+            assert mask not in row
+            row[mask] = repr(v)
 
-    def on_edges(i, js, masks, ics):
-        js = np.broadcast_to(js, masks.shape)
-        for j, mask, ic in zip(js.tolist(), masks.tolist(), ics.tolist()):
+    def on_edges(atts, js, masks, ics):
+        atts, js = np.broadcast_to(atts, masks.shape), np.broadcast_to(js, masks.shape)
+        for i, j, mask, ic in zip(atts.tolist(), js.tolist(), masks.tolist(), ics.tolist()):
             taken.add((i, j, mask, repr(ic)))
 
     kernel(edges, first, fast, on_layer, on_edges)
-    return layers, taken
+    return nodes, taken
+
+
+def table_kernel_input(dist, lam):
+    """The edge source and first-layer values a table search hands the
+    kernel."""
+    n = dist.n
+    y = transform_linear_query(dist, QuerySpec.sum_query(n))
+    first = [local_sensitivity(y, QuerySpec.sum_query(n), i) / lam for i in range(n)]
+    return whg._TableEdges(y, lam), first
 
 
 def synthetic_repr(edges, fl, mode):
@@ -656,8 +677,9 @@ def synthetic_repr(edges, fl, mode):
 
 
 class TestBatchedKernel:
-    """The kernel's one edge-source call per (attacked tuple, layer) against
-    the one call per removed tuple of tests/chain_reference.py."""
+    """The kernel's one pass per layer over every attacked tuple against the
+    one edge-source call per (attacked tuple, layer, removed tuple) of
+    tests/chain_reference.py."""
 
     @pytest.mark.parametrize("alpha", [2.0, 512.0])
     @pytest.mark.parametrize("corr", [-0.5, 0.2, 0.8])
@@ -667,9 +689,9 @@ class TestBatchedKernel:
             edges, fl = gen_whg_edges(n, corr, seed=n, alpha=alpha)
             first = [fl[i] for i in range(n)]
             for fast in (False, True):
-                layers, taken = kernel_trace(batched, edges, first, fast)
-                ref_layers, ref_taken = kernel_trace(reference_kernel, edges, first, fast)
-                assert layers == ref_layers
+                nodes, taken = kernel_trace(batched, edges, first, fast)
+                ref_nodes, ref_taken = kernel_trace(reference_kernel, edges, first, fast)
+                assert nodes == ref_nodes
                 assert taken == ref_taken
                 if not fast:
                     assert len(taken) == n * (n - 1) * 2 ** max(n - 2, 0)
@@ -699,6 +721,31 @@ class TestBatchedKernel:
         before = reports()
         monkeypatch.setattr(whg, "_EXPAND_CHUNK", chunk)
         assert reports() == before
+
+    @pytest.mark.parametrize("table", ["zero_cells", "dyadic"])
+    def test_fast_selection_matches_reference(self, table):
+        n = 6
+        if table == "zero_cells":
+            dist = sized_table(np.random.default_rng(60), n, 2, zero_frac=0.2)
+        else:
+            dist = dyadic_table()
+        edges, first = table_kernel_input(dist, 1.0)
+        nodes, taken = kernel_trace(whg._kernel, edges, first, True)
+        ref_nodes, ref_taken = kernel_trace(reference_kernel, edges, first, True)
+        assert nodes == ref_nodes
+        assert taken == ref_taken
+        by_layer = {}
+        for (i, layer), row in nodes.items():
+            by_layer.setdefault(layer, []).append(row)
+        if table == "zero_cells":
+            # the attacked tuples of a pruned layer keep unequal node counts,
+            # some below n
+            assert any(min(map(len, rows)) < n and len(set(map(len, rows))) > 1
+                       for rows in by_layer.values())
+        else:
+            # every node of layer 3 ties, across attacked tuples too
+            assert len({v for row in by_layer[3] for v in row.values()}) == 1
+            assert [len(row) for row in by_layer[3]] == [10] * n
 
 
 # averCorr and alpha values on which the bounded search is checked
@@ -735,6 +782,12 @@ class TestBoundedKernel:
         monkeypatch.setattr(EdgeMap, "values", counting)
         search_synthetic(EdgeMap(n, 0.5, seed=1), 1.0, "full")
         assert 0 < sum(evaluated) < 0.3 * n * (n - 1) * 2 ** (n - 2)
+        # the kept edges depend only on how each attacked tuple's layer is
+        # cut into chunks, so these counts hold at any packing of the rows
+        assert sum(evaluated) == 5120
+        evaluated.clear()
+        search_synthetic(EdgeMap(n, 0.5, seed=1), 1.0, "fast")
+        assert sum(evaluated) == 2402
 
 
 def pairs_of(n, i):
@@ -748,13 +801,18 @@ def pairs_of(n, i):
 
 
 def edge_sources():
+    """values() of both edge sources and of DictEdges, and EdgeMap.bounds(),
+    each as the method of a fresh source."""
     rng = np.random.default_rng(60)
     dist = mixed_table(rng, (2, 3, 2, 2, 3), 0.2)
     y = transform_linear_query(dist, QuerySpec.sum_query(dist.n))
+    mapping = dense_edges(5, lambda i, K, j: (31 * i + 7 * j + sum(K)) % 11 / 10 - 0.5)
     return pytest.mark.parametrize("make", [
-        lambda: EdgeMap(5, 0.4, seed=2, alpha=8.0),
-        lambda: whg._TableEdges(y, 0.7),
-    ], ids=["edge_map", "table"])
+        lambda: EdgeMap(5, 0.4, seed=2, alpha=8.0).values,
+        lambda: EdgeMap(5, 0.4, seed=2, alpha=8.0).bounds,
+        lambda: whg._TableEdges(y, 0.7).values,
+        lambda: DictEdges(mapping, 5).values,
+    ], ids=["edge_map", "edge_map_bounds", "table", "dict"])
 
 
 class TestEdgeSourceContract:
@@ -762,13 +820,29 @@ class TestEdgeSourceContract:
     def test_array_j_equals_scalar_calls(self, make):
         for i in range(5):
             masks, js = pairs_of(5, i)
-            # one increment per edge, or a (cmin, cmax) pair of rows
-            batched = np.asarray(make().values(i, masks, js))
+            # one increment per edge, or a pair of rows: (cmin, cmax) or (lo, hi)
+            batched = np.asarray(make()(i, masks, js))
             expect = np.empty_like(batched)
             source = make()
             for j in np.unique(js).tolist():
-                expect[..., js == j] = source.values(i, masks[js == j], j)
+                expect[..., js == j] = source(i, masks[js == j], j)
             assert repr(batched.tolist()) == repr(expect.tolist())
+
+    @edge_sources()
+    def test_array_i_equals_scalar_calls(self, make):
+        atts, masks, js, expect = [], [], [], []
+        for i in range(5):
+            m, j = pairs_of(5, i)
+            scalar = np.asarray(make()(i, m, j))
+            aligned = np.asarray(make()(np.full(m.size, i), m, j))
+            assert repr(aligned.tolist()) == repr(scalar.tolist())
+            atts.append(np.full(m.size, i))
+            masks.append(m)
+            js.append(j)
+            expect.append(scalar)
+        # the edges of every attacked tuple in one call give the same bits too
+        batched = np.asarray(make()(*map(np.concatenate, (atts, masks, js))))
+        assert repr(batched.tolist()) == repr(np.concatenate(expect, axis=-1).tolist())
 
     @edge_sources()
     @pytest.mark.parametrize("bad", [1, -1, 5])
@@ -776,20 +850,32 @@ class TestEdgeSourceContract:
         masks = np.asarray([0b00110, 0b01100, 0b10100], dtype=np.int64)
         js = np.asarray([2, bad, 4], dtype=np.int64)
         with pytest.raises(ValueError, match="indices"):
-            make().values(1, masks, js)
+            make()(1, masks, js)
         with pytest.raises(ValueError, match="indices"):
-            make().values(1, masks[:1], bad)
+            make()(1, masks[:1], bad)
+
+    @edge_sources()
+    @pytest.mark.parametrize("bad, match", [
+        (-1, "indices"), (5, "indices"), (3, "indices"), (2, "belong")])
+    def test_bad_i_in_array_rejected(self, make, bad, match):
+        # the middle edge removes j = 3 from K = {2, 3}: i = 3 is its own j,
+        # and i = 2 lies in its K
+        masks = np.asarray([0b00110, 0b01100, 0b10100], dtype=np.int64)
+        js = np.asarray([2, 3, 4], dtype=np.int64)
+        make()(np.asarray([0, 0, 0], dtype=np.int64), masks, js)
+        with pytest.raises(ValueError, match=match):
+            make()(np.asarray([0, bad, 0], dtype=np.int64), masks, js)
 
     @edge_sources()
     def test_j_outside_child_rejected(self, make):
         # j = 3 lies in range but not in the child's K = {1, 2}
-        make().values(0, np.asarray([0b0110]), 2)
+        make()(0, np.asarray([0b0110]), 2)
         with pytest.raises(ValueError, match="belong"):
-            make().values(0, np.asarray([0b0110]), 3)
+            make()(0, np.asarray([0b0110]), 3)
         with pytest.raises(ValueError, match="belong"):
-            make().values(0, np.asarray([0b0110, 0b1010]), np.asarray([2, 2]))
+            make()(0, np.asarray([0b0110, 0b1010]), np.asarray([2, 2]))
 
     @edge_sources()
     def test_child_holding_i_rejected(self, make):
         with pytest.raises(ValueError, match="belong"):
-            make().values(0, np.asarray([0b0111]), 2)
+            make()(0, np.asarray([0b0111]), 2)
