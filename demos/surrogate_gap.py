@@ -10,7 +10,6 @@ This script quantifies the gap on random instances instead of trusting it.
 import numpy as np
 
 from priordp import JointDistribution, QuerySpec, full_space_search, pdp_exact_all
-from priordp.oracle import _all_adversaries
 
 
 def random_instance(rng, n):
@@ -29,7 +28,7 @@ def main():
         dist = random_instance(rng, n)
         query = QuerySpec.sum_query(n)
         graph, _ = full_space_search(dist, query, 1.0)
-        oracle = dict(zip(_all_adversaries(n), pdp_exact_all(dist, query, 1.0)))
+        oracle = pdp_exact_all(dist, query, 1.0)
         # one row (attacked tuple, prior-set bitmask, chain value) per node
         for i, mask, chain in graph.nodes.tolist():
             K = tuple(t for t in range(n) if (mask >> t) & 1)

@@ -45,7 +45,6 @@ from .synth import (
     EdgeMap,
     gen_covariance,
     gen_discrete_corr,
-    gen_whg_edges,
     mean_pairwise_corr,
     splitmix64,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "full_space_search",
     "gen_covariance",
     "gen_discrete_corr",
-    "gen_whg_edges",
     "global_sensitivity",
     "leakage_gaussian",
     "load_distribution",

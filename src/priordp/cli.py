@@ -6,7 +6,10 @@ validation failure, 3 resource cap exceeded, 4 numerical failure (including
 a failed oracle cross-check). Reports embed the full invocation; the
 experiment CSV keeps the fixed header
 `averCorr,layer,mean_leakage,var_leakage,algorithm,seed_count` with rows
-sorted deterministically.
+sorted deterministically. Its --scale is the unit of both sweep kinds:
+GS/lambda of the synthetic chain (the edge unit and every strongest
+adversary's leakage) for the discrete kind, and M/lambda for the Gaussian
+kind, whose leakage (M/lambda) |1 + mu0i| depends on that ratio alone.
 
 One thread pool, capped by the env var PDP_THREADS and otherwise one thread
 per usable CPU, runs the `experiment` cells and the Gaussian `oracle-check`
@@ -46,7 +49,7 @@ from .model_gaussian import (
     max_leakage_gaussian,
 )
 from .oracle import _all_adversaries, pdp_exact_all, pdp_numeric_gaussian
-from .synth import gen_covariance, gen_whg_edges
+from .synth import EdgeMap, gen_covariance
 from .whg import FULL_CAP, fast_search, full_space_search, search_synthetic
 
 EXIT_OK = 0
@@ -59,7 +62,7 @@ ORACLE_CAP = 8
 
 # numeric options that must be finite, by argparse dest: positive ones, and
 # ones for which 0 is valid too
-_POSITIVE = {"lam": "--lambda", "epsilon": "--epsilon", "scale": "--scale", "M": "--M",
+_POSITIVE = {"lam": "--lambda", "epsilon": "--epsilon", "scale": "--scale",
              "beta_alpha": "--beta-alpha"}
 _NON_NEGATIVE = {"tolerance": "--tolerance"}
 
@@ -187,7 +190,7 @@ def cmd_oracle_check(args) -> int:
         graph, _ = full_space_search(dist, query, args.lam, force=True)
         values = {(i, mask): v for i, mask, v in graph.nodes.tolist()}
         rows = []
-        for (i, K), oracle in zip(_all_adversaries(dist.n), pdp_exact_all(dist, query, args.lam)):
+        for (i, K), oracle in pdp_exact_all(dist, query, args.lam).items():
             chain = values.get((i, sum(1 << k for k in K)))
             ok = chain is not None and oracle.leakage <= chain + tol
             rows.append(
@@ -287,17 +290,13 @@ def cmd_experiment(args) -> int:
         a, seed = cell
         outp = {}
         if args.kind == "discrete":
-            edges, fl = gen_whg_edges(
-                args.n, a, seed=seed, scale=args.scale, alpha=args.beta_alpha
-            )
+            edges = EdgeMap(args.n, a, seed=seed, scale=args.scale, alpha=args.beta_alpha)
             for mode in ("full", "fast"):
-                rep = search_synthetic(edges, fl, mode)
+                rep = search_synthetic(edges, args.scale, mode)
                 outp[(a, mode)] = rep.layer_max
         else:
             sigma = gen_covariance(args.n, a)
-            model = GaussianModel(
-                mu=np.zeros(args.n), sigma=sigma, M=args.M, lam=args.lam
-            )
+            model = GaussianModel(mu=np.zeros(args.n), sigma=sigma, M=args.scale, lam=1.0)
             rep = max_leakage_gaussian(model)
             outp[(a, "enumerate")] = rep.layer_max
         return outp
@@ -347,7 +346,7 @@ def cmd_calibrate(args) -> int:
 
         if args.method == "oracle":
             def leak(lam: float) -> float:
-                return max(r.leakage for r in pdp_exact_all(dist, query, lam))
+                return max(r.leakage for r in pdp_exact_all(dist, query, lam).values())
         elif args.method == "fast":
             def leak(lam: float) -> float:
                 return fast_search(dist, query, lam)[1].leakage
@@ -489,10 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", default="all", help='"all" or comma list')
     p.add_argument("--seeds", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--scale", type=float, default=1.0, help="GS/lambda unit")
+    p.add_argument("--scale", type=float, default=1.0,
+                   help="GS/lambda (discrete) or M/lambda (gaussian)")
     p.add_argument("--beta-alpha", dest="beta_alpha", type=float, default=512.0)
-    p.add_argument("--M", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser(

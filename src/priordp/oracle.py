@@ -427,8 +427,12 @@ def pdp_exact_discrete(
     return _exact(_Table(y), lam, [(i, ks)])[0]
 
 
-def pdp_exact_all(dist: JointDistribution, query: QuerySpec, lam: float) -> list[OracleResult]:
-    """pdp_exact_discrete of every adversary, in _all_adversaries order.
+def pdp_exact_all(
+    dist: JointDistribution, query: QuerySpec, lam: float
+) -> dict[tuple[int, tuple[int, ...]], OracleResult]:
+    """pdp_exact_discrete of every adversary (i, K), keyed by (i, K) with K
+    a sorted tuple: by attacked tuple i, then by the bitmask of K over the
+    other tuples.
 
     The table is transformed once and each marginal taken once. Each layer
     |K| is one batch, ordered by T = {i} u K so that adversaries sharing
@@ -449,7 +453,7 @@ def pdp_exact_all(dist: JointDistribution, query: QuerySpec, lam: float) -> list
         for s in range(0, len(layer), step):
             batch = layer[s : s + step]
             found.update(zip(batch, _exact(tab, lam, batch)))
-    return [found[a] for a in adversaries]
+    return {a: found[a] for a in adversaries}
 
 
 def pdp_numeric_gaussian(

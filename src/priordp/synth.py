@@ -4,7 +4,10 @@ covariance matrices, and discrete tables with a prescribed mean correlation.
 Edge maps let the graph searches run at sizes where a real distribution is
 unaffordable. Each edge value is a deterministic function of (attacked
 tuple, removed tuple, child prior set), so the full and pruned searches see
-byte-identical weights without materializing 2^n entries.
+byte-identical weights without materializing 2^n entries. An edge map's
+scale plays the role of GS/lambda: it is the unit of the edge magnitudes
+and the leakage of every strongest adversary, so a synthetic chain is
+searched as search_synthetic(EdgeMap(..., scale=s), s, mode).
 """
 
 from __future__ import annotations
@@ -146,18 +149,6 @@ class EdgeMap:
         from scipy.special import betaincinv
 
         return betaincinv(self.alpha, self.alpha * (1.0 - self._m) / self._m, u)
-
-
-def gen_whg_edges(
-    n: int, aver_corr: float, seed: int = 0, scale: float = 1.0, alpha: float = 512.0
-) -> tuple[EdgeMap, dict[int, float]]:
-    """Edge map plus homogeneous first-layer values (scale per attack).
-
-    scale plays the role of GS/lam: strongest-adversary leakage and the
-    edge magnitude unit.
-    """
-    edges = EdgeMap(n, aver_corr, seed=seed, scale=scale, alpha=alpha)
-    return edges, {i: scale for i in range(n)}
 
 
 def gen_covariance(n: int, aver_coeff: float) -> np.ndarray:

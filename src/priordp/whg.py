@@ -84,7 +84,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -102,10 +102,9 @@ from .report import AdversaryNode, LeakageReport, _Summary
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
 
-# Most marginal cells stacked into one log-sum-exp, and the most cells a
-# size class may have to be computed whole on its first miss. Stacking saves
-# numpy calls on the many small prior sets; the bound keeps the stack's
-# memory flat where a class or a single marginal is large.
+# Most marginal cells stacked into one log-sum-exp. Stacking saves numpy
+# calls on the many small prior sets; the bound keeps the stack's memory
+# flat where a batch of sets or a single marginal is large.
 _STACK_CELLS = 1 << 15
 
 # fewest values numpy sums pairwise rather than one by one
@@ -164,25 +163,20 @@ class _TableEdges:
     x_j (_PAIRWISE values or more), whose sum depends on memory layout, is
     summed in place along its own axis, one slice at a time.
 
-    On a miss, values() computes the whole size class when all its slices
-    fit in _STACK_CELLS cells, and otherwise only the sets the call lacks.
-    The rule depends on the table alone, so full and fast searches fill
-    alike. The (cmin, cmax) pairs of a set are |T| x |T| x 2 floats indexed
-    by the ranks of i and j in T, kept in one flat array that grows as sets
-    are added; _off maps a set mask to its first entry (-1 until computed),
-    so values() is one gather. Marginals are not kept.
+    On a miss, values() computes exactly the sets the call lacks, one batch
+    per size class, so each set is computed once and only if some edge asks
+    for it: a full search computes every set, a fast one skips those that
+    only pruned nodes would ask for. The (cmin, cmax) pairs of a set are
+    |T| x |T| x 2 floats indexed by the ranks of i and j in T, kept in one
+    flat array that grows as sets are added; _off maps a set mask to its
+    first entry (-1 until computed), so values() is one gather. Marginals
+    are not kept.
     """
 
     def __init__(self, y: JointDistribution, lam: float):
         n = self.n = y.n
         self._y = y
         self._lam = lam
-        # cells of all slices of a size class: k * e_k(domain sizes)
-        e = [1] + [0] * n
-        for d in y.domains:
-            for k in range(n, 0, -1):
-                e[k] += len(d) * e[k - 1]
-        self._class_cells = [k * e[k] for k in range(n + 1)]
         self._size = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
         self._off = np.full(1 << n, -1, dtype=np.int64)
         self._flat = np.empty(0)
@@ -208,10 +202,7 @@ class _TableEdges:
     def _fill(self, missing: np.ndarray) -> None:
         size = self._size[missing]
         for k in np.unique(size).tolist():
-            sets = missing[size == k]
-            if self._class_cells[k] <= _STACK_CELLS:
-                sets = np.flatnonzero((self._size == k) & (self._off < 0))
-            self._compute(sets, k)
+            self._compute(missing[size == k], k)
 
     def _compute(self, sets: np.ndarray, k: int) -> None:
         width = 2 * k * k
@@ -587,26 +578,21 @@ def fast_search(
     return _search_distribution(dist, query, lam, fast=True)
 
 
-def search_synthetic(
-    edges,
-    first_layer_values: Mapping[int, float] | float,
-    mode: str = "full",
-) -> LeakageReport:
+def search_synthetic(edges, first: float, mode: str = "full") -> LeakageReport:
     """Run the exhaustive or pruned search over externally supplied edges.
 
-    `edges` is an edge source (see the module notes). Node and edge
-    semantics match the distribution-driven searches; values are already in
-    leakage units, so no noise scale is involved here.
+    `edges` is an edge source (see the module notes) and `first` the value
+    of every strongest adversary, the unit GS/lambda of a synthetic chain:
+    a finite, non-negative number. Node and edge semantics match the
+    distribution-driven searches; values are already in leakage units, so
+    no noise scale is involved here.
     """
     if mode not in ("full", "fast"):
         raise ValueError("mode must be 'full' or 'fast'")
+    first = float(first)
+    if not 0 <= first < math.inf:
+        raise ValueError(f"first-layer value must be finite and non-negative, got {first}")
     n = edges.n
-    if isinstance(first_layer_values, (int, float)):
-        fl = {i: float(first_layer_values) for i in range(n)}
-    else:
-        fl = {int(i): float(v) for i, v in first_layer_values.items()}
-        if sorted(fl) != list(range(n)):
-            raise ValueError("first_layer_values must cover every attacked tuple")
     summary = _Summary()
-    _kernel(edges, [fl[i] for i in range(n)], mode == "fast", summary)
+    _kernel(edges, [first] * n, mode == "fast", summary)
     return summary.report(mode, {"synthetic": True, "n": n})

@@ -30,7 +30,6 @@ from priordp import (
     pearson_corr,
     search_synthetic,
 )
-from priordp.oracle import _all_adversaries
 
 from chain_reference import DictEdges, all_values, edge_value, gamma_set
 from conftest import (
@@ -64,7 +63,7 @@ def domination_survey():
         graph, _ = full_space_search(dist, query, 1.0)
         ls = [local_sensitivity(dist, query, j) for j in range(n)]
         gs = global_sensitivity(dist, query)
-        exact = dict(zip(_all_adversaries(n), pdp_exact_all(dist, query, 1.0)))
+        exact = pdp_exact_all(dist, query, 1.0)
         for node, chain in all_values(graph).items():
             oracle = exact[node.attack, node.prior].leakage
             unknown = [

@@ -1,5 +1,5 @@
 """Every public name of priordp is reached by the package itself, the demos
-or the benchmark, not only by tests.
+or the benchmark, not only by tests, and the demos reach only public names.
 
 The check reads the source with ast: a name counts as used where it appears
 as a name, an attribute or an import in src/priordp (but __init__.py),
@@ -32,3 +32,24 @@ def used_names() -> set[str]:
 
 def test_public_names_are_used_outside_tests():
     assert sorted(set(priordp.__all__) - used_names()) == []
+
+
+def private_imports(path: Path) -> list[str]:
+    """The priordp modules and names an import in this file reaches whose
+    dotted path has a part that starts with an underscore."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "priordp":
+            paths = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names if alias.name.split(".")[0] == "priordp"]
+        else:
+            continue
+        found += [p for p in paths if any(part.startswith("_") for part in p.split("."))]
+    return found
+
+
+def test_demos_import_only_public_names():
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    assert {p.name: private_imports(p) for p in demos} == {p.name: [] for p in demos}

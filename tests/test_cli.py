@@ -456,8 +456,8 @@ class TestExperiment:
     @pytest.mark.parametrize("kind, flag, value", [
         ("discrete", "--scale", "inf"),
         ("discrete", "--beta-alpha", "nan"),
-        ("gaussian", "--M", "inf"),
-        ("gaussian", "--lambda", "-1"),
+        ("gaussian", "--scale", "inf"),
+        ("gaussian", "--scale", "-1"),
     ])
     def test_bad_numeric_options(self, tmp_path, capsys, kind, flag, value):
         rc, out = self.run(
@@ -468,6 +468,26 @@ class TestExperiment:
         assert rc == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_gaussian_options_removed(self, tmp_path, capsys):
+        # --scale is the Gaussian sweep's unit M/lambda; argparse refuses --M
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, "m.csv", ["experiment", "--kind", "gaussian", "--n", "4",
+                                         "--M", "2"])
+        assert exc.value.code == 2
+        assert "--M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, digest", [
+        # sha256 of the CSV with default options and with --M 2, before
+        # --scale replaced --M and --lambda (numpy 2.4.6, scipy 1.17.1)
+        ([], "6c5481fdd8025d234ca31a8027af909e0ce6bc5bcfce78fa06b2fea8b8785157"),
+        (["--scale", "2"], "122a871cc23f535c6f9b185fd1b26dd4ced3df3c27bb7abe9577cdbc61ad8839"),
+    ], ids=["default", "scale2"])
+    def test_gaussian_digest_pinned(self, tmp_path, extra, digest):
+        rc, out = self.run(tmp_path, "gauss.csv", ["experiment", "--kind", "gaussian", "--n",
+                                                   "5", "--averCorr", "0.2,0.5", *extra])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PDP_THREADS", "0")
@@ -620,7 +640,7 @@ class TestCalibrate:
         def stand_in(dist, query, lam, *rest, **kw):
             calls.append(lam)
             report = SimpleNamespace(leakage=1.0 / lam)
-            return [report] if method == "oracle" else (None, report)
+            return {(0, ()): report} if method == "oracle" else (None, report)
 
         target = {"full": "full_space_search", "fast": "fast_search",
                   "oracle": "pdp_exact_all"}[method]
@@ -660,7 +680,7 @@ class TestCalibrateMonotonicity:
             chain = [full_space_search(dist, query, lam)[1].leakage for lam in self.LAMS]
             # what calibrate --method oracle bisects over
             exact = [
-                max(r.leakage for r in pdp_exact_all(dist, query, lam))
+                max(r.leakage for r in pdp_exact_all(dist, query, lam).values())
                 for lam in self.LAMS
             ]
             assert np.all(np.diff(chain) <= 0.0)

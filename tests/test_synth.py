@@ -11,7 +11,6 @@ from priordp import (
     JointDistribution,
     gen_covariance,
     gen_discrete_corr,
-    gen_whg_edges,
     marginal,
     mean_pairwise_corr,
     pearson_corr,
@@ -122,11 +121,6 @@ class TestEdgeMap:
                 vals = emap.values(i, sel, j)
                 lo, hi = emap.bounds(i, sel, j)
                 assert np.all(lo <= vals) and np.all(vals <= hi), (corr, i)
-
-    def test_gen_whg_edges_first_layer(self):
-        emap, first = gen_whg_edges(6, 0.4, seed=2, scale=1.5)
-        assert isinstance(emap, EdgeMap)
-        assert first == {i: 1.5 for i in range(6)}
 
 
 class TestGenCovariance:

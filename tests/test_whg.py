@@ -18,12 +18,12 @@ from priordp import (
     SearchSpaceExceeded,
     fast_search,
     full_space_search,
-    gen_whg_edges,
     local_sensitivity,
     pdp_exact_discrete,
     search_synthetic,
     transform_linear_query,
 )
+from priordp.report import _Summary
 from priordp.synth import EdgeMap
 
 from chain_reference import (
@@ -396,32 +396,46 @@ class TestKernelMatchesReference:
         for d in cases[:3]:
             assert_matches_reference(d, QuerySpec.sum_query(d.n), 1.0)
 
-    def test_size_class_filled_whole_or_per_call(self, monkeypatch):
+    def test_fill_computes_exactly_the_sets_asked_for(self, monkeypatch):
         rng = np.random.default_rng(58)
-        dist = sized_table(rng, 5, 2)
-        q = QuerySpec.sum_query(5)
-        batches = []
-        compute = whg._TableEdges._compute
+        dist = sized_table(rng, 6, 2)
+        q = QuerySpec.sum_query(6)
+        computed, asked = [], set()
+        compute, values = whg._TableEdges._compute, whg._TableEdges.values
 
-        def record(self, sets, k):
-            batches.append((k, sets.size))
+        def record_compute(self, sets, k):
+            computed.extend(sets.tolist())
             return compute(self, sets, k)
 
-        monkeypatch.setattr(whg._TableEdges, "_compute", record)
-        # every class of n = 5 binary fits the default budget: one batch per
-        # size, each holding all C(5, k) sets
-        fast_search(dist, q, 1.0)
-        assert sorted(batches) == [(k, math.comb(5, k)) for k in range(2, 6)]
-        # at 40 cells no class of two or more tuples fits: each miss computes
-        # only the sets its call lacks, and each set exactly once; chunks of
-        # two masks make calls that lack only some sets of a class
-        batches.clear()
+        def record_values(self, i, masks, j):
+            asked.update((masks | (1 << np.asarray(i))).tolist())
+            return values(self, i, masks, j)
+
+        monkeypatch.setattr(whg._TableEdges, "_compute", record_compute)
+        monkeypatch.setattr(whg._TableEdges, "values", record_values)
+
+        def counts():
+            out = []
+            for search in (full_space_search, fast_search):
+                computed.clear()
+                asked.clear()
+                search(dist, q, 1.0)
+                # each set T = K u {i} once per search, and only if an edge
+                # asked for it
+                assert len(computed) == len(set(computed))
+                assert set(computed) == asked
+                out.append(len(computed))
+            return out
+
+        # a full search asks for every set of two or more tuples; the fast
+        # one skips some on this table
+        full, fast = counts()
+        assert full == (1 << 6) - 1 - 6 > fast
+        # chunks of two masks make calls that lack only some sets of a size
+        # class, and 40 cells split their stacks
         monkeypatch.setattr(whg, "_STACK_CELLS", 40)
         monkeypatch.setattr(whg, "_EXPAND_CHUNK", 2)
-        graph, _ = full_space_search(dist, q, 1.0)
-        assert max(size for _, size in batches) < math.comb(5, 2)
-        for k in range(2, 6):
-            assert sum(size for kk, size in batches if kk == k) == math.comb(5, k)
+        assert counts() == [full, fast]
         assert_matches_reference(dist, q, 1.0)
 
     def test_fast_ties_break_by_child_mask(self):
@@ -555,18 +569,22 @@ class TestSyntheticSearch:
         # weakest adversary attacking 0: min(|1.5 + 0.1|, |1.9 - 0.9|) = 1.0
         assert rep.layer_max == pytest.approx({1: 1.0, 2: 1.9, 3: 1.0})
 
-    def test_scalar_first_layer_broadcasts(self):
-        edges = dense_edges(3, lambda i, K, j: 0.1)
-        r1 = search_synthetic(DictEdges(edges, 3), 2.0, mode="full")
-        r2 = search_synthetic(DictEdges(edges, 3), {0: 2.0, 1: 2.0, 2: 2.0}, mode="full")
-        assert r1.leakage == pytest.approx(r2.leakage)
-
     def test_validation(self):
         edges = dense_edges(3, lambda i, K, j: 0.1)
         with pytest.raises(ValueError):
             search_synthetic(DictEdges(edges, 3), 1.0, mode="greedy")
-        with pytest.raises(ValueError):
-            search_synthetic(DictEdges(edges, 3), {0: 1.0}, mode="full")
+
+    @pytest.mark.parametrize("first", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_bad_first_layer_rejected(self, first, mode):
+        with pytest.raises(ValueError, match="first-layer"):
+            search_synthetic(EdgeMap(4, 0.5, seed=1), first, mode)
+
+    @pytest.mark.parametrize("first, same", [(np.float64(1.3), 1.3), (np.int64(1), 1.0)])
+    def test_numpy_first_layer_as_float(self, first, same):
+        edges = EdgeMap(6, 0.5, seed=2)
+        for mode in ("full", "fast"):
+            assert synthetic_repr(edges, first, mode) == synthetic_repr(edges, same, mode)
 
     def test_missing_edge_found(self):
         edges = dense_edges(3, lambda i, K, j: 0.1)
@@ -576,16 +594,16 @@ class TestSyntheticSearch:
 
     def test_generated_edges_fast_dominates_full(self):
         for seed in range(3):
-            edges, fl = gen_whg_edges(10, 0.6, seed=seed)
-            rf = search_synthetic(edges, fl, mode="full")
-            ra = search_synthetic(edges, fl, mode="fast")
+            edges = EdgeMap(10, 0.6, seed=seed)
+            rf = search_synthetic(edges, 1.0, mode="full")
+            ra = search_synthetic(edges, 1.0, mode="fast")
             assert ra.leakage >= rf.leakage - 1e-12
             assert ra.node_count <= rf.node_count
 
     def test_generated_search_deterministic(self):
-        edges, fl = gen_whg_edges(9, 0.4, seed=5)
-        r1 = search_synthetic(edges, fl, mode="fast")
-        r2 = search_synthetic(edges, fl, mode="fast")
+        edges = EdgeMap(9, 0.4, seed=5)
+        r1 = search_synthetic(edges, 1.0, mode="fast")
+        r2 = search_synthetic(edges, 1.0, mode="fast")
         assert r1.leakage == r2.leakage
         assert r1.argmax == r2.argmax
 
@@ -612,8 +630,11 @@ class TestArgmaxRule:
     @pytest.mark.parametrize("mode", ["full", "fast"])
     @pytest.mark.parametrize("peaks, want", [({(0, 3), (1, 2)}, (0, 3)), ({(0,), (1, 2)}, (0,))])
     def test_dict_edges(self, mode, peaks, want):
-        first = {0: 0.5, 1: 0.5, 2: 0.5, 3: 0.5, 4: 1.0}
-        rep = search_synthetic(peak_edges(peaks), first, mode)
+        # the first layer differs by attacked tuple, which search_synthetic
+        # does not take, so the kernel reports to the summary directly
+        summary = _Summary()
+        whg._kernel(peak_edges(peaks), [0.5, 0.5, 0.5, 0.5, 1.0], mode == "fast", summary)
+        rep = summary.report(mode, {})
         assert (rep.leakage, rep.argmax) == (2.0, AdversaryNode(4, want))
 
     @pytest.mark.parametrize("domains, cells, want", [
@@ -671,9 +692,9 @@ def table_kernel_input(dist, lam):
     return whg._TableEdges(y, lam), first
 
 
-def synthetic_repr(edges, fl, mode):
+def synthetic_repr(edges, first, mode):
     """A synthetic search's report as text, timing left out."""
-    return repr(dataclasses.replace(search_synthetic(edges, fl, mode), elapsed=0.0))
+    return repr(dataclasses.replace(search_synthetic(edges, first, mode), elapsed=0.0))
 
 
 class TestBatchedKernel:
@@ -686,8 +707,8 @@ class TestBatchedKernel:
     def test_edge_map_matches_reference(self, corr, alpha, monkeypatch):
         batched = whg._kernel
         for n in (1, 2, 5, 10):
-            edges, fl = gen_whg_edges(n, corr, seed=n, alpha=alpha)
-            first = [fl[i] for i in range(n)]
+            edges = EdgeMap(n, corr, seed=n, alpha=alpha)
+            first = [edges.scale] * n
             for fast in (False, True):
                 nodes, taken = kernel_trace(batched, edges, first, fast)
                 ref_nodes, ref_taken = kernel_trace(reference_kernel, edges, first, fast)
@@ -698,17 +719,18 @@ class TestBatchedKernel:
             reports = []
             for kernel in (batched, reference_kernel):
                 monkeypatch.setattr(whg, "_kernel", kernel)
-                reports.append([synthetic_repr(edges, fl, mode) for mode in ("full", "fast")])
+                reports.append([synthetic_repr(edges, edges.scale, mode)
+                                for mode in ("full", "fast")])
             assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_leaves_results_unchanged(self, chunk, monkeypatch):
-        synthetic = [gen_whg_edges(9, corr, seed=3, alpha=4.0) for corr in (-0.5, 0.6)]
+        synthetic = [EdgeMap(9, corr, seed=3, alpha=4.0) for corr in (-0.5, 0.6)]
         rng = np.random.default_rng(59)
         tables = [sized_table(rng, 5, 2, zero_frac=0.2), mixed_table(rng, (3, 2, 4, 2), 0.2)]
 
         def reports():
-            out = [synthetic_repr(e, fl, mode) for e, fl in synthetic for mode in ("full", "fast")]
+            out = [synthetic_repr(e, e.scale, mode) for e in synthetic for mode in ("full", "fast")]
             for dist in tables:
                 # chunks take edges in another order; the graph is the same
                 for search in (full_space_search, fast_search):
