@@ -174,6 +174,8 @@ def cmd_analyze_gaussian(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     kind, obj = _load_any(args.input_file)
+    if kind == "gaussian":
+        _refuse_on_gaussian(args, lam="--lambda", query="--query")
     if obj.n > ORACLE_CAP and not args.force:
         raise SearchSpaceExceeded(
             f"oracle-check over n={obj.n} exceeds cap {ORACLE_CAP}; "
@@ -186,11 +188,12 @@ def cmd_oracle_check(args) -> int:
         # x86 host)
         dist = obj
         tol = args.tolerance if args.tolerance is not None else 1e-9
+        lam = args.lam if args.lam is not None else 1.0
         query = _query_for(dist, args.query)
-        graph, _ = full_space_search(dist, query, args.lam, force=True)
+        graph, _ = full_space_search(dist, query, lam, force=True)
         values = {(i, mask): v for i, mask, v in graph.nodes.tolist()}
         rows = []
-        for (i, K), oracle in pdp_exact_all(dist, query, args.lam).items():
+        for (i, K), oracle in pdp_exact_all(dist, query, lam).items():
             chain = values.get((i, sum(1 << k for k in K)))
             ok = chain is not None and oracle.leakage <= chain + tol
             rows.append(
@@ -268,40 +271,40 @@ def _parse_layers(text: str, n: int) -> set[int] | None:
 def cmd_experiment(args) -> int:
     sweep = _parse_sweep(args.aver_corr)
     layers = _parse_layers(args.layers, args.n)
-    seeds = args.seeds if args.seeds is not None else (30 if args.kind == "discrete" else 1)
-    if seeds < 1:
-        raise ValueError("--seeds must be >= 1")
     if args.kind == "gaussian":
+        if args.seeds not in (None, 1):
+            # the covariance alone fixes the leakage (M/lambda) |1 + mu0i|
+            raise ValueError(f"--seeds {args.seeds}: a Gaussian sweep point has no seed")
+        _refuse_on_gaussian(args, beta_alpha="--beta-alpha")
         if args.n > ENUM_CAP:
             raise SearchSpaceExceeded(
                 f"experiment --kind gaussian over n={args.n} exceeds the "
                 f"enumeration cap {ENUM_CAP}"
             )
-        for a in sweep:
-            gen_covariance(args.n, a)  # fail fast on infeasible sweep points
-    elif args.n > FULL_CAP:
-        # each cell runs a full search over 2^n-entry kernel arrays
-        raise SearchSpaceExceeded(
-            f"experiment --kind discrete over n={args.n} exceeds the full "
-            f"search cap {FULL_CAP}"
-        )
+        # built before any cell starts, so an infeasible sweep point fails fast
+        cells = [(a, GaussianModel(mu=np.zeros(args.n), sigma=gen_covariance(args.n, a),
+                                   M=args.scale, lam=1.0)) for a in sweep]
+    else:
+        seeds = 30 if args.seeds is None else args.seeds
+        if seeds < 1:
+            raise ValueError("--seeds must be >= 1")
+        if args.n > FULL_CAP:
+            # each cell runs a full search over 2^n-entry kernel arrays
+            raise SearchSpaceExceeded(
+                f"experiment --kind discrete over n={args.n} exceeds the full "
+                f"search cap {FULL_CAP}"
+            )
+        alpha = 512.0 if args.beta_alpha is None else args.beta_alpha
+        cells = [(a, s) for a in sweep for s in range(seeds)]
 
     def run_cell(cell):
-        a, seed = cell
-        outp = {}
-        if args.kind == "discrete":
-            edges = EdgeMap(args.n, a, seed=seed, scale=args.scale, alpha=args.beta_alpha)
-            for mode in ("full", "fast"):
-                rep = search_synthetic(edges, args.scale, mode)
-                outp[(a, mode)] = rep.layer_max
-        else:
-            sigma = gen_covariance(args.n, a)
-            model = GaussianModel(mu=np.zeros(args.n), sigma=sigma, M=args.scale, lam=1.0)
-            rep = max_leakage_gaussian(model)
-            outp[(a, "enumerate")] = rep.layer_max
-        return outp
+        a, model_or_seed = cell
+        if args.kind == "gaussian":
+            return {(a, "enumerate"): max_leakage_gaussian(model_or_seed).layer_max}
+        edges = EdgeMap(args.n, a, seed=model_or_seed, scale=args.scale, alpha=alpha)
+        return {(a, mode): search_synthetic(edges, args.scale, mode).layer_max
+                for mode in ("full", "fast")}
 
-    cells = [(a, s) for a in sweep for s in range(seeds)]
     results: dict[tuple[float, str], list[dict[int, float]]] = {}
     for outp in _pool_map(run_cell, cells):
         for key, layer_max in outp.items():
@@ -332,29 +335,31 @@ def cmd_calibrate(args) -> int:
     eps = args.epsilon
     if kind == "discrete":
         dist = obj
+        method = args.method or "full"
         query = _query_for(dist, args.query)
         gs = global_sensitivity(dist, query)
         if gs <= 0:
             raise ValueError("query has zero sensitivity; any lambda works")
         n = dist.n
-        cap = ORACLE_CAP if args.method == "oracle" else FULL_CAP
+        cap = ORACLE_CAP if method == "oracle" else FULL_CAP
         if n > cap and not args.force:
             raise SearchSpaceExceeded(
-                f"calibrate --method {args.method} over n={n} exceeds cap {cap}; "
+                f"calibrate --method {method} over n={n} exceeds cap {cap}; "
                 "pass --force to override"
             )
 
-        if args.method == "oracle":
+        if method == "oracle":
             def leak(lam: float) -> float:
                 return max(r.leakage for r in pdp_exact_all(dist, query, lam).values())
-        elif args.method == "fast":
+        elif method == "fast":
             def leak(lam: float) -> float:
                 return fast_search(dist, query, lam)[1].leakage
         else:
             def leak(lam: float) -> float:
                 return full_space_search(dist, query, lam, force=True)[1].leakage
     else:
-        gs, n = obj.M, obj.n
+        _refuse_on_gaussian(args, method="--method", query="--query")
+        gs, n, method = obj.M, obj.n, "enumerate"
     lo = gs / (10.0 * eps)
     hi = 10.0 * n * gs / eps
     if kind == "discrete":
@@ -367,7 +372,7 @@ def cmd_calibrate(args) -> int:
         "leakage_at_lambda": f_lam,
         "iterations": iters,
         "bracket": [lo, hi],
-        "method": args.method if kind == "discrete" else "enumerate",
+        "method": method,
         "invocation": _invocation(args),
     }
     _emit(payload, args.out)
@@ -434,6 +439,15 @@ def _check_numeric(args) -> None:
             raise ValueError(f"{flag} must be non-negative and finite, got {value}")
 
 
+def _refuse_on_gaussian(args, **flags: str) -> None:
+    """Reject each option, given as dest=flag, that is set for a Gaussian
+    input, which would ignore it: a model file carries its own M and lambda,
+    and a Gaussian sweep has no Beta edges."""
+    for dest, flag in flags.items():
+        if getattr(args, dest) is not None:
+            raise ValueError(f"{flag} does not apply to a Gaussian input")
+
+
 def _invocation(args) -> str:
     return " ".join(args.argv)
 
@@ -475,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input_file", help="discrete table or Gaussian model JSON")
     p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--query", default=None)
+    p.add_argument("--lambda", dest="lam", type=float, default=None, help="tables; default 1")
+    p.add_argument("--query", default=None, help="tables only")
     p.add_argument("--force", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle_check)
@@ -486,11 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=15)
     p.add_argument("--averCorr", dest="aver_corr", default="0.2,0.5,0.8")
     p.add_argument("--layers", default="all", help='"all" or comma list')
-    p.add_argument("--seeds", type=int, default=None)
+    p.add_argument("--seeds", type=int, default=None, help="discrete; default 30")
     p.add_argument("--out", required=True)
     p.add_argument("--scale", type=float, default=1.0,
                    help="GS/lambda (discrete) or M/lambda (gaussian)")
-    p.add_argument("--beta-alpha", dest="beta_alpha", type=float, default=512.0)
+    p.add_argument("--beta-alpha", dest="beta_alpha", type=float, default=None,
+                   help="discrete; default 512")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser(
@@ -498,12 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input_file")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--query", default=None)
+    p.add_argument("--query", default=None, help="tables only")
     p.add_argument(
         "--method",
         choices=("full", "fast", "oracle"),
-        default="full",
-        help="leakage evaluator for discrete inputs",
+        default=None,
+        help="leakage evaluator for tables; default full",
     )
     p.add_argument("--out", default=None)
     p.add_argument("--force", action="store_true", help="override the size cap")

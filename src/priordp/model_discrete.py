@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -256,19 +255,17 @@ def pearson_corr(dist: JointDistribution, i: int, j: int) -> float:
 def local_sensitivity(dist: JointDistribution, query: QuerySpec, i: int) -> float:
     """LS_i(f): largest |f(x) - f(x')| over pairs differing only in tuple i.
 
-    Computed by brute force over value pairs of dom(x_i); for a linear query
-    the other coordinates cancel, so this is the exhaustive search.
+    For a linear query the other coordinates cancel, so LS_i(f) is |a_i|
+    times the width of dom(x_i), its last value minus its first. Float
+    rounding is monotone, so this equals the maximum over all value pairs
+    bit for bit; a single-value domain gives 0.
     """
     if len(query.coefficients) != dist.n:
         raise ValueError("query length does not match number of tuples")
     if not 0 <= i < dist.n:
         raise ValueError(f"tuple index {i} out of range for n={dist.n}")
-    a = query.coefficients[i]
     dom = dist.domains[i]
-    best = 0.0
-    for v, w in combinations(dom, 2):
-        best = max(best, abs(a * (v - w)))
-    return best
+    return abs(query.coefficients[i]) * (dom[-1] - dom[0])
 
 
 def global_sensitivity(dist: JointDistribution, query: QuerySpec) -> float:

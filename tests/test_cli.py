@@ -209,6 +209,9 @@ class TestOracleCheck:
         assert rc == 0
         out = capsys.readouterr().out
         assert "4/4 adversaries pass" in out
+        # on a table --lambda is taken, and 1 is its default
+        assert main(["oracle-check", table_a_file, "--lambda", "1"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_discrete_witness(self, table_a_file, tmp_path, capsys):
         out = tmp_path / "check.json"
@@ -400,6 +403,27 @@ class TestExperiment:
         assert "cap" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("extra, rc_want, calls_want", [
+        ([], 0, 2),
+        (["--seeds", "1"], 0, 2),
+        (["--seeds", "3"], 2, 0),
+        (["--seeds", "0"], 2, 0),
+    ], ids=["default", "seeds1", "seeds3", "seeds0"])
+    def test_gaussian_one_enumeration_per_point(self, tmp_path, monkeypatch, capsys,
+                                                extra, rc_want, calls_want):
+        calls = []
+
+        def counted(model, **kw):
+            calls.append(model)
+            return max_leakage_gaussian(model, **kw)
+
+        monkeypatch.setattr(cli, "max_leakage_gaussian", counted)
+        rc, out = self.run(tmp_path, "g.csv", ["experiment", "--kind", "gaussian", "--n", "4",
+                                               "--averCorr", "0.2,0.5", *extra])
+        assert rc == rc_want and len(calls) == calls_want
+        if rc:
+            assert "no seed" in capsys.readouterr().err and not out.exists()
+
     def test_discrete_size_cap(self, tmp_path, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cli, "search_synthetic", lambda *a, **k: calls.append(a))
@@ -583,17 +607,14 @@ class TestCalibrate:
         assert "bracket exhausted" in capsys.readouterr().err
 
     def test_discrete_methods_agree(self, table_a_file, capsys):
-        for method in ("full", "oracle"):
-            rc = main(
-                [
-                    "calibrate", table_a_file,
-                    "--epsilon", f"{LEAK_A_WEAK}",
-                    "--method", method,
-                ]
-            )
+        # no --method means full
+        for extra, method in (([], "full"), (["--method", "full"], "full"),
+                              (["--method", "oracle"], "oracle")):
+            rc = main(["calibrate", table_a_file, "--epsilon", f"{LEAK_A_WEAK}", *extra])
             assert rc == 0
             rep = json.loads(capsys.readouterr().out)
             assert rep["lambda"] == pytest.approx(1.0, abs=1e-3)
+            assert rep["method"] == method
 
     def test_bad_epsilon(self, table_a_file, capsys):
         assert main(["calibrate", table_a_file, "--epsilon", "-2"]) == 2
@@ -665,6 +686,23 @@ class TestCalibrate:
         assert rep["iterations"] > 0
         assert len(calls) == rep["iterations"] + 2
         assert rep["leakage_at_lambda"] == 1.0 / rep["lambda"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle-check", "{g}", "--lambda", "2"], "--lambda"),
+    (["oracle-check", "{g}", "--query", "1,1,1"], "--query"),
+    (["calibrate", "{g}", "--epsilon", "1", "--method", "oracle"], "--method"),
+    (["calibrate", "{g}", "--epsilon", "1", "--query", "1,1,1"], "--query"),
+    (["experiment", "--kind", "gaussian", "--n", "4", "--beta-alpha", "8"], "--beta-alpha"),
+], ids=["oracle-lambda", "oracle-query", "calibrate-method", "calibrate-query",
+        "experiment-beta-alpha"])
+def test_gaussian_refuses_unused_options(gauss_file, tmp_path, capsys, argv, flag):
+    # a Gaussian model file carries its own M and lambda; a Gaussian sweep
+    # has no Beta edges
+    out = tmp_path / "out"
+    assert main([a.format(g=gauss_file) for a in argv] + ["--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestCalibrateMonotonicity:

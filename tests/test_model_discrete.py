@@ -184,6 +184,22 @@ class TestSensitivity:
     def test_local_sensitivity_is_domain_width(self, table_d, sum2):
         assert local_sensitivity(table_d, sum2, 0) == 1.0
         assert local_sensitivity(table_d, sum2, 1) == 5.0
+        # |a_i| times the width, equal bit for bit to the largest pairwise
+        # |a_i (v - w)|, for negative and zero coefficients and a
+        # single-value domain
+        wide = JointDistribution([(-0.3, 0.1, 0.7), (2.5,)], np.full((3, 1), 1 / 3))
+        cases = [
+            (table_d, QuerySpec((-1.5, 0.2)), 0, 1.5),
+            (table_d, QuerySpec((0.0, -0.7)), 0, 0.0),
+            (table_d, QuerySpec((0.0, -0.7)), 1, 3.5),
+            (wide, QuerySpec((-3.0, 4.0)), 0, 3.0),
+            (wide, QuerySpec((-3.0, 4.0)), 1, 0.0),
+        ]
+        for dist, q, i, width in cases:
+            a, dom = q.coefficients[i], dist.domains[i]
+            pairwise = max(abs(a * (v - w)) for v in dom for w in dom)
+            got = local_sensitivity(dist, q, i)
+            assert got == pytest.approx(width) and got == pairwise
 
     def test_coefficient_scaling(self, table_a):
         q = QuerySpec((2.0, 1.0))
