@@ -39,7 +39,7 @@ def layer_profile():
     for layer in sorted(rep.layer_max):
         bar = "#" * round(20 * rep.layer_max[layer] / rep.leakage)
         print(f"  layer {layer}: {rep.layer_max[layer]:8.4f}  {bar}")
-    print(f"maximum {rep.leakage:.4f} at adversary {rep.argmax.to_json()} "
+    print(f"maximum {rep.leakage:.4f} at adversary {rep.argmax} "
           f"({rep.node_count} adversaries enumerated in {rep.elapsed*1e3:.1f} ms)")
 
 

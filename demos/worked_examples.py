@@ -8,7 +8,6 @@ tuples leak through their correlation with the attacked one.
 import numpy as np
 
 from priordp import (
-    AdversaryNode,
     JointDistribution,
     QuerySpec,
     full_space_search,
@@ -32,8 +31,8 @@ def main():
         dist = JointDistribution([(0.0, 1.0), (0.0, 1.0)], np.asarray(cells))
         rho = pearson_corr(dist, 0, 1)
         graph, report = full_space_search(dist, query, lam)
-        strong = graph.node_value(AdversaryNode(0, (1,)))
-        weak = graph.node_value(AdversaryNode(0, ()))
+        strong = graph.node_value((0, (1,)))
+        weak = graph.node_value((0, ()))
         oracle = pdp_exact_discrete(dist, query, lam, 0, ()).leakage
         print(f"\n{label}  (measured rho {rho:+.2f})")
         print(f"  knows the other tuple : leakage {strong:.6f}")
@@ -41,7 +40,7 @@ def main():
               f"  (brute force agrees: {oracle:.6f})")
         amp = "amplifies" if weak > strong else "shrinks"
         print(f"  prior ignorance {amp} leakage by {abs(weak - strong):.6f}")
-        print(f"  worst adversary overall: {report.argmax.to_json()} "
+        print(f"  worst adversary overall: {report.argmax} "
               f"at {report.leakage:.6f}")
 
 

@@ -40,7 +40,7 @@ from .oracle import (
     pdp_exact_discrete,
     pdp_numeric_gaussian,
 )
-from .report import AdversaryNode, LeakageReport
+from .report import LeakageReport
 from .synth import (
     EdgeMap,
     gen_covariance,
@@ -58,7 +58,6 @@ from .whg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversaryNode",
     "DegenerateVariable",
     "EdgeMap",
     "GaussianModel",

@@ -319,7 +319,6 @@ def cmd_experiment(args) -> int:
             rows.append(
                 (a, k, float(np.mean(vals)), float(np.var(vals)), algo, len(vals))
             )
-    rows.sort(key=lambda r: (r[0], r[4], r[1]))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(

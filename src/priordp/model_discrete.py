@@ -84,7 +84,9 @@ class JointDistribution:
     ) -> "JointDistribution":
         """A distribution over domains taken from a validated one and a table
         of sums of its cells: nothing is left to check, and only the
-        constructor's normalization applies."""
+        constructor's normalization applies. transform_linear_query also
+        builds its table here, since a zero coefficient repeats the value
+        0.0 in a domain, which the constructor refuses."""
         out = object.__new__(cls)
         table = table / float(table.sum())
         table.flags.writeable = False
@@ -279,24 +281,24 @@ def transform_linear_query(
     """Rewrite a linear query as a sum query over y_i = a_i * x_i.
 
     Domains are rescaled by a_i and re-sorted (axis flipped for negative
-    coefficients); an a_i = 0 tuple collapses to the single value 0.0. The
-    returned distribution together with the all-ones query is equivalent to
-    (dist, query) for every leakage quantity computed by this package.
+    coefficients). Every axis keeps its cells: a tuple with a_i = 0 keeps
+    its hypotheses, each of value 0.0, and with them its correlation with
+    the other tuples, through which it still leaks. Its domain then repeats
+    0.0, so the returned domains are nondecreasing, not strictly increasing.
     """
     if len(query.coefficients) != dist.n:
         raise ValueError("query length does not match number of tuples")
     domains: list[tuple[float, ...]] = []
     table = dist.probs
     for i, a in enumerate(query.coefficients):
-        if a == 0.0:
-            domains.append((0.0,))
-            table = table.sum(axis=i, keepdims=True)
-        elif a > 0.0:
+        if a >= 0.0:
             domains.append(tuple(a * v for v in dist.domains[i]))
         else:
             domains.append(tuple(a * v for v in reversed(dist.domains[i])))
             table = np.flip(table, axis=i)
-    return JointDistribution(tuple(domains), table)
+    if not all(math.isfinite(v) for d in domains for v in d):
+        raise ValueError("scaled domain values must be finite")
+    return JointDistribution._of_sums(tuple(domains), table)
 
 
 def load_distribution(obj: Mapping | str) -> JointDistribution:

@@ -1,4 +1,4 @@
-"""Adversary identity, leakage reports and the summary that builds them."""
+"""Leakage reports and the summary that builds them."""
 
 from __future__ import annotations
 
@@ -7,28 +7,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True, order=True)
-class AdversaryNode:
-    """An adversary attacking tuple `attack` while knowing tuples `prior`.
-
-    `prior` is kept sorted so that node identity is canonical: two nodes are
-    the same adversary iff (attack, prior) compare equal.
-    """
-
-    attack: int
-    prior: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prior = tuple(sorted(set(int(k) for k in self.prior)))
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "attack", int(self.attack))
-        if self.attack in prior:
-            raise ValueError(f"attacked tuple {self.attack} cannot be in the prior set")
-
-    def to_json(self) -> list:
-        return [self.attack, list(self.prior)]
 
 
 @dataclass
@@ -41,9 +19,9 @@ class LeakageReport:
         Max node leakage per 1-based layer (over nodes actually computed).
     leakage : float
         Overall supremum = max over layer_max.
-    argmax : AdversaryNode
-        The least node attaining the supremum in AdversaryNode order, that
-        is (attack, sorted prior tuple), for every evaluator.
+    argmax : tuple[int, tuple[int, ...]] or None
+        The least adversary (i, K) attaining the supremum, K a sorted tuple,
+        in tuple order, for every evaluator: a key of pdp_exact_all's result.
     node_count : int
         Number of nodes computed.
     elapsed : float
@@ -56,7 +34,7 @@ class LeakageReport:
 
     layer_max: dict[int, float]
     leakage: float
-    argmax: AdversaryNode | None
+    argmax: tuple[int, tuple[int, ...]] | None
     node_count: int
     elapsed: float
     algorithm: str
@@ -65,7 +43,7 @@ class LeakageReport:
     def to_json(self) -> dict:
         return {
             "leakage": self.leakage,
-            "argmax": None if self.argmax is None else self.argmax.to_json(),
+            "argmax": None if self.argmax is None else [self.argmax[0], list(self.argmax[1])],
             "layer_max": {str(k): v for k, v in sorted(self.layer_max.items())},
             "node_count": self.node_count,
             "elapsed_seconds": self.elapsed,
@@ -81,14 +59,14 @@ class _Summary:
     Each call brings one layer's values, their attacked tuple (one int, or
     an array aligned with the values) and their prior sets K as bitmasks
     over all n tuples (bit t set when t is in K). argmax is the least
-    maximal node in AdversaryNode order, whatever the order of the calls.
+    maximal node (i, K) in tuple order, whatever the order of the calls.
     """
 
     def __init__(self) -> None:
         self.t0 = time.perf_counter()
         self.layer_max: dict[int, float] = {}
         self.leakage = -math.inf
-        self.argmax: AdversaryNode | None = None
+        self.argmax: tuple[int, tuple[int, ...]] | None = None
         self.node_count = 0
 
     def __call__(
@@ -104,9 +82,9 @@ class _Summary:
         tied = vals == top
         attack = np.broadcast_to(attack, vals.shape)[tied]
         i = int(attack.min())
-        if top == self.leakage and i > self.argmax.attack:
+        if top == self.leakage and i > self.argmax[0]:
             return
-        node = AdversaryNode(i, _least_prior(masks[tied][attack == i]))
+        node = (i, _least_prior(masks[tied][attack == i]))
         if top > self.leakage or node < self.argmax:
             self.leakage, self.argmax = top, node
 

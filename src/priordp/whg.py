@@ -43,7 +43,8 @@ edges) or a (cmin, cmax) pair of arrays, the extremes of each child's
 candidate set (a table). |l + c| is convex in c,
 so the kernel takes cmax when |l + cmax| >= |l + cmin| and cmin otherwise;
 a NaN pair marks an edge with no feasible candidate, which leaves its
-parent untouched.
+parent untouched. An attacked tuple with one value has no hypothesis pair,
+so its edges take the candidate 0 and its nodes read 0, its exact leakage.
 
 The kernel computes each layer once for every attacked tuple. Its values()
 calls take the (i, mask, j) triples of every attacked tuple i and removed
@@ -84,7 +85,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -98,7 +99,7 @@ from .model_discrete import (
     marginal,
     transform_linear_query,
 )
-from .report import AdversaryNode, LeakageReport, _Summary
+from .report import LeakageReport, _Summary
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
 
@@ -141,9 +142,14 @@ class WeightedHierGraph:
     nodes: np.ndarray
     edges: np.ndarray
 
-    def node_value(self, node: AdversaryNode) -> float:
-        mask = sum(1 << t for t in node.prior)
-        rows = self.nodes[(self.nodes["attack"] == node.attack) & (self.nodes["mask"] == mask)]
+    def node_value(self, node: tuple[int, Iterable[int]]) -> float:
+        """The value of adversary (i, K), K in any order; KeyError when the
+        search did not compute that node."""
+        i, prior = node
+        mask = sum(1 << t for t in set(prior))
+        if mask >> i & 1:
+            raise ValueError(f"attacked tuple {i} cannot be in the prior set")
+        rows = self.nodes[(self.nodes["attack"] == i) & (self.nodes["mask"] == mask)]
         if rows.size == 0:
             raise KeyError(node)
         return float(rows["value"][0])
@@ -316,8 +322,9 @@ def _segment_extremes(lo_up: np.ndarray) -> np.ndarray:
     """[cmin, cmax] per slice and axis of dims, from a (2, slices, *dims)
     array of lo and up values: the extremes of lo[m] - lo[n] and
     -(up[m] - up[n]) over every hypothesis pair m < n along that axis. NaN
-    cells (infeasible) drop out, and an axis with no pair of feasible cells
-    gets NaN.
+    cells (infeasible) drop out. A one-value axis gets 0, since it has no
+    two hypotheses to tell apart, and any other axis with no pair of
+    feasible cells gets NaN.
 
     The extremes are kept per kind (lo, up) and merged last by np.minimum
     and np.maximum, which return their second operand on equal values: a
@@ -326,6 +333,7 @@ def _segment_extremes(lo_up: np.ndarray) -> np.ndarray:
     """
     g, dims = lo_up.shape[1], lo_up.shape[2:]
     ext = np.full((2, 2, g, len(dims)), np.nan)  # (min, max) x (lo, up)
+    ext[..., np.equal(dims, 1)] = 0.0
     for a, s in enumerate(dims):
         at = (slice(None),) * (a + 2)
         for m, nn in combinations(range(s), 2):

@@ -10,7 +10,8 @@ removed tuple, and then every attacked tuple of a layer, into one
 edge-source call. Tests cross-check the package against them value for
 value; nothing in the package imports this module.
 It also holds `value_index`, which finds a value in a tuple's domain, the
-conditional tables the oracle reference uses, `first_layer`, the strongest
+conditional tables the oracle reference uses, given by value or by domain
+index, `first_layer`, the strongest
 adversaries' leakage as a node dict, the increment-ratio sign law,
 `DictEdges`, an edge source over a hand-built {(i, K, j): ic} mapping that
 takes attacked and removed tuples as ints or aligned arrays, and
@@ -29,7 +30,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from priordp import (
-    AdversaryNode,
     DegenerateVariable,
     JointDistribution,
     PrivacyModelError,
@@ -42,6 +42,9 @@ from priordp.model_discrete import PROB_FLOOR
 from priordp.whg import edge_indices
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
+
+# an adversary (i, K): attacked tuple i, K the sorted tuple of known tuples
+Node = tuple[int, tuple[int, ...]]
 
 
 def value_index(dist: JointDistribution, i: int, value: float) -> int:
@@ -66,15 +69,26 @@ def conditional(
     """Pr(x_targets | x_given), Bayes-normalized: `domains` and `probs` over
     the targets in ascending order. Raises ImpossibleCondition when the
     conditioning event has probability below 1e-12."""
+    cells = {int(k): value_index(dist, int(k), float(v)) for k, v in given.items()}
+    return conditional_at(dist, targets, cells)
+
+
+def conditional_at(
+    dist: JointDistribution,
+    targets: Iterable[int],
+    cells: Mapping[int, int],
+) -> SimpleNamespace:
+    """conditional() with each given tuple fixed by its index in its domain
+    instead of its value, so that a domain may repeat a value."""
     tgt = tuple(sorted(set(int(i) for i in targets)))
-    giv = {int(k): float(v) for k, v in given.items()}
+    giv = {int(k): int(p) for k, p in cells.items()}
     if not tgt:
         raise ValueError("targets must be non-empty")
     if set(tgt) & set(giv):
         raise ValueError("targets and given indices overlap")
     idx: list[object] = [slice(None)] * dist.n
-    for k, v in giv.items():
-        idx[k] = value_index(dist, k, v)
+    for k, p in giv.items():
+        idx[k] = p
     sliced = dist.probs[tuple(idx)]
     remaining = [i for i in range(dist.n) if i not in giv]
     sum_axes = tuple(ax for ax, i in enumerate(remaining) if i not in tgt)
@@ -190,7 +204,7 @@ def ancestor_leakage(l_child: float, ic: float) -> float:
 
 def first_layer(
     dist: JointDistribution, query: QuerySpec, lam: float
-) -> dict[AdversaryNode, float]:
+) -> dict[Node, float]:
     """Leakage of every strongest adversary: LS_i(f) / lam.
 
     With all other tuples known, the output density is the bare Laplace
@@ -201,7 +215,7 @@ def first_layer(
         raise ValueError("lambda must be positive")
     n = dist.n
     return {
-        AdversaryNode(i, tuple(t for t in range(n) if t != i)): local_sensitivity(
+        (i, tuple(t for t in range(n) if t != i)): local_sensitivity(
             dist, query, i
         )
         / lam
@@ -226,7 +240,8 @@ def edge_candidates(
 ) -> np.ndarray:
     """All increment candidates for the edge (i, K'+{j}) -> (i, K'): both
     ray orientations for every feasible assignment of x_K' and ordered pair
-    of x_i values."""
+    of x_i values. A one-value x_i has no pair and gets the one candidate 0,
+    since there is nothing to tell apart."""
     axes = sorted((i, j, *k_prime))
     sub = marginal(y, axes)
     pos_i = axes.index(i)
@@ -244,6 +259,8 @@ def edge_candidates(
         up = logsumexp(log_t + xj / lam, axis=2) - log_m
     cands: list[float] = []
     s = table.shape[1]
+    if s == 1:
+        return np.zeros(1)
     for m, nn in combinations(range(s), 2):
         ok = feasible[:, m] & feasible[:, nn]
         if not ok.any():
@@ -269,23 +286,24 @@ def search_distribution(
     node_count). In fast mode ties among equal nodes break by node order."""
     y = transform_linear_query(dist, query)
     n = y.n
-    layers: list[dict[AdversaryNode, float]] = [
+    layers: list[dict[Node, float]] = [
         first_layer(y, QuerySpec.sum_query(n), lam)
     ]
-    edges: dict[tuple[AdversaryNode, int], float] = {}
+    edges: dict[tuple[Node, int], float] = {}
     expand = layers[0]
     for _ in range(1, n):
-        nxt: dict[AdversaryNode, float] = {}
+        nxt: dict[Node, float] = {}
         for node in sorted(expand):
             l_child = expand[node]
-            for j in node.prior:
-                k_prime = tuple(t for t in node.prior if t != j)
-                cands = edge_candidates(y, node.attack, j, k_prime, lam)
+            i, prior = node
+            for j in prior:
+                k_prime = tuple(t for t in prior if t != j)
+                cands = edge_candidates(y, i, j, k_prime, lam)
                 if cands.size == 0:
                     continue
                 ic = pick_edge(l_child, cands)
                 edges[(node, j)] = ic
-                parent = AdversaryNode(node.attack, k_prime)
+                parent = (i, k_prime)
                 val = ancestor_leakage(l_child, ic)
                 if parent not in nxt or val < nxt[parent]:
                     nxt[parent] = val
@@ -293,9 +311,9 @@ def search_distribution(
             break
         layers.append(nxt)
         if fast:
-            by_attack: dict[int, list[AdversaryNode]] = {}
+            by_attack: dict[int, list[Node]] = {}
             for node in nxt:
-                by_attack.setdefault(node.attack, []).append(node)
+                by_attack.setdefault(node[0], []).append(node)
             expand = {}
             for nodes in by_attack.values():
                 nodes.sort(key=lambda nd: (-nxt[nd], nd))
@@ -303,7 +321,7 @@ def search_distribution(
                     expand[nd] = nxt[nd]
         else:
             expand = nxt
-    values: dict[AdversaryNode, float] = {}
+    values: dict[Node, float] = {}
     for layer in layers:
         values.update(layer)
     layer_max, best, argmax = summarize_layers(values, n)
@@ -318,16 +336,16 @@ def search_distribution(
 
 
 def summarize_layers(
-    values: Mapping[AdversaryNode, float], n: int
-) -> tuple[dict[int, float], float, AdversaryNode | None]:
+    values: Mapping[Node, float], n: int
+) -> tuple[dict[int, float], float, Node | None]:
     """(per-layer maxima, overall max, argmax) of node values, the argmax
     being the first maximal node in sorted node order."""
     layer_max: dict[int, float] = {}
     best_val = float("-inf")
-    best_node: AdversaryNode | None = None
+    best_node: Node | None = None
     for node in sorted(values):
         v = values[node]
-        k = n - len(node.prior)
+        k = n - len(node[1])
         if k not in layer_max or v > layer_max[k]:
             layer_max[k] = v
         if v > best_val:
@@ -338,28 +356,28 @@ def summarize_layers(
     return layer_max, best_val, best_node
 
 
-def graph_dicts(graph) -> tuple[list[dict[AdversaryNode, float]], dict]:
+def graph_dicts(graph) -> tuple[list[dict[Node, float]], dict]:
     """The (layers, edges) dicts of a table search's graph, in the order the
     search emitted its rows: layers[k-1] maps the layer-k nodes to their
     leakage, trailing empty layers dropped, and edges maps (child node,
     removed tuple j) to the increment taken on that edge."""
     n = graph.n
-    layers: list[dict[AdversaryNode, float]] = [{} for _ in range(n)]
+    layers: list[dict[Node, float]] = [{} for _ in range(n)]
     for i, mask, value in graph.nodes.tolist():
-        node = AdversaryNode(i, mask_tuple(mask))
-        layers[n - len(node.prior) - 1][node] = value
+        prior = mask_tuple(mask)
+        layers[n - len(prior) - 1][i, prior] = value
     while layers and not layers[-1]:
         layers.pop()
     edges = {
-        (AdversaryNode(i, mask_tuple(mask)), j): ic
+        ((i, mask_tuple(mask)), j): ic
         for i, j, mask, ic in graph.edges.tolist()
     }
     return layers, edges
 
 
-def all_values(graph) -> dict[AdversaryNode, float]:
+def all_values(graph) -> dict[Node, float]:
     """Every node value of a table search's graph, layer by layer."""
-    out: dict[AdversaryNode, float] = {}
+    out: dict[Node, float] = {}
     for layer in graph_dicts(graph)[0]:
         out.update(layer)
     return out

@@ -32,6 +32,15 @@ IC_E3 = 0.953488666261
 LEAK_E3A_WEAK = 1.953488666261
 LEAK_E3B_WEAK = 0.046511333739
 
+# JSON tables with a degenerate tuple. Tuple 0 of ZERO_COEF_TABLE does not
+# enter the query (0, 1), yet leaks through its correlation with tuple 1:
+# adversary (0, ()) reaches log((0.4 e^-2 + 0.6) / (0.8 e^-2 + 0.2)) at
+# lambda 1. Tuple 1 of ONE_VALUE_TABLE takes one value, so its adversaries
+# learn nothing.
+ZERO_COEF_TABLE = {"domains": [[0, 1], [0, 2]], "probs": [0.4, 0.1, 0.2, 0.3]}
+ONE_VALUE_TABLE = {"domains": [[0, 1], [7]], "probs": [0.5, 0.5]}
+LEAK_ZERO_COEF_WEAK = 0.752342127094
+
 
 def binary_table(cells, domains=((0.0, 1.0), (0.0, 1.0))) -> JointDistribution:
     return JointDistribution(domains, np.asarray(cells, dtype=float))

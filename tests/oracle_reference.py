@@ -13,7 +13,6 @@ check against the output log-density ratio.
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -27,7 +26,7 @@ from priordp import (
 )
 from priordp.model_discrete import PROB_FLOOR, logsumexp
 
-from chain_reference import ImpossibleCondition, conditional, value_index
+from chain_reference import ImpossibleCondition, conditional_at, value_index
 
 _NEG_RAY = float("-inf")
 _POS_RAY = float("inf")
@@ -51,15 +50,16 @@ def _merge_centers(centers: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray
 def _hypothesis_mixture(
     dist: JointDistribution,
     i: int,
-    value: float,
-    assignment: Mapping[int, float],
+    hyp: int,
+    cells: Mapping[int, int],
     unknown: list[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and weights of Pr(sum | x_i = value, x_K = assignment)."""
-    base = value + math.fsum(assignment.values())
+    """Centers and weights of Pr(sum | x_i, x_K), with x_i the value at index
+    hyp of its domain and each x_k the value at index cells[k] of its own."""
+    base = dist.domains[i][hyp] + math.fsum(dist.domains[k][p] for k, p in cells.items())
     if not unknown:
         return np.array([base]), np.array([1.0])
-    cond = conditional(dist, unknown, {i: value, **assignment})
+    cond = conditional_at(dist, unknown, {i: hyp, **cells})
     grids = np.meshgrid(*[np.asarray(d) for d in cond.domains], indexing="ij")
     sums = sum(grids).ravel() + base
     w = cond.probs.ravel()
@@ -82,7 +82,10 @@ def pdp_exact_discrete(
     i: int,
     K: Iterable[int],
 ) -> OracleResult:
-    """Exact leakage of adversary (i, K), one hypothesis at a time."""
+    """Exact leakage of adversary (i, K), one hypothesis at a time.
+
+    Hypotheses and assignments are domain indices, not values: a zero
+    query coefficient gives its tuple a domain of repeated zeros."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     y = transform_linear_query(dist, query)
@@ -92,16 +95,17 @@ def pdp_exact_discrete(
         raise ValueError("attacked tuple cannot be in the prior set")
     unknown = [u for u in range(y.n) if u != i and u not in ks]
 
+    dom = y.domains[i]
     if not unknown:
-        assignments: list[dict[int, float]] = [{}]
+        assignments: list[dict[int, int]] = [{}]
         joint_ik = None
     else:
         if ks:
             k_marg = marginal(y, ks)
             assignments = [
-                dict(zip(ks, combo))
-                for combo, p in zip(product(*k_marg.domains), k_marg.probs.ravel())
-                if float(p) >= PROB_FLOOR
+                dict(zip(ks, cell))
+                for cell in np.ndindex(k_marg.probs.shape)
+                if float(k_marg.probs[cell]) >= PROB_FLOOR
             ]
         else:
             assignments = [{}]
@@ -110,26 +114,24 @@ def pdp_exact_discrete(
 
     best = OracleResult(0.0, None, None, 0.0)
     kink_count = 0
-    for assignment in assignments:
+    for cells in assignments:
         if joint_ik is None:
-            feas = list(y.domains[i])
+            feas = list(range(len(dom)))
         else:
-            feas = []
-            for a in y.domains[i]:
-                vals_by_axis = [a if t == i else assignment[t] for t in axes]
-                idx = tuple(
-                    value_index(joint_ik, pos, v) for pos, v in enumerate(vals_by_axis)
-                )
-                if float(joint_ik.probs[idx]) >= PROB_FLOOR:
-                    feas.append(a)
+            feas = [
+                a for a in range(len(dom))
+                if float(joint_ik.probs[tuple(a if t == i else cells[t] for t in axes)])
+                >= PROB_FLOOR
+            ]
         if not feas:
             continue
-        mixtures: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        mixtures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         try:
             for a in feas:
-                mixtures[a] = _hypothesis_mixture(y, i, a, assignment, unknown)
+                mixtures[a] = _hypothesis_mixture(y, i, a, cells, unknown)
         except ImpossibleCondition:
             continue
+        assignment = {k: y.domains[k][p] for k, p in cells.items()}
         kinks = np.unique(np.concatenate([c for c, _ in mixtures.values()]))
         kink_count += kinks.size
         hyp = list(mixtures)
@@ -149,7 +151,7 @@ def pdp_exact_discrete(
                 )
                 for v, r in cands:
                     if v > best.leakage:
-                        best = OracleResult(v, a, b, r, dict(assignment))
+                        best = OracleResult(v, dom[a], dom[b], r, dict(assignment))
     best.kinks_evaluated = kink_count
     return best
 
@@ -176,21 +178,21 @@ def bayesian_gain(
     xi_a = coef[i] * float(xi_a)
     xi_b = coef[i] * float(xi_b)
     unknown = [u for u in range(y.n) if u != i and u not in ks]
-    prior = conditional(y, [i], assignment) if ks else marginal(y, [i])
-    dom = y.domains[i]
+    cells = {k: value_index(y, k, v) for k, v in assignment.items()}
+    prior = conditional_at(y, [i], cells) if ks else marginal(y, [i])
     log_prior = {}
-    for pos, a in enumerate(dom):
+    for pos in range(len(y.domains[i])):
         p = float(prior.probs[pos])
         if p >= PROB_FLOOR:
-            log_prior[a] = math.log(p)
+            log_prior[pos] = math.log(p)
     for v in (xi_a, xi_b):
-        if dom[value_index(y, i, v)] not in log_prior:
+        if value_index(y, i, v) not in log_prior:
             raise ImpossibleCondition(f"Pr(x_{i}={v}, x_K) is zero")
-    xi_a = dom[value_index(y, i, xi_a)]
-    xi_b = dom[value_index(y, i, xi_b)]
+    xi_a = value_index(y, i, xi_a)
+    xi_b = value_index(y, i, xi_b)
     log_lik = {}
     for a in log_prior:
-        centers, weights = _hypothesis_mixture(y, i, a, assignment, unknown)
+        centers, weights = _hypothesis_mixture(y, i, a, cells, unknown)
         log_lik[a] = float(_log_mixture_at(np.array([r]), centers, weights, lam)[0])
     joint = {a: log_prior[a] + log_lik[a] for a in log_prior}
     norm = logsumexp(np.array(list(joint.values())))

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from priordp import (
-    AdversaryNode,
     EdgeMap,
     GaussianModel,
     JointDistribution,
@@ -64,12 +63,10 @@ def domination_survey():
         ls = [local_sensitivity(dist, query, j) for j in range(n)]
         gs = global_sensitivity(dist, query)
         exact = pdp_exact_all(dist, query, 1.0)
-        for node, chain in all_values(graph).items():
-            oracle = exact[node.attack, node.prior].leakage
-            unknown = [
-                j for j in range(n) if j != node.attack and j not in node.prior
-            ]
-            sum_ls = ls[node.attack] + sum(ls[j] for j in unknown)
+        for (i, K), chain in all_values(graph).items():
+            oracle = exact[i, K].leakage
+            unknown = [j for j in range(n) if j != i and j not in K]
+            sum_ls = ls[i] + sum(ls[j] for j in unknown)
             group = (len(unknown) + 1) * gs
             records.append(
                 {
@@ -107,15 +104,15 @@ def test_criterion_1_worked_examples(table_a, table_b, sum2):
     graph_b, _ = full_space_search(table_b, sum2, 1.0)
     elapsed = time.perf_counter() - t0
     assert strong.leakage == pytest.approx(LEAK_A_STRONG, abs=1e-9)
-    assert graph_a.node_value(AdversaryNode(0, (1,))) == pytest.approx(
+    assert graph_a.node_value((0, (1,))) == pytest.approx(
         LEAK_A_STRONG, abs=1e-9
     )
     assert weak_a.leakage == pytest.approx(1.19, abs=0.02)
-    assert graph_a.node_value(AdversaryNode(0, ())) == pytest.approx(
+    assert graph_a.node_value((0, ())) == pytest.approx(
         1.19, abs=0.02
     )
     assert weak_b.leakage == pytest.approx(0.82, abs=0.02)
-    assert graph_b.node_value(AdversaryNode(0, ())) == pytest.approx(
+    assert graph_b.node_value((0, ())) == pytest.approx(
         0.82, abs=0.02
     )
     # frozen digits pin the implementation tighter than the stated window
@@ -133,15 +130,12 @@ def test_criterion_2_near_degenerate(table_e3a, table_e3b, sum2):
         ("b", table_e3b, 0.05),
     ):
         graph, report = full_space_search(dist, sum2, 1.0)
-        weak = graph.node_value(AdversaryNode(0, ()))
+        weak = graph.node_value((0, ()))
         assert weak == pytest.approx(expect, abs=0.02)
         oracle_weak = pdp_exact_discrete(dist, sum2, 1.0, 0, ()).leakage
         assert weak == pytest.approx(oracle_weak, abs=1e-9)
         # the reported argmax adversary must be confirmed by the oracle
-        arg = report.argmax
-        oracle_arg = pdp_exact_discrete(
-            dist, sum2, 1.0, arg.attack, arg.prior
-        ).leakage
+        oracle_arg = pdp_exact_discrete(dist, sum2, 1.0, *report.argmax).leakage
         assert report.leakage == pytest.approx(oracle_arg, abs=1e-9)
         values[name] = weak
     elapsed = time.perf_counter() - t0
@@ -156,7 +150,7 @@ def test_criterion_3_degenerate_diagonal(table_c, table_d, sum2):
         oracle = pdp_exact_discrete(dist, sum2, 1.0, 0, ()).leakage
         assert oracle == pytest.approx(expect, abs=1e-9)
         graph, _ = full_space_search(dist, sum2, 1.0)
-        assert graph.node_value(AdversaryNode(0, ())) == pytest.approx(
+        assert graph.node_value((0, ())) == pytest.approx(
             expect, abs=1e-9
         )
 
@@ -308,10 +302,10 @@ def test_criterion_10_algorithm_relations(synthetic_sweep):
     }
     neg = {k: -0.1 for k in pos}
     top = search_synthetic(DictEdges(pos, n), 1.0, "full")
-    assert n - len(top.argmax.prior) == n
+    assert n - len(top.argmax[1]) == n
     assert top.leakage == pytest.approx(1.0 + (n - 1) * 0.3, abs=1e-12)
     bottom = search_synthetic(DictEdges(neg, n), 1.0, "full")
-    assert n - len(bottom.argmax.prior) == 1
+    assert n - len(bottom.argmax[1]) == 1
     assert bottom.leakage == pytest.approx(1.0, abs=1e-12)
 
 

@@ -34,7 +34,7 @@ from priordp import (
 )
 from priordp.cli import main
 
-from conftest import CELLS_A, LEAK_A_WEAK, random_instance
+from conftest import CELLS_A, LEAK_A_WEAK, ONE_VALUE_TABLE, ZERO_COEF_TABLE, random_instance
 
 # n=3 instance whose exact weak-node leakage exceeds the chain value
 # (output-space supremum at an interior kink; see the graph module notes)
@@ -212,6 +212,18 @@ class TestOracleCheck:
         # on a table --lambda is taken, and 1 is its default
         assert main(["oracle-check", table_a_file, "--lambda", "1"]) == 0
         assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("table, query", [
+        (ZERO_COEF_TABLE, ["--query", "0,1"]),
+        (ONE_VALUE_TABLE, []),
+    ], ids=["zero-coefficient", "one-value"])
+    def test_degenerate_tuple_checks_every_adversary(self, table, query, tmp_path, capsys):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        assert main(["oracle-check", str(path), *query]) == 0
+        out = capsys.readouterr().out
+        assert "4/4 adversaries pass" in out
+        assert "missing" not in out
 
     def test_discrete_witness(self, table_a_file, tmp_path, capsys):
         out = tmp_path / "check.json"

@@ -278,9 +278,15 @@ class TestTransform:
         np.testing.assert_allclose(y.probs[0], np.asarray(CELLS_A)[1])
 
     def test_zero_coefficient_collapses_axis(self, table_a):
+        # every value of the axis becomes 0.0, but its cells stay, and with
+        # them the tuple's correlation with the others
         y = transform_linear_query(table_a, QuerySpec((0.0, 1.0)))
-        assert y.domains[0] == (0.0,)
-        np.testing.assert_allclose(y.probs[0], np.asarray(CELLS_A).sum(axis=0))
+        assert y.domains == ((0.0, 0.0), (0.0, 1.0))
+        np.testing.assert_array_equal(y.probs, table_a.probs)
+
+    def test_overflowing_scale_rejected(self, table_d):
+        with pytest.raises(ValueError, match="finite"):
+            transform_linear_query(table_d, QuerySpec((1.0, 1e308)))
 
     def test_moments_preserved(self):
         dist = three_tuple()

@@ -15,7 +15,6 @@ from scipy.stats import norm
 
 from priordp import model_gaussian
 from priordp import (
-    AdversaryNode,
     GaussianModel,
     SearchSpaceExceeded,
     SingularConditioning,
@@ -332,7 +331,7 @@ class TestMaxLeakage:
         m = equicorrelated(4, 0.5)
         rep = max_leakage_gaussian(m)
         assert rep.leakage == pytest.approx(1.0 + 3 * 0.5, abs=1e-12)
-        assert rep.argmax.prior == ()
+        assert rep.argmax[1] == ()
         # more prior knowledge never helps the adversary here
         for layer in range(1, 4):
             assert rep.layer_max[layer] <= rep.layer_max[layer + 1] + 1e-12
@@ -404,11 +403,9 @@ class TestEnumeration:
             for layer, v in layer_ref.items():
                 assert rep.layer_max[layer] == v
             assert rep.leakage == max(rep.layer_max.values())
-            # the report's argmax is the least maximal adversary in
-            # AdversaryNode order
+            # the report's argmax is the least maximal adversary (i, K)
             top = max(vals.values())
-            assert rep.argmax == min(AdversaryNode(i, K) for (i, K), v in vals.items()
-                                     if v == top)
+            assert rep.argmax == min(node for node, v in vals.items() if v == top)
 
     def test_tie_goes_to_first_in_order(self):
         # x_0, x_1 anti-correlated, x_2 independent. Leakage 1 is reached by
@@ -421,7 +418,7 @@ class TestEnumeration:
                                           1.0, 1.0, 1.0, 1.0]
         rep = max_leakage_gaussian(m)
         assert rep.leakage == 1.0
-        assert rep.argmax == AdversaryNode(0, (1,))
+        assert rep.argmax == (0, (1,))
 
     def test_tie_follows_adversary_node_order(self):
         # tuple 0 is independent, so knowing it changes nothing: (3, (1, 4))
@@ -436,13 +433,13 @@ class TestEnumeration:
         rep = max_leakage_gaussian(m)
         assert rep.leakage == 1.139742721733243
         assert leakage_gaussian(m, 3, (1, 4)) == leakage_gaussian(m, 3, (0, 1, 4))
-        assert rep.argmax == AdversaryNode(3, (0, 1, 4))
+        assert rep.argmax == (3, (0, 1, 4))
 
     @pytest.mark.parametrize("n", [5, 9])
     def test_equicorrelated_argmax_has_no_prior(self, n):
         m = equicorrelated(n, 0.3)
         rep = max_leakage_gaussian(m)
-        assert rep.argmax.prior == ()
+        assert rep.argmax[1] == ()
         assert rep.leakage == pytest.approx(1.0 + (n - 1) * 0.3, abs=1e-12)
 
     def test_singular_block_raises(self):

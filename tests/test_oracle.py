@@ -20,6 +20,7 @@ from priordp import (
     JointDistribution,
     QuerySpec,
     gen_discrete_corr,
+    load_distribution,
     local_sensitivity,
     marginal,
     pdp_exact_all,
@@ -40,6 +41,8 @@ from conftest import (
     LEAK_D_WEAK,
     LEAK_E3A_WEAK,
     LEAK_E3B_WEAK,
+    LEAK_ZERO_COEF_WEAK,
+    ZERO_COEF_TABLE,
     binary_table,
     sized_table,
 )
@@ -385,3 +388,27 @@ class TestAllMatchesReference:
         res = got[0, (1,)]
         assert res.assignment == {1: 1.0}
         assert res.kinks_evaluated == 3
+
+
+class TestZeroCoefficient:
+    """A tuple with coefficient 0 keeps its hypotheses, and leaks through its
+    correlation with the others as it does in the limit a -> 0+."""
+
+    def test_frozen_value(self):
+        res = pdp_exact_all(load_distribution(ZERO_COEF_TABLE), QuerySpec((0.0, 1.0)), 1.0)
+        assert res[0, ()].leakage == pytest.approx(LEAK_ZERO_COEF_WEAK, abs=1e-9)
+
+    def test_limit_of_small_coefficient(self):
+        rng = np.random.default_rng(68)
+        for _ in range(12):
+            n = int(rng.integers(3, 6))
+            dist = sized_table(rng, n, 2 if n == 5 else 3, zero_frac=0.1)
+            coeffs = rng.choice([-1.5, -1.0, 0.5, 1.0, 2.0], size=n)
+            zero = int(rng.integers(n))
+            coeffs[zero] = 0.0
+            got = pdp_exact_all(dist, QuerySpec(tuple(coeffs)), 0.8)
+            coeffs[zero] = 1e-13
+            want = pdp_exact_all(dist, QuerySpec(tuple(coeffs)), 0.8)
+            assert got.keys() == want.keys()
+            for key, res in got.items():
+                assert res.leakage == pytest.approx(want[key].leakage, abs=1e-9), key

@@ -1,11 +1,11 @@
-"""Adversary identity and report aggregation."""
+"""Report aggregation and the (i, K) argmax."""
 
 import json
 
 import numpy as np
 import pytest
 
-from priordp import AdversaryNode, GaussianModel, LeakageReport, max_leakage_gaussian
+from priordp import GaussianModel, LeakageReport, max_leakage_gaussian
 from priordp import model_gaussian, whg
 from priordp.report import _Summary
 from priordp.synth import EdgeMap
@@ -13,54 +13,28 @@ from priordp.synth import EdgeMap
 from chain_reference import summarize_layers
 
 
-class TestAdversaryNode:
-    def test_prior_canonicalized(self):
-        node = AdversaryNode(2, (3, 1, 3))
-        assert node.prior == (1, 3)
-
-    def test_attack_in_prior_rejected(self):
-        with pytest.raises(ValueError):
-            AdversaryNode(1, (0, 1))
-
-    def test_equality_after_canonicalization(self):
-        assert AdversaryNode(0, (2, 1)) == AdversaryNode(0, (1, 2))
-        assert hash(AdversaryNode(0, (2, 1))) == hash(AdversaryNode(0, (1, 2)))
-
-    def test_ordering_is_total(self):
-        nodes = [AdversaryNode(1, ()), AdversaryNode(0, (1,)), AdversaryNode(0, ())]
-        ordered = sorted(nodes)
-        assert ordered[0] == AdversaryNode(0, ())
-        assert ordered[-1] == AdversaryNode(1, ())
-
-    def test_json_round_trip(self):
-        node = AdversaryNode(3, (0, 5))
-        assert node.to_json() == [3, [0, 5]]
-        # and through an actual JSON encoder
-        assert AdversaryNode(*json.loads(json.dumps(node.to_json()))) == node
-
-
 class TestSummarizeLayers:
     def test_per_layer_maxima(self):
         n = 3
         values = {
-            AdversaryNode(0, (1, 2)): 1.0,
-            AdversaryNode(1, (0, 2)): 2.5,
-            AdversaryNode(0, (1,)): 1.7,
-            AdversaryNode(0, ()): 0.4,
+            (0, (1, 2)): 1.0,
+            (1, (0, 2)): 2.5,
+            (0, (1,)): 1.7,
+            (0, ()): 0.4,
         }
         layer_max, best, arg = summarize_layers(values, n)
         assert layer_max == {1: 2.5, 2: 1.7, 3: 0.4}
         assert best == 2.5
-        assert arg == AdversaryNode(1, (0, 2))
+        assert arg == (1, (0, 2))
 
     def test_tie_picks_smallest_node(self):
         values = {
-            AdversaryNode(1, ()): 3.0,
-            AdversaryNode(0, ()): 3.0,
+            (1, ()): 3.0,
+            (0, ()): 3.0,
         }
         _, best, arg = summarize_layers(values, 2)
         assert best == 3.0
-        assert arg == AdversaryNode(0, ())
+        assert arg == (0, ())
 
     def test_empty_input(self):
         layer_max, best, arg = summarize_layers({}, 4)
@@ -73,7 +47,7 @@ def test_report_json_shape():
     rep = LeakageReport(
         layer_max={2: 1.5, 1: 2.0},
         leakage=2.0,
-        argmax=AdversaryNode(0, (1,)),
+        argmax=(0, (1,)),
         node_count=4,
         elapsed=0.01,
         algorithm="full",
@@ -120,18 +94,18 @@ class TestSummary:
         # as sorted tuples: (1, 2), (0, 1, 3), (0, 1), (0, 3), (1,)
         masks = np.array([0b110, 0b1011, 0b11, 0b1001, 0b10])
         rep = replay([(2, 3, masks, np.ones(5))])
-        assert rep.argmax == AdversaryNode(2, (0, 1))
+        assert rep.argmax == (2, (0, 1))
         # with aligned attacked tuples the least attacked tuple goes first:
         # (4, (0,)) loses to (1, (0, 2, 3)), which beats (1, (2, 3))
         attacks = np.array([4, 1, 4, 1])
         masks = np.array([0b111, 0b1101, 0b1, 0b1100])
         rep = replay([(attacks, 3, masks, np.ones(4))])
-        assert rep.argmax == AdversaryNode(1, (0, 2, 3))
+        assert rep.argmax == (1, (0, 2, 3))
         # a tuple sorts before its extensions, the empty one first of all
         rep = replay([(0, 2, np.array([0b1110, 0b110, 0b10]), np.ones(3))])
-        assert rep.argmax == AdversaryNode(0, (1,))
+        assert rep.argmax == (0, (1,))
         rep = replay([(0, 2, np.array([0b1110, 0, 0b10]), np.ones(3))])
-        assert rep.argmax == AdversaryNode(0, ())
+        assert rep.argmax == (0, ())
 
     def test_argmax_matches_sorted_nodes(self):
         # random batches with few distinct values, so most maxima tie
@@ -147,7 +121,7 @@ class TestSummary:
                        for a, b in zip([0, *cuts], [*cuts, size])]
             rng.shuffle(batches)
             rep = replay(batches)
-            want = min(AdversaryNode(i, [t for t in range(n) if (m >> t) & 1])
+            want = min((i, tuple(t for t in range(n) if (m >> t) & 1))
                        for i, m, v in zip(attacks, masks, vals) if v == vals.max())
             assert rep.leakage == vals.max()
             assert rep.argmax == want
@@ -157,7 +131,7 @@ class TestSummary:
                       (1, 2, np.array([0b1]), np.array([2.0])),
                       (0, 1, np.array([0b110]), np.array([2.0]))])
         assert rep.leakage == 2.0
-        assert rep.argmax == AdversaryNode(0, (1, 2))
+        assert rep.argmax == (0, (1, 2))
         assert rep.layer_max == {1: 2.0, 2: 2.0}
         assert rep.node_count == 3
 
@@ -171,7 +145,7 @@ class TestSummary:
             assert same_numbers(replay(batches), rep)
             assert same_numbers(replay(reversed(batches)), rep)
             if isinstance(edges, ZeroEdges):
-                assert rep.argmax == AdversaryNode(0, ())
+                assert rep.argmax == (0, ())
 
     def test_enumeration_batches_in_any_order(self):
         S = np.array([[130, 0, 0, 0, 0],

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from priordp import whg
 from priordp import (
-    AdversaryNode,
     DegenerateVariable,
     JointDistribution,
     QuerySpec,
     SearchSpaceExceeded,
     fast_search,
     full_space_search,
+    load_distribution,
     local_sensitivity,
+    pdp_exact_all,
     pdp_exact_discrete,
     search_synthetic,
     transform_linear_query,
@@ -46,6 +47,8 @@ from conftest import (
     IC_A,
     LEAK_A_WEAK,
     LEAK_B_WEAK,
+    ONE_VALUE_TABLE,
+    ZERO_COEF_TABLE,
     binary_table,
     random_instance,
     sized_table,
@@ -160,8 +163,8 @@ class TestIRValue:
 class TestFirstLayer:
     def test_values_are_scaled_sensitivities(self, table_d, sum2):
         fl = first_layer(table_d, sum2, 2.0)
-        assert fl[AdversaryNode(0, (1,))] == pytest.approx(0.5)
-        assert fl[AdversaryNode(1, (0,))] == pytest.approx(2.5)
+        assert fl[0, (1,)] == pytest.approx(0.5)
+        assert fl[1, (0,)] == pytest.approx(2.5)
 
     def test_distribution_invariance(self, table_a, table_b, sum2):
         assert first_layer(table_a, sum2, 1.0) == first_layer(table_b, sum2, 1.0)
@@ -193,23 +196,23 @@ def test_chain_rule_path_nested_absolutes():
 class TestDistributionSearch:
     def test_frozen_positive_table(self, table_a, sum2):
         graph, report = full_space_search(table_a, sum2, 1.0)
-        assert graph.node_value(AdversaryNode(0, (1,))) == pytest.approx(1.0)
-        assert graph.node_value(AdversaryNode(0, ())) == pytest.approx(
+        assert graph.node_value((0, (1,))) == pytest.approx(1.0)
+        assert graph.node_value((0, ())) == pytest.approx(
             LEAK_A_WEAK, abs=1e-9
         )
         assert report.leakage == pytest.approx(LEAK_A_WEAK, abs=1e-9)
-        assert report.argmax == AdversaryNode(0, ())
+        assert report.argmax == (0, ())
         assert report.algorithm == "full"
 
     def test_frozen_negative_table_max_at_first_layer(self, table_b, sum2):
         graph, report = full_space_search(table_b, sum2, 1.0)
-        assert graph.node_value(AdversaryNode(0, ())) == pytest.approx(
+        assert graph.node_value((0, ())) == pytest.approx(
             LEAK_B_WEAK, abs=1e-9
         )
         # with anticorrelation the weaker adversary learns less; the report
         # supremum sits on the strongest adversaries
         assert report.leakage == pytest.approx(1.0, abs=1e-12)
-        assert 2 - len(report.argmax.prior) == 1
+        assert 2 - len(report.argmax[1]) == 1
 
     def test_fast_equals_full_when_nothing_prunable(self, sum2):
         rng = np.random.default_rng(23)
@@ -241,14 +244,12 @@ class TestDistributionSearch:
             layer = layers[k - 1]
             for parent, val in layer.items():
                 cands = []
-                for (child, j), ic in edges.items():
-                    if child.attack != parent.attack:
+                for ((i, K), j), ic in edges.items():
+                    if (i, tuple(t for t in K if t != j)) != parent:
                         continue
-                    if tuple(t for t in child.prior if t != j) != parent.prior:
+                    if 4 - len(K) != k - 1:
                         continue
-                    if 4 - len(child.prior) != k - 1:
-                        continue
-                    cands.append(abs(values[child] + ic))
+                    cands.append(abs(values[i, K] + ic))
                 assert cands, f"no in-edges recorded for {parent}"
                 assert val == pytest.approx(min(cands), abs=1e-12)
 
@@ -265,9 +266,7 @@ class TestDistributionSearch:
             dist = binary_table(cells.tolist())
             graph, _ = full_space_search(dist, sum2, 1.0)
             for node, val in all_values(graph).items():
-                exact = pdp_exact_discrete(
-                    dist, sum2, 1.0, node.attack, node.prior
-                )
+                exact = pdp_exact_discrete(dist, sum2, 1.0, *node)
                 assert val >= exact.leakage - 1e-9
 
     def test_chain_exact_on_strongest_adversaries(self):
@@ -279,10 +278,8 @@ class TestDistributionSearch:
             dist = random_instance(rng, 3)
             graph, _ = full_space_search(dist, q, 1.0)
             for node, val in all_values(graph).items():
-                if 3 - len(node.prior) == 1:
-                    exact = pdp_exact_discrete(
-                        dist, q, 1.0, node.attack, node.prior
-                    )
+                if 3 - len(node[1]) == 1:
+                    exact = pdp_exact_discrete(dist, q, 1.0, *node)
                     assert val == pytest.approx(exact.leakage, abs=1e-12)
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0])
@@ -352,12 +349,11 @@ class TestKernelMatchesReference:
             _, edges = graph_dicts(graph)
             for parent, val in values.items():
                 ins = [
-                    abs(values[child] + ic)
-                    for (child, j), ic in edges.items()
-                    if child.attack == parent.attack
-                    and tuple(t for t in child.prior if t != j) == parent.prior
+                    abs(values[i, K] + ic)
+                    for ((i, K), j), ic in edges.items()
+                    if (i, tuple(t for t in K if t != j)) == parent
                 ]
-                if n - len(parent.prior) > 1:
+                if n - len(parent[1]) > 1:
                     assert val == min(ins)
         assert missing > 0
 
@@ -444,11 +440,11 @@ class TestKernelMatchesReference:
         graph, report = fast_search(dist, QuerySpec.sum_query(n), 1.0)
         layers, edges = graph_dicts(graph)
         for i in range(n):
-            layer3 = [nd for nd in layers[2] if nd.attack == i]
+            layer3 = [nd for nd in layers[2] if nd[0] == i]
             assert len({layers[2][nd] for nd in layer3}) == 1
             assert len(layer3) == 10
             expanded = {nd for (nd, _) in edges if nd in layer3}
-            by_mask = sorted(layer3, key=lambda nd: sum(1 << t for t in nd.prior))
+            by_mask = sorted(layer3, key=lambda nd: sum(1 << t for t in nd[1]))
             assert expanded == set(by_mask[:n])
         assert report.node_count == 180
 
@@ -483,10 +479,55 @@ class TestGraphArrays:
     def test_node_value(self, table_a, sum2):
         graph, _ = full_space_search(table_a, sum2, 1.0)
         for i, mask, value in graph.nodes.tolist():
-            assert graph.node_value(AdversaryNode(i, mask_tuple(mask))) == value
+            assert graph.node_value((i, mask_tuple(mask))) == value
+            # K in any order
+            assert graph.node_value((i, mask_tuple(mask)[::-1])) == value
         # a two-tuple table has no tuple 2 to attack
         with pytest.raises(KeyError):
-            graph.node_value(AdversaryNode(2, ()))
+            graph.node_value((2, ()))
+        with pytest.raises(ValueError, match="prior set"):
+            graph.node_value((1, (0, 1)))
+
+
+class TestDegenerateTuples:
+    """A full search reaches all n 2^(n-1) nodes when a tuple has a zero
+    coefficient or a single value, and its report's argmax is a key of
+    pdp_exact_all."""
+
+    def test_zero_coefficient_is_the_small_coefficient_limit(self):
+        rng = np.random.default_rng(69)
+        cases = [(load_distribution(ZERO_COEF_TABLE), [0.0, 1.0])]
+        for n in (3, 4, 5):
+            coeffs = list(rng.choice([-1.5, -1.0, 0.5, 1.0, 2.0], size=n))
+            coeffs[int(rng.integers(n))] = 0.0
+            cases.append((sized_table(rng, n, 2, zero_frac=0.1), coeffs))
+        for dist, coeffs in cases:
+            query = QuerySpec(tuple(coeffs))
+            graph, report = full_space_search(dist, query, 0.8)
+            n = dist.n
+            assert report.node_count == len(graph.nodes) == n * 2 ** (n - 1)
+            assert report.argmax in pdp_exact_all(dist, query, 0.8)
+            small = QuerySpec(tuple(1e-13 if a == 0.0 else a for a in coeffs))
+            limit, _ = full_space_search(dist, small, 0.8)
+            np.testing.assert_array_equal(graph.nodes[["attack", "mask"]],
+                                          limit.nodes[["attack", "mask"]])
+            np.testing.assert_allclose(graph.nodes["value"], limit.nodes["value"],
+                                       rtol=0, atol=1e-9)
+
+    def test_one_value_tuple_reads_zero(self):
+        rng = np.random.default_rng(70)
+        cases = [load_distribution(ONE_VALUE_TABLE)]
+        cases += [mixed_table(rng, sizes, 0.1) for sizes in ((2, 1, 3), (1, 2, 2, 2))]
+        for dist in cases:
+            n = dist.n
+            query = QuerySpec.sum_query(n)
+            graph, report = full_space_search(dist, query, 1.0)
+            assert report.node_count == len(graph.nodes) == n * 2 ** (n - 1)
+            exact = pdp_exact_all(dist, query, 1.0)
+            assert report.argmax in exact
+            for i, mask, value in graph.nodes.tolist():
+                if len(dist.domains[i]) == 1:
+                    assert value == exact[i, mask_tuple(mask)].leakage == 0.0
 
 
 def dyadic_table():
@@ -539,7 +580,7 @@ class TestSyntheticSearch:
         edges = dense_edges(n, lambda i, K, j: c)
         rep = search_synthetic(DictEdges(edges, n), 1.0, mode="full")
         assert rep.leakage == pytest.approx(1.0 + (n - 1) * c, abs=1e-12)
-        assert n - len(rep.argmax.prior) == n
+        assert n - len(rep.argmax[1]) == n
         fast = search_synthetic(DictEdges(edges, n), 1.0, mode="fast")
         assert fast.leakage == pytest.approx(rep.leakage, abs=1e-12)
 
@@ -548,7 +589,7 @@ class TestSyntheticSearch:
         edges = dense_edges(n, lambda i, K, j: -c)
         rep = search_synthetic(DictEdges(edges, n), 1.0, mode="full")
         assert rep.leakage == pytest.approx(1.0, abs=1e-12)
-        assert n - len(rep.argmax.prior) == 1
+        assert n - len(rep.argmax[1]) == 1
 
     def test_mixed_signs_peak_at_interior_layer(self):
         def rule(i, K, j):
@@ -557,7 +598,7 @@ class TestSyntheticSearch:
         edges = dense_edges(3, rule)
         rep = search_synthetic(DictEdges(edges, 3), 1.0, mode="full")
         assert rep.leakage == pytest.approx(1.8, abs=1e-12)
-        assert 3 - len(rep.argmax.prior) == 2
+        assert 3 - len(rep.argmax[1]) == 2
 
     def test_min_merge_across_paths(self):
         edges = dense_edges(3, lambda i, K, j: 0.0)
@@ -635,7 +676,7 @@ class TestArgmaxRule:
         summary = _Summary()
         whg._kernel(peak_edges(peaks), [0.5, 0.5, 0.5, 0.5, 1.0], mode == "fast", summary)
         rep = summary.report(mode, {})
-        assert (rep.leakage, rep.argmax) == (2.0, AdversaryNode(4, want))
+        assert (rep.leakage, rep.argmax) == (2.0, (4, want))
 
     @pytest.mark.parametrize("domains, cells, want", [
         # swapping x0 with x1 and x2 with x3 at once leaves the table as it
@@ -655,8 +696,8 @@ class TestArgmaxRule:
         dist = JointDistribution(domains, np.reshape(cells, shape) / sum(cells))
         graph, report = full_space_search(dist, QuerySpec.sum_query(5), 0.25)
         ties = sorted(nd for nd, v in all_values(graph).items() if v == report.leakage)
-        assert ties[0] == report.argmax == AdversaryNode(4, want)
-        assert AdversaryNode(4, (1, 2)) in ties
+        assert ties[0] == report.argmax == (4, want)
+        assert (4, (1, 2)) in ties
 
 
 def kernel_trace(kernel, edges, first, fast):
