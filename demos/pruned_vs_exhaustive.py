@@ -18,8 +18,8 @@ def sweep(n, corrs, seeds):
         gaps, tf, tp, fl, pl = [], 0.0, 0.0, 0.0, 0.0
         for seed in range(seeds):
             edges = EdgeMap(n, corr, seed=seed)
-            full = search_synthetic(edges, 1.0, "full")
-            fast = search_synthetic(edges, 1.0, "fast")
+            full = search_synthetic(edges, mode="full")
+            fast = search_synthetic(edges, mode="fast")
             assert fast.leakage >= full.leakage - 1e-12
             gaps.append((fast.leakage - full.leakage) / full.leakage)
             tf += full.elapsed
@@ -34,8 +34,8 @@ def growth(ns):
     print(f"{'n':>4} {'nodes':>8} {'t_full':>9} {'t_fast':>9}")
     for n in ns:
         edges = EdgeMap(n, 0.5, seed=0)
-        full = search_synthetic(edges, 1.0, "full")
-        fast = search_synthetic(edges, 1.0, "fast")
+        full = search_synthetic(edges, mode="full")
+        fast = search_synthetic(edges, mode="fast")
         print(f"{n:>4} {n * 2 ** (n - 1):>8} {full.elapsed:>8.3f}s "
               f"{fast.elapsed:>8.4f}s")
     print("full doubles per added tuple; fast stays polynomial.")

@@ -302,7 +302,7 @@ def cmd_experiment(args) -> int:
         if args.kind == "gaussian":
             return {(a, "enumerate"): max_leakage_gaussian(model_or_seed).layer_max}
         edges = EdgeMap(args.n, a, seed=model_or_seed, scale=args.scale, alpha=alpha)
-        return {(a, mode): search_synthetic(edges, args.scale, mode).layer_max
+        return {(a, mode): search_synthetic(edges, mode=mode).layer_max
                 for mode in ("full", "fast")}
 
     results: dict[tuple[float, str], list[dict[int, float]]] = {}

@@ -6,8 +6,8 @@ unaffordable. Each edge value is a deterministic function of (attacked
 tuple, removed tuple, child prior set), so the full and pruned searches see
 byte-identical weights without materializing 2^n entries. An edge map's
 scale plays the role of GS/lambda: it is the unit of the edge magnitudes
-and the leakage of every strongest adversary, so a synthetic chain is
-searched as search_synthetic(EdgeMap(..., scale=s), s, mode).
+and the leakage of every strongest adversary, its first layer, so
+search_synthetic(EdgeMap(..., scale=s), mode=mode) searches a whole chain.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ class EdgeMap:
         self.aver_corr = float(aver_corr)
         self.seed = int(seed)
         self.scale = float(scale)
+        self.first = [self.scale] * self.n
         self.alpha = float(alpha)
         self._sign = math.copysign(1.0, aver_corr) if aver_corr else 0.0
         self._m = abs(aver_corr)

@@ -31,17 +31,19 @@ between them is a measured quantity, not an assumed sign.
 Node leakage quantifies over prior-knowledge *values*: the max over all
 positive-probability assignments of x_K' enters the candidate set.
 
-All searches run on one bitmask kernel fed by an edge source: an object
-with an attribute `n` and a method `values(i, masks, j)`, where `masks` is
-an int64 array of child prior sets K (bit t set when t is in K), i the
-attacked tuple and j the removed tuple of each edge: each one int for all
-of them, or an int64 array aligned with `masks`. Every i and j must lie in
-[0, n), each j differ from its i and belong to its child's K, and no K
-holds its i; both edge sources check this with edge_indices, which raises
-ValueError otherwise. It returns either one increment per child (synthetic
-edges) or a (cmin, cmax) pair of arrays, the extremes of each child's
-candidate set (a table). |l + c| is convex in c,
-so the kernel takes cmax when |l + cmax| >= |l + cmin| and cmin otherwise;
+All searches run on one bitmask kernel fed by an edge source, which
+describes a whole chain: an object with attributes `n` and `first`, the
+values of the n strongest adversaries (i, all other tuples) by i (LS_i/lam
+for a table, the scale for an EdgeMap), and a method `values(i, masks, j)`,
+where `masks` is an int64 array of child prior sets K (bit t set when t is
+in K), i the attacked tuple and j the removed tuple of each edge: each one
+int for all of them, or an int64 array aligned with `masks`. Every i and
+j must lie in [0, n), each j differ from its i and belong to its child's
+K, and no K holds its i; both edge sources check this with edge_indices,
+which raises ValueError otherwise. It returns either one increment per
+child (synthetic edges) or a (cmin, cmax) pair of arrays, the extremes of
+each child's candidate set (a table). |l + c| is convex in c, so the
+kernel takes cmax when |l + cmax| >= |l + cmin| and cmin otherwise;
 a NaN pair marks an edge with no feasible candidate, which leaves its
 parent untouched. An attacked tuple with one value has no hypothesis pair,
 so its edges take the candidate 0 and its nodes read 0, its exact leakage.
@@ -181,6 +183,10 @@ class _TableEdges:
 
     def __init__(self, y: JointDistribution, lam: float):
         n = self.n = y.n
+        # a strongest adversary's leakage is LS_i(f) / lam: with all other
+        # tuples known the output density is the bare Laplace kernel
+        sum_query = QuerySpec.sum_query(n)
+        self.first = [local_sensitivity(y, sum_query, i) / lam for i in range(n)]
         self._y = y
         self._lam = lam
         self._size = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
@@ -347,7 +353,6 @@ def _segment_extremes(lo_up: np.ndarray) -> np.ndarray:
 
 def _kernel(
     edges,
-    first: list[float],
     fast: bool,
     on_layer: Callable[[np.ndarray, int, np.ndarray, np.ndarray], None],
     on_edges: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
@@ -392,7 +397,7 @@ def _kernel(
 
     tuples = np.arange(n, dtype=np.int64)
     # a layer as one flat array: node (i, column rank r) at i * width + r
-    child_layer = np.asarray(first, dtype=float)
+    child_layer = np.asarray(edges.first, dtype=float)
     on_layer(tuples, 1, ((1 << n) - 1) ^ (1 << tuples), child_layer)
     expand, count = tuples, np.ones(n, dtype=np.int64)
     for layer in range(2, n + 1):
@@ -524,10 +529,6 @@ def _search_distribution(
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
     summary = _Summary()
-    # a strongest adversary's leakage is LS_i(f) / lam: with all other
-    # tuples known the output density is the bare Laplace kernel
-    sum_query = QuerySpec.sum_query(n)
-    first = [local_sensitivity(y, sum_query, i) / lam for i in range(n)]
     nodes: list[np.ndarray] = []
     edges = [np.empty(0, _EDGE)]  # a one-tuple table has no edges
 
@@ -542,7 +543,7 @@ def _search_distribution(
         rows["attack"], rows["j"], rows["mask"], rows["ic"] = atts, js, masks, ics
         edges.append(rows)
 
-    _kernel(_TableEdges(y, lam), first, fast, on_layer, on_edges)
+    _kernel(_TableEdges(y, lam), fast, on_layer, on_edges)
     graph = WeightedHierGraph(n, np.concatenate(nodes), np.concatenate(edges))
     return graph, summary.report(
         "fast" if fast else "full",
@@ -586,21 +587,16 @@ def fast_search(
     return _search_distribution(dist, query, lam, fast=True)
 
 
-def search_synthetic(edges, first: float, mode: str = "full") -> LeakageReport:
+def search_synthetic(edges, mode: str = "full") -> LeakageReport:
     """Run the exhaustive or pruned search over externally supplied edges.
 
-    `edges` is an edge source (see the module notes) and `first` the value
-    of every strongest adversary, the unit GS/lambda of a synthetic chain:
-    a finite, non-negative number. Node and edge semantics match the
-    distribution-driven searches; values are already in leakage units, so
-    no noise scale is involved here.
+    `edges` is an edge source (see the module notes), first layer included:
+    an EdgeMap's is its scale, the unit GS/lambda of a synthetic chain.
+    Node and edge semantics match the distribution-driven searches; values
+    are already in leakage units, so no noise scale is involved here.
     """
     if mode not in ("full", "fast"):
         raise ValueError("mode must be 'full' or 'fast'")
-    first = float(first)
-    if not 0 <= first < math.inf:
-        raise ValueError(f"first-layer value must be finite and non-negative, got {first}")
-    n = edges.n
     summary = _Summary()
-    _kernel(edges, [first] * n, mode == "fast", summary)
-    return summary.report(mode, {"synthetic": True, "n": n})
+    _kernel(edges, mode == "fast", summary)
+    return summary.report(mode, {"synthetic": True, "n": edges.n})

@@ -13,8 +13,9 @@ It also holds `value_index`, which finds a value in a tuple's domain, the
 conditional tables the oracle reference uses, given by value or by domain
 index, `first_layer`, the strongest
 adversaries' leakage as a node dict, the increment-ratio sign law,
-`DictEdges`, an edge source over a hand-built {(i, K, j): ic} mapping that
-takes attacked and removed tuples as ints or aligned arrays, and
+`DictEdges`, an edge source over a hand-built {(i, K, j): ic} mapping and
+first layer that takes attacked and removed tuples as ints or aligned
+arrays, and
 `graph_dicts`, which turns a search's node and edge arrays back into the
 reference's dicts.
 """
@@ -389,12 +390,19 @@ def mask_tuple(mask: int) -> tuple[int, ...]:
 
 
 class DictEdges:
-    """Edge source over a {(i, K tuple, j): ic} mapping. i and j are each
-    one tuple or an int64 array aligned with the masks; indices are checked
-    with priordp.whg.edge_indices, and a missing edge raises KeyError."""
+    """Edge source over a {(i, K tuple, j): ic} mapping, with a first layer
+    of one float for every tuple or n floats. i and j are each one tuple or
+    an int64 array aligned with the masks; indices are checked with
+    priordp.whg.edge_indices, and a missing edge raises KeyError."""
 
-    def __init__(self, mapping: Mapping[tuple[int, tuple[int, ...], int], float], n: int):
+    def __init__(
+        self,
+        mapping: Mapping[tuple[int, tuple[int, ...], int], float],
+        n: int,
+        first: float | Iterable[float] = 1.0,
+    ):
         self.n = n
+        self.first = np.broadcast_to(np.asarray(first, dtype=float), (n,)).tolist()
         self._map = {(i, tuple(sorted(K)), j): float(v) for (i, K, j), v in mapping.items()}
 
     def values(self, i, child_masks: np.ndarray, j) -> np.ndarray:
@@ -408,7 +416,6 @@ class DictEdges:
 
 def reference_kernel(
     edges,
-    first: list[float],
     fast: bool,
     on_layer: Callable[[int, int, np.ndarray, np.ndarray], None],
     on_edges: Callable[[int, int, np.ndarray, np.ndarray], None] | None = None,
@@ -432,8 +439,8 @@ def reference_kernel(
     for i in range(n):
         values.fill(np.inf)
         start = full_mask ^ (1 << i)
-        values[start] = first[i]
-        on_layer(i, 1, np.asarray([start]), np.asarray([first[i]]))
+        values[start] = edges.first[i]
+        on_layer(i, 1, np.asarray([start]), np.asarray([edges.first[i]]))
         expand = np.asarray([start], dtype=np.int64)
         for layer in range(2, n + 1):
             for j in range(n):

@@ -133,7 +133,7 @@ def synthetic_cases() -> list[dict]:
                 edges = EdgeMap(10, corr, seed=3, scale=scale, alpha=alpha)
                 case = {"name": f"edge_map_n10_c{corr}_a{alpha:g}_s{scale}"}
                 for mode in ("full", "fast"):
-                    case[mode] = _report(search_synthetic(edges, edges.scale, mode))
+                    case[mode] = _report(search_synthetic(edges, mode=mode))
                 out.append(case)
     return out
 

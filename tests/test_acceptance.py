@@ -88,8 +88,8 @@ def synthetic_sweep():
     for corr in (0.2, 0.5, 0.8):
         for seed in range(30):
             edges = EdgeMap(15, corr, seed=seed)
-            full = search_synthetic(edges, 1.0, "full")
-            fast = search_synthetic(edges, 1.0, "fast")
+            full = search_synthetic(edges, mode="full")
+            fast = search_synthetic(edges, mode="fast")
             out[(corr, seed)] = (full, fast)
     return out
 
@@ -301,10 +301,10 @@ def test_criterion_10_algorithm_relations(synthetic_sweep):
         for j in K
     }
     neg = {k: -0.1 for k in pos}
-    top = search_synthetic(DictEdges(pos, n), 1.0, "full")
+    top = search_synthetic(DictEdges(pos, n), mode="full")
     assert n - len(top.argmax[1]) == n
     assert top.leakage == pytest.approx(1.0 + (n - 1) * 0.3, abs=1e-12)
-    bottom = search_synthetic(DictEdges(neg, n), 1.0, "full")
+    bottom = search_synthetic(DictEdges(neg, n), mode="full")
     assert n - len(bottom.argmax[1]) == 1
     assert bottom.leakage == pytest.approx(1.0, abs=1e-12)
 
@@ -319,7 +319,7 @@ def test_criterion_11_performance(synthetic_sweep):
     for n in sizes:
         edges = EdgeMap(n, 0.5, seed=1)
         t = min(
-            search_synthetic(edges, 1.0, "fast").elapsed for _ in range(3)
+            search_synthetic(edges, mode="fast").elapsed for _ in range(3)
         )
         fast_times.append(max(t, 1e-7))
     slope_fast = float(
@@ -329,7 +329,7 @@ def test_criterion_11_performance(synthetic_sweep):
     full_times = []
     for n in full_sizes:
         edges = EdgeMap(n, 0.5, seed=1)
-        full_times.append(max(search_synthetic(edges, 1.0, "full").elapsed, 1e-7))
+        full_times.append(max(search_synthetic(edges, mode="full").elapsed, 1e-7))
     slope_full = float(
         np.polyfit(full_sizes, np.log2(full_times), 1)[0]
     )

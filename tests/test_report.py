@@ -62,10 +62,12 @@ def test_report_json_shape():
 
 
 class ZeroEdges:
-    """Synthetic edges of increment 0: every node keeps its first-layer value."""
+    """Synthetic edges of increment 0 after a first layer of one float for
+    every tuple or n floats: every node keeps its first-layer value."""
 
-    def __init__(self, n):
+    def __init__(self, n, first=1.0):
         self.n = n
+        self.first = np.broadcast_to(np.asarray(first, dtype=float), (n,)).tolist()
 
     def values(self, i, masks, j):
         return np.zeros(np.shape(masks))
@@ -83,9 +85,9 @@ def same_numbers(a, b):
         b.layer_max, b.leakage, b.argmax, b.node_count)
 
 
-def search_batches(edges, first, fast):
+def search_batches(edges, fast):
     batches = []
-    whg._kernel(edges, first, fast, lambda *call: batches.append(call))
+    whg._kernel(edges, fast, lambda *call: batches.append(call))
     return batches
 
 
@@ -139,9 +141,8 @@ class TestSummary:
     def test_search_batches_in_any_order(self, fast):
         # with zero increments every node of every attacked tuple ties
         for edges in (ZeroEdges(5), EdgeMap(6, 0.5, seed=1)):
-            first = [1.0] * edges.n
-            batches = search_batches(edges, first, fast)
-            rep = whg.search_synthetic(edges, 1.0, "fast" if fast else "full")
+            batches = search_batches(edges, fast)
+            rep = whg.search_synthetic(edges, mode="fast" if fast else "full")
             assert same_numbers(replay(batches), rep)
             assert same_numbers(replay(reversed(batches)), rep)
             if isinstance(edges, ZeroEdges):

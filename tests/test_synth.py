@@ -62,7 +62,10 @@ class TestEdgeMap:
         assert np.all(edge_sample(EdgeMap(16, -1.0)) == -1.0)
 
     def test_scale_bounds(self):
-        vals = edge_sample(EdgeMap(16, 0.3, seed=9, scale=0.25))
+        emap = EdgeMap(16, 0.3, seed=9, scale=0.25)
+        # the unit is also every strongest adversary's leakage
+        assert emap.first == [0.25] * 16
+        vals = edge_sample(emap)
         assert np.all(np.abs(vals) <= 0.25)
         assert np.mean(np.abs(vals)) == pytest.approx(0.3 * 0.25, abs=0.01)
 

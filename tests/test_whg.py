@@ -24,7 +24,6 @@ from priordp import (
     search_synthetic,
     transform_linear_query,
 )
-from priordp.report import _Summary
 from priordp.synth import EdgeMap
 
 from chain_reference import (
@@ -185,6 +184,25 @@ class TestFirstLayer:
             q = QuerySpec.sum_query(n)
             graph, _ = search(dist, q, 0.7)
             assert graph_dicts(graph)[0][0] == first_layer(dist, q, 0.7)
+
+    @pytest.mark.parametrize("domains, coeffs", [
+        ([(0.0, 1.0), (0.0, 5.0)], None),
+        ([(0.0, 0.4, 1.3), (0.2, 0.5, 0.9), (0.0, 1.0, 2.5)], None),
+        ([(0.0, 1.0), (0.0, 0.3, 2.0), (0.1, 0.7)], (1.5, -2.0, 0.0)),
+        ([(0.0, 1.0), (7.0,), (0.0, 1.5)], None),
+    ], ids=["binary", "ternary", "signed", "one_value"])
+    def test_table_edges_carry_first_layer(self, domains, coeffs):
+        # the edge source of a table search holds LS_i / lambda of the
+        # transformed table, which the full search's layer 1 reads
+        n, sizes = len(domains), [len(d) for d in domains]
+        probs = np.random.default_rng(71).dirichlet(np.ones(math.prod(sizes)))
+        dist = JointDistribution(domains, probs.reshape(sizes))
+        query = QuerySpec(coeffs) if coeffs else QuerySpec.sum_query(n)
+        y = transform_linear_query(dist, query)
+        first = whg._TableEdges(y, 0.3).first
+        assert repr(first) == repr(list(first_layer(y, QuerySpec.sum_query(n), 0.3).values()))
+        graph, _ = full_space_search(dist, query, 0.3)
+        assert repr(first) == repr(list(graph_dicts(graph)[0][0].values()))
 
 
 def test_chain_rule_path_nested_absolutes():
@@ -578,16 +596,16 @@ class TestSyntheticSearch:
     def test_all_positive_edges_peak_at_top_layer(self):
         n, c = 4, 0.3
         edges = dense_edges(n, lambda i, K, j: c)
-        rep = search_synthetic(DictEdges(edges, n), 1.0, mode="full")
+        rep = search_synthetic(DictEdges(edges, n), mode="full")
         assert rep.leakage == pytest.approx(1.0 + (n - 1) * c, abs=1e-12)
         assert n - len(rep.argmax[1]) == n
-        fast = search_synthetic(DictEdges(edges, n), 1.0, mode="fast")
+        fast = search_synthetic(DictEdges(edges, n), mode="fast")
         assert fast.leakage == pytest.approx(rep.leakage, abs=1e-12)
 
     def test_all_negative_edges_peak_at_first_layer(self):
         n, c = 4, 0.2  # c < 1/n keeps every partial sum positive
         edges = dense_edges(n, lambda i, K, j: -c)
-        rep = search_synthetic(DictEdges(edges, n), 1.0, mode="full")
+        rep = search_synthetic(DictEdges(edges, n), mode="full")
         assert rep.leakage == pytest.approx(1.0, abs=1e-12)
         assert n - len(rep.argmax[1]) == 1
 
@@ -596,7 +614,7 @@ class TestSyntheticSearch:
             return 0.8 if len(K) == 2 else -1.5
 
         edges = dense_edges(3, rule)
-        rep = search_synthetic(DictEdges(edges, 3), 1.0, mode="full")
+        rep = search_synthetic(DictEdges(edges, 3), mode="full")
         assert rep.leakage == pytest.approx(1.8, abs=1e-12)
         assert 3 - len(rep.argmax[1]) == 2
 
@@ -606,45 +624,47 @@ class TestSyntheticSearch:
         edges[(0, (1, 2), 2)] = 0.9
         edges[(0, (2,), 2)] = 0.1
         edges[(0, (1,), 1)] = -0.9
-        rep = search_synthetic(DictEdges(edges, 3), 1.0, mode="full")
+        rep = search_synthetic(DictEdges(edges, 3), mode="full")
         # weakest adversary attacking 0: min(|1.5 + 0.1|, |1.9 - 0.9|) = 1.0
         assert rep.layer_max == pytest.approx({1: 1.0, 2: 1.9, 3: 1.0})
 
     def test_validation(self):
         edges = dense_edges(3, lambda i, K, j: 0.1)
         with pytest.raises(ValueError):
-            search_synthetic(DictEdges(edges, 3), 1.0, mode="greedy")
+            search_synthetic(DictEdges(edges, 3), mode="greedy")
 
     @pytest.mark.parametrize("first", [math.nan, math.inf, -math.inf, -1.0])
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_bad_first_layer_rejected(self, first, mode):
-        with pytest.raises(ValueError, match="first-layer"):
-            search_synthetic(EdgeMap(4, 0.5, seed=1), first, mode)
+        # an EdgeMap's first layer is its scale, which it refuses before
+        # any search can start
+        with pytest.raises(ValueError, match="scale"):
+            search_synthetic(EdgeMap(4, 0.5, seed=1, scale=first), mode=mode)
 
     @pytest.mark.parametrize("first, same", [(np.float64(1.3), 1.3), (np.int64(1), 1.0)])
     def test_numpy_first_layer_as_float(self, first, same):
-        edges = EdgeMap(6, 0.5, seed=2)
         for mode in ("full", "fast"):
-            assert synthetic_repr(edges, first, mode) == synthetic_repr(edges, same, mode)
+            assert (synthetic_repr(EdgeMap(6, 0.5, seed=2, scale=first), mode)
+                    == synthetic_repr(EdgeMap(6, 0.5, seed=2, scale=same), mode))
 
     def test_missing_edge_found(self):
         edges = dense_edges(3, lambda i, K, j: 0.1)
         del edges[(0, (1, 2), 2)]
         with pytest.raises(KeyError):
-            search_synthetic(DictEdges(edges, 3), 1.0, mode="full")
+            search_synthetic(DictEdges(edges, 3), mode="full")
 
     def test_generated_edges_fast_dominates_full(self):
         for seed in range(3):
             edges = EdgeMap(10, 0.6, seed=seed)
-            rf = search_synthetic(edges, 1.0, mode="full")
-            ra = search_synthetic(edges, 1.0, mode="fast")
+            rf = search_synthetic(edges, mode="full")
+            ra = search_synthetic(edges, mode="fast")
             assert ra.leakage >= rf.leakage - 1e-12
             assert ra.node_count <= rf.node_count
 
     def test_generated_search_deterministic(self):
         edges = EdgeMap(9, 0.4, seed=5)
-        r1 = search_synthetic(edges, 1.0, mode="fast")
-        r2 = search_synthetic(edges, 1.0, mode="fast")
+        r1 = search_synthetic(edges, mode="fast")
+        r2 = search_synthetic(edges, mode="fast")
         assert r1.leakage == r2.leakage
         assert r1.argmax == r2.argmax
 
@@ -658,7 +678,8 @@ def peak_edges(peaks):
         return 1.0 if i == 4 and len(K) == 4 else 2.0 if i == 4 and K in peaks else 0.5
 
     return DictEdges(
-        dense_edges(5, lambda i, K, j: value(i, tuple(t for t in K if t != j)) - value(i, K)), 5
+        dense_edges(5, lambda i, K, j: value(i, tuple(t for t in K if t != j)) - value(i, K)), 5,
+        [value(i, tuple(t for t in range(5) if t != i)) for i in range(5)],
     )
 
 
@@ -671,11 +692,8 @@ class TestArgmaxRule:
     @pytest.mark.parametrize("mode", ["full", "fast"])
     @pytest.mark.parametrize("peaks, want", [({(0, 3), (1, 2)}, (0, 3)), ({(0,), (1, 2)}, (0,))])
     def test_dict_edges(self, mode, peaks, want):
-        # the first layer differs by attacked tuple, which search_synthetic
-        # does not take, so the kernel reports to the summary directly
-        summary = _Summary()
-        whg._kernel(peak_edges(peaks), [0.5, 0.5, 0.5, 0.5, 1.0], mode == "fast", summary)
-        rep = summary.report(mode, {})
+        rep = search_synthetic(peak_edges(peaks), mode=mode)
+        assert rep.layer_max[1] == 1.0
         assert (rep.leakage, rep.argmax) == (2.0, (4, want))
 
     @pytest.mark.parametrize("domains, cells, want", [
@@ -700,7 +718,7 @@ class TestArgmaxRule:
         assert (4, (1, 2)) in ties
 
 
-def kernel_trace(kernel, edges, first, fast):
+def kernel_trace(kernel, edges, fast):
     """The nodes a kernel reports, as a map from (attacked tuple, layer) to
     {mask: value}, and the set of (i, j, mask, ic) edges it reports, values
     as text, so that equal means equal bit for bit. The attacked and removed
@@ -720,22 +738,18 @@ def kernel_trace(kernel, edges, first, fast):
         for i, j, mask, ic in zip(atts.tolist(), js.tolist(), masks.tolist(), ics.tolist()):
             taken.add((i, j, mask, repr(ic)))
 
-    kernel(edges, first, fast, on_layer, on_edges)
+    kernel(edges, fast, on_layer, on_edges)
     return nodes, taken
 
 
 def table_kernel_input(dist, lam):
-    """The edge source and first-layer values a table search hands the
-    kernel."""
-    n = dist.n
-    y = transform_linear_query(dist, QuerySpec.sum_query(n))
-    first = [local_sensitivity(y, QuerySpec.sum_query(n), i) / lam for i in range(n)]
-    return whg._TableEdges(y, lam), first
+    """The edge source a table search hands the kernel."""
+    return whg._TableEdges(transform_linear_query(dist, QuerySpec.sum_query(dist.n)), lam)
 
 
-def synthetic_repr(edges, first, mode):
+def synthetic_repr(edges, mode):
     """A synthetic search's report as text, timing left out."""
-    return repr(dataclasses.replace(search_synthetic(edges, first, mode), elapsed=0.0))
+    return repr(dataclasses.replace(search_synthetic(edges, mode=mode), elapsed=0.0))
 
 
 class TestBatchedKernel:
@@ -749,10 +763,9 @@ class TestBatchedKernel:
         batched = whg._kernel
         for n in (1, 2, 5, 10):
             edges = EdgeMap(n, corr, seed=n, alpha=alpha)
-            first = [edges.scale] * n
             for fast in (False, True):
-                nodes, taken = kernel_trace(batched, edges, first, fast)
-                ref_nodes, ref_taken = kernel_trace(reference_kernel, edges, first, fast)
+                nodes, taken = kernel_trace(batched, edges, fast)
+                ref_nodes, ref_taken = kernel_trace(reference_kernel, edges, fast)
                 assert nodes == ref_nodes
                 assert taken == ref_taken
                 if not fast:
@@ -760,8 +773,7 @@ class TestBatchedKernel:
             reports = []
             for kernel in (batched, reference_kernel):
                 monkeypatch.setattr(whg, "_kernel", kernel)
-                reports.append([synthetic_repr(edges, edges.scale, mode)
-                                for mode in ("full", "fast")])
+                reports.append([synthetic_repr(edges, mode) for mode in ("full", "fast")])
             assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("chunk", [1, 7])
@@ -771,7 +783,7 @@ class TestBatchedKernel:
         tables = [sized_table(rng, 5, 2, zero_frac=0.2), mixed_table(rng, (3, 2, 4, 2), 0.2)]
 
         def reports():
-            out = [synthetic_repr(e, e.scale, mode) for e in synthetic for mode in ("full", "fast")]
+            out = [synthetic_repr(e, mode) for e in synthetic for mode in ("full", "fast")]
             for dist in tables:
                 # chunks take edges in another order; the graph is the same
                 for search in (full_space_search, fast_search):
@@ -792,9 +804,9 @@ class TestBatchedKernel:
             dist = sized_table(np.random.default_rng(60), n, 2, zero_frac=0.2)
         else:
             dist = dyadic_table()
-        edges, first = table_kernel_input(dist, 1.0)
-        nodes, taken = kernel_trace(whg._kernel, edges, first, True)
-        ref_nodes, ref_taken = kernel_trace(reference_kernel, edges, first, True)
+        edges = table_kernel_input(dist, 1.0)
+        nodes, taken = kernel_trace(whg._kernel, edges, True)
+        ref_nodes, ref_taken = kernel_trace(reference_kernel, edges, True)
         assert nodes == ref_nodes
         assert taken == ref_taken
         by_layer = {}
@@ -829,8 +841,7 @@ class TestBoundedKernel:
         reports = []
         for kernel in (whg._kernel, reference_kernel):
             monkeypatch.setattr(whg, "_kernel", kernel)
-            reports.append([synthetic_repr(e, e.scale, mode)
-                            for e in maps for mode in ("full", "fast")])
+            reports.append([synthetic_repr(e, mode) for e in maps for mode in ("full", "fast")])
         assert reports[0] == reports[1]
 
     def test_most_edges_skip_the_quantile(self, monkeypatch):
@@ -843,13 +854,13 @@ class TestBoundedKernel:
             return values(self, i, masks, j)
 
         monkeypatch.setattr(EdgeMap, "values", counting)
-        search_synthetic(EdgeMap(n, 0.5, seed=1), 1.0, "full")
+        search_synthetic(EdgeMap(n, 0.5, seed=1), mode="full")
         assert 0 < sum(evaluated) < 0.3 * n * (n - 1) * 2 ** (n - 2)
         # the kept edges depend only on how each attacked tuple's layer is
         # cut into chunks, so these counts hold at any packing of the rows
         assert sum(evaluated) == 5120
         evaluated.clear()
-        search_synthetic(EdgeMap(n, 0.5, seed=1), 1.0, "fast")
+        search_synthetic(EdgeMap(n, 0.5, seed=1), mode="fast")
         assert sum(evaluated) == 2402
 
 
