@@ -187,6 +187,10 @@ class _TableEdges:
         # tuples known the output density is the bare Laplace kernel
         sum_query = QuerySpec.sum_query(n)
         self.first = [local_sensitivity(y, sum_query, i) / lam for i in range(n)]
+        if not all(map(math.isfinite, self.first)):
+            # an infinite node is never expanded, so its ancestors would
+            # drop out of the search
+            raise ValueError(f"lambda {lam!r} is too small: LS_i / lambda overflows")
         self._y = y
         self._lam = lam
         self._size = np.bitwise_count(np.arange(1 << n, dtype=np.int64))

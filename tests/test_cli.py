@@ -22,7 +22,9 @@ from priordp import (
     GaussianModel,
     QuerySpec,
     cli,
+    distribution_to_json,
     full_space_search,
+    gen_discrete_corr,
     leakage_gaussian,
     load_gaussian_model,
     max_leakage_gaussian,
@@ -125,6 +127,21 @@ class TestAnalyzeDiscrete:
         assert main(argv) == 2
         assert "--lambda" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze-discrete", "oracle-check"])
+    def test_overflowing_lambda(self, table_a_file, tmp_path, capsys, command):
+        # LS_i / lambda is infinite at 5e-324, and an infinite node is never
+        # expanded: the search would drop its ancestors
+        out = tmp_path / "out.json"
+        assert main([command, table_a_file, "--lambda", "5e-324", "--out", str(out)]) == 2
+        assert "too small" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([command, table_a_file, "--lambda", "2e-308", "--out", str(out)]) == 0
+        rep = read_json(out)
+        if command == "analyze-discrete":
+            assert rep["node_count"] == 4
+        else:
+            assert len(rep["rows"]) == 4 and all(r["pass"] for r in rep["rows"])
 
 
 class TestNonFiniteInputs:
@@ -246,6 +263,17 @@ class TestOracleCheck:
         assert rc == 4
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_rounding_alone_passes(self, tmp_path, capsys):
+        # at lambda 1e-8 this table's values reach 1e8 nats, where one ulp
+        # (1.5e-8) exceeds the default tolerance; at lambda 1 its chain
+        # misses the exact leakage by 0.05 nats
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(distribution_to_json(gen_discrete_corr(3, 0.5, 2, seed=0))))
+        assert main(["oracle-check", str(path), "--lambda", "1e-8"]) == 0
+        assert "12/12 adversaries pass" in capsys.readouterr().out
+        assert main(["oracle-check", str(path), "--lambda", "1"]) == 4
+        assert "FAIL" in capsys.readouterr().out
 
     def test_gaussian_pass(self, gauss_file, tmp_path, capsys):
         out = tmp_path / "check.json"
