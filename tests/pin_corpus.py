@@ -59,7 +59,9 @@ ORACLE_N = 7
 
 def _table(rng, sizes, zero_frac=0.0, domains=None):
     """A seeded table with the given domain size per tuple; sorted random
-    domains in [0, 1.5) unless given, a fraction of cells zeroed."""
+    domains in [0, 1.5) unless given, a fraction of cells zeroed. Built
+    here rather than by the suites' helpers, so that the corpus does not
+    move when they do."""
     if domains is None:
         domains = [tuple(np.sort(rng.uniform(0.0, 1.5, size=s))) for s in sizes]
     probs = rng.dirichlet(np.ones(math.prod(sizes))).reshape(sizes)
