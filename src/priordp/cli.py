@@ -227,7 +227,7 @@ def cmd_oracle_check(args) -> int:
                 "pass": bool(abs(closed - numeric) <= tol),
             }
 
-        # the grid's erfcx and logaddexp release the GIL, so rows overlap
+        # the grid's erfcx and log release the GIL, so rows overlap
         rows = _pool_map(gaussian_row, list(_all_adversaries(model.n)))
         cols = ("closed_form", "oracle")
     all_pass = all(r["pass"] for r in rows)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Mapping
@@ -35,9 +36,10 @@ from .errors import SearchSpaceExceeded, SingularConditioning
 from .report import LeakageReport, _Summary
 
 _LN2 = math.log(2.0)
-# erfcx(z) for z < -25 is computed from its leading term 2*exp(z^2); the
-# dropped erfcx(-z) correction is below 1e-270 relative there, and direct
-# evaluation would overflow past z ~ -26.6.
+_SQRT2 = math.sqrt(2.0)
+# erfcx(z) for z < -25 is taken as its leading term 2*exp(z^2); the
+# dropped erfcx(-z) correction, and log G's other erfcx term, are below
+# 1e-270 relative there, and direct evaluation overflows past z ~ -26.6.
 _ERFCX_SWITCH = -25.0
 
 
@@ -173,39 +175,71 @@ def leakage_gaussian(
     return model.M / model.lam * abs(1.0 + exp.coef_i)
 
 
-def _log_erfcx(z: np.ndarray) -> np.ndarray:
+class _Scratch(threading.local):
+    """Rows of one thread, reused from call to call and grown on demand.
+
+    A fresh grid-size array is handed back to the OS when it is freed, so
+    the next one faults in every page again; a thread that keeps its rows
+    pays that once.
+    """
+
+    def __init__(self):
+        self._rows: dict[str, np.ndarray] = {}
+
+    def row(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        n = math.prod(shape)
+        buf = self._rows.get(name)
+        if buf is None or buf.size < n:
+            buf = self._rows[name] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
+
+
+_SCRATCH = _Scratch()
+
+
+def log_g(x, b, out=None):
+    """log G(x; b), overflow-safe for all x.
+
+    G is even, and both of its terms share the exponent -(a^2 + b^2)/2,
+    a = |x|/b, once written with the scaled complementary error function,
+    so the whole computation runs in log space with one log per point:
+
+    log G = -(a^2 + b^2)/2 - log 2
+            + log(erfcx((b - a)/sqrt2) + erfcx((b + a)/sqrt2))
+
+    Below _ERFCX_SWITCH the last term is its leading term (b - a)^2/2 + log 2.
+    `out`, an array of x's shape, receives the values and is returned; the
+    scratch rows belong to the calling thread and are reused.
+    """
     # imported on first use: scipy.special is half of a bare import's time
     # and memory, and only the grid oracle needs it here
     from scipy.special import erfcx
 
-    z = np.asarray(z, dtype=float)
-    small = z < _ERFCX_SWITCH
-    if not small.any():
-        return np.log(erfcx(z))
-    out = np.empty_like(z)
-    out[~small] = np.log(erfcx(z[~small]))
-    out[small] = z[small] ** 2 + _LN2
-    return out
-
-
-def log_g(x, b):
-    """log G(x; b), overflow-safe for all x.
-
-    Both terms of G share the exponent -(x^2/b^2 + b^2)/2 once written with
-    the scaled complementary error function, so the whole computation runs
-    in log space:
-
-    log G = -(x^2/b^2 + b^2)/2 - log 2
-            + logaddexp(log erfcx((x/b + b)/sqrt2), log erfcx((b - x/b)/sqrt2))
-    """
     b = float(b)
     if b <= 0.0:
         raise ValueError("b must be positive")
     x = np.asarray(x, dtype=float)
-    u = x / b
-    z1 = (u + b) / math.sqrt(2.0)
-    z2 = (b - u) / math.sqrt(2.0)
-    val = -(u * u + b * b) / 2.0 - _LN2 + np.logaddexp(_log_erfcx(z1), _log_erfcx(z2))
+    val = np.empty(x.shape) if out is None else out
+    a = np.abs(x, out=_SCRATCH.row("a", x.shape))
+    a /= b
+    zm = np.subtract(b, a, out=_SCRATCH.row("zm", x.shape))
+    zm /= _SQRT2
+    zp = np.add(a, b, out=_SCRATCH.row("zp", x.shape))
+    zp /= _SQRT2
+    # erfcx(zm) is inf below -26.6; those points take the leading term
+    erfcx(zm, out=val)
+    val += erfcx(zp, out=zp)
+    np.log(val, out=val)
+    small = np.less(zm, _ERFCX_SWITCH, out=_SCRATCH.row("small", x.shape, bool))
+    if small.any():
+        np.square(zm, out=zm)
+        zm += _LN2
+        np.copyto(val, zm, where=small)
+    np.square(a, out=a)
+    a += b * b
+    a /= -2.0
+    a -= _LN2
+    val += a
     return val if val.ndim else float(val)
 
 

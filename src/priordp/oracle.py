@@ -41,6 +41,7 @@ results are bit for bit those of one adversary, one hypothesis at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -56,7 +57,7 @@ from .model_discrete import (
     marginal,
     transform_linear_query,
 )
-from .model_gaussian import GaussianModel, Mu0Expansion, log_g, mu0_expand
+from .model_gaussian import GaussianModel, Mu0Expansion, _Scratch, log_g, mu0_expand
 
 _NEG_RAY = float("-inf")
 _POS_RAY = float("inf")
@@ -67,6 +68,11 @@ _POS_RAY = float("inf")
 # and stacking all of them would multiply the memory. A single row above the
 # budget is split along its kinks, and a single adversary is a batch.
 _STACK_CELLS = 1 << 14
+
+# The Gaussian grid has 2 * _HALF_GRID + 1 points; _GRID holds each thread's
+# rows of it.
+_HALF_GRID = 10000
+_GRID = _Scratch()
 
 
 @dataclass
@@ -368,6 +374,10 @@ def _exact(tab: _Table, lam: float, adversaries: list[tuple[int, tuple[int, ...]
     """OracleResult of each adversary (i, K) of tab.y, K a sorted tuple."""
     y = tab.y
     centers, weights, m_off, hyp, ctx_cell, ctx_first, adv_ctx = _rows(tab, adversaries)
+    # the mixtures divide each center by lambda, which can overflow while
+    # LS_i / lambda stays finite
+    if not math.isfinite(float(np.abs(centers).max(initial=0.0)) / lam):
+        raise ValueError(f"lambda {lam!r} is too small: a query sum / lambda overflows")
     # the kinks of a context are the union of its rows' centers
     kinks, _, k_off = _merge_rows(centers, np.diff(m_off[ctx_first]), 0.0)
     log_at, at_off, low, up = _log_mixtures(lam, centers, weights, m_off, kinks, k_off, ctx_first)
@@ -456,6 +466,14 @@ def pdp_exact_all(
     return {a: found[a] for a in adversaries}
 
 
+@functools.cache
+def _grid_steps() -> np.ndarray:
+    """k = -_HALF_GRID .. _HALF_GRID as floats, shared read-only."""
+    steps = np.arange(-_HALF_GRID, _HALF_GRID + 1, dtype=float)
+    steps.setflags(write=False)
+    return steps
+
+
 def pdp_numeric_gaussian(
     model: GaussianModel,
     i: int,
@@ -467,9 +485,10 @@ def pdp_numeric_gaussian(
     The output density given (x_i, x_K) is, up to shared factors,
     G(t / lam; sigma0 / lam) with t the output centered at the conditional
     mean, and the two hypotheses differ by |1 + mu0i| * M in t. The grid
-    spans +-(12 sigma0 + 4 sigma0^2/lam + 20 lam + |delta|): the
-    log-slope of G saturates only past sigma0^2/lam, so the span must grow
-    with that scale, not just with sigma0.
+    is r = k * span / 10000 for k = -10000 .. 10000, with span
+    12 sigma0 + 4 sigma0^2/lam + 20 lam + |delta|: the log-slope of G
+    saturates only past sigma0^2/lam, so the span must grow with that
+    scale, not just with sigma0.
 
     A degenerate sigma0 (no unknown tuples, or perfectly determined ones)
     bypasses G: the output is pure Laplace and the value is |delta| / lam.
@@ -484,8 +503,21 @@ def pdp_numeric_gaussian(
     if sigma0 <= 1e-12 * max(1.0, model.M):
         return abs(delta) / lam
     span = 12.0 * sigma0 + 4.0 * exp.sigma0_sq / lam + 20.0 * lam + abs(delta)
-    r_grid = np.linspace(-span, span, 20001)
     b = sigma0 / lam
-    vals = log_g(r_grid / lam, b) - log_g((r_grid - delta) / lam, b)
-    return float(np.max(np.abs(vals)))
+    steps = _grid_steps()
+    x = _GRID.row("x", steps.shape)
+    lead = _GRID.row("lead", steps.shape)
+    shifted = _GRID.row("shifted", steps.shape)
+    # r = k * (span / _HALF_GRID) is odd in k bit for bit, and G is even, so
+    # log_g(r / lam, b) is computed on k >= 0 and mirrored
+    np.multiply(steps[_HALF_GRID:], span / _HALF_GRID, out=x[_HALF_GRID:])
+    x[_HALF_GRID:] /= lam
+    log_g(x[_HALF_GRID:], b, out=lead[_HALF_GRID:])
+    lead[:_HALF_GRID] = lead[:_HALF_GRID:-1]
+    np.multiply(steps, span / _HALF_GRID, out=x)
+    x -= delta
+    x /= lam
+    log_g(x, b, out=shifted)
+    lead -= shifted
+    return float(np.abs(lead, out=lead).max())
 

@@ -191,6 +191,10 @@ class _TableEdges:
             # an infinite node is never expanded, so its ancestors would
             # drop out of the search
             raise ValueError(f"lambda {lam!r} is too small: LS_i / lambda overflows")
+        # the candidates divide each domain value by lambda, which overflows
+        # first when the values lie far from 0 against their width
+        if not math.isfinite(max(abs(v) for d in y.domains for v in d) / lam):
+            raise ValueError(f"lambda {lam!r} is too small: a domain value / lambda overflows")
         self._y = y
         self._lam = lam
         self._size = np.bitwise_count(np.arange(1 << n, dtype=np.int64))

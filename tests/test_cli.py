@@ -143,6 +143,24 @@ class TestAnalyzeDiscrete:
         else:
             assert len(rep["rows"]) == 4 and all(r["pass"] for r in rep["rows"])
 
+    @pytest.mark.parametrize("command", ["analyze-discrete", "oracle-check"])
+    def test_overflowing_domain_quotient(self, tmp_path, capsys, command):
+        # LS_i / lambda is 1e305, but 100001 / lambda overflows: the search
+        # would drop a node, and oracle-check would report a missing row
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"domains": [[100000, 100001], [0, 1]],
+                                    "probs": [0.3, 0.2, 0.2, 0.3]}))
+        out = tmp_path / "out.json"
+        assert main([command, str(path), "--lambda", "1e-305", "--out", str(out)]) == 2
+        assert "too small" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([command, str(path), "--out", str(out)]) == 0
+        rep = read_json(out)
+        if command == "analyze-discrete":
+            assert rep["node_count"] == 4
+        else:
+            assert len(rep["rows"]) == 4 and all(r["pass"] for r in rep["rows"])
+
 
 class TestNonFiniteInputs:
     """A NaN or infinity in an input file or a --query coefficient is a

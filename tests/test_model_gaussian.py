@@ -6,6 +6,7 @@ integral for the Laplace/Gaussian convolution identity.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,23 @@ from priordp import (
     mu0_expand,
     pdp_numeric_gaussian,
 )
+
+
+def log_g_two_logs(x, b):
+    """log G(x; b) as two log-erfcx terms joined by logaddexp, each term
+    below the switch replaced by its leading term z^2 + log 2."""
+
+    def log_erfcx(z):
+        small = z < model_gaussian._ERFCX_SWITCH
+        out = np.empty_like(z)
+        out[~small] = np.log(erfcx(z[~small]))
+        out[small] = z[small] ** 2 + math.log(2.0)
+        return out
+
+    u = np.asarray(x, dtype=float) / b
+    z1 = np.asarray((u + b) / math.sqrt(2.0))
+    z2 = np.asarray((b - u) / math.sqrt(2.0))
+    return -(u * u + b * b) / 2.0 - math.log(2.0) + np.logaddexp(log_erfcx(z1), log_erfcx(z2))
 
 
 def conditional_gaussian(model, known_idx, known_vals):
@@ -248,20 +266,20 @@ class TestGKernel:
             log_g(0.0, 0.0)
 
     @pytest.mark.parametrize("grid", [
-        np.linspace(-20.0, 40.0, 601),  # no argument below the switch
-        np.linspace(-60.0, 10.0, 701),  # some below it
+        np.linspace(-20.0, 40.0, 601),
+        np.linspace(-60.0, 10.0, 701),
         np.array(-30.0),
         np.array(3.0),
     ])
-    def test_log_erfcx_bitwise(self, grid):
-        # the gather/scatter form, which the all-large fast path skips
-        small = grid < model_gaussian._ERFCX_SWITCH
-        want = np.empty_like(grid)
-        want[~small] = np.log(erfcx(grid[~small]))
-        want[small] = grid[small] ** 2 + math.log(2.0)
-        got = model_gaussian._log_erfcx(grid)
-        assert np.shape(got) == want.shape
-        assert np.array_equal(np.asarray(got), want)
+    def test_matches_two_log_form(self, grid):
+        # one log of the erfcx sum against the log of each term and their
+        # logaddexp. Both long grids reach below the switch at b <= 1, and
+        # -30 does at b <= 0.5. Measured: at most 7.1e-15 apart (b = 10)
+        for b in (0.1, 0.5, 1.0, 3.0, 10.0):
+            want = log_g_two_logs(grid, b)
+            got = log_g(grid, b)
+            assert np.shape(got) == want.shape
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     def test_convolution_identity(self):
         # int Lap(t - s; lam) N(s; 0, s2) ds = (1/2lam) e^{s2/2lam^2} G(t/lam; s/lam)
@@ -316,6 +334,50 @@ class TestClosedFormVsNumeric:
         m = random_spd_model(np.random.default_rng(13), 3, M=2.0, lam=4.0)
         assert leakage_gaussian(m, 1, [0, 2]) == pytest.approx(0.5, abs=1e-15)
         assert pdp_numeric_gaussian(m, 1, [0, 2]) == pytest.approx(0.5, abs=1e-15)
+
+
+class TestNumericGrid:
+    """pdp_numeric_gaussian's grid r = k * span / 10000, k = -10000..10000,
+    evaluated as the oracle does: the unshifted term on k >= 0, mirrored."""
+
+    @staticmethod
+    def grid(model, i, K):
+        exp = mu0_expand(model, i, K)
+        lam = model.lam
+        delta = (1.0 + exp.coef_i) * model.M
+        span = 12.0 * math.sqrt(exp.sigma0_sq) + 4.0 * exp.sigma0_sq / lam + 20.0 * lam + abs(delta)
+        return np.arange(-10000, 10001) * (span / 10000), delta, math.sqrt(exp.sigma0_sq) / lam
+
+    def adversaries(self):
+        rng = np.random.default_rng(15)
+        # lambda 4 puts b = sigma0 / lambda below 1, where points fall below
+        # the erfcx switch
+        for lam in (0.3, 1.0, 4.0):
+            m = random_spd_model(rng, 3, M=1.2, lam=lam)
+            for i, K in ((0, []), (1, [0]), (2, [1])):
+                yield m, i, K
+
+    def test_grid_is_odd_and_mirror_exact(self):
+        for m, i, K in self.adversaries():
+            r, delta, b = self.grid(m, i, K)
+            assert np.array_equal(r[::-1], -r)
+            half = log_g(r[10000:] / m.lam, b)
+            full = log_g(r / m.lam, b)
+            assert np.array_equal(np.concatenate([half[:0:-1], half]), full)
+            # the oracle's supremum is the full grid's, bit for bit
+            want = np.max(np.abs(full - log_g((r - delta) / m.lam, b)))
+            assert pdp_numeric_gaussian(m, i, K) == float(want)
+
+    def test_warm_call_allocates_no_grid_row(self):
+        m = random_spd_model(np.random.default_rng(16), 4, M=1.0, lam=0.7)
+        pdp_numeric_gaussian(m, 0, [1])  # this thread's first row
+        tracemalloc.start()
+        try:
+            pdp_numeric_gaussian(m, 2, [3])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20001 * 8
 
 
 class TestMaxLeakage:

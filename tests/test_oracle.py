@@ -144,6 +144,15 @@ class TestFrozenValues:
         with pytest.raises(ValueError, match="lambda"):
             pdp_exact_all(table_a, sum2, lam)
 
+    def test_overflowing_query_sum(self, sum2):
+        # LS_i / lambda is finite, a center / lambda is not
+        far = JointDistribution([[100000, 100001], [0, 1]], [[0.3, 0.2], [0.2, 0.3]])
+        with pytest.raises(ValueError, match="too small"):
+            pdp_exact_discrete(far, sum2, 1e-305, 0, [])
+        with pytest.raises(ValueError, match="too small"):
+            pdp_exact_all(far, sum2, 1e-305)
+        assert len(pdp_exact_all(far, sum2, 1e-300)) == 4
+
 
 class TestWitnessConsistency:
     """The reported supremum must be reproducible from its own witness."""
