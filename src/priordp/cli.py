@@ -11,6 +11,19 @@ GS/lambda of the synthetic chain (the edge unit and every strongest
 adversary's leakage) for the discrete kind, and M/lambda for the Gaussian
 kind, whose leakage (M/lambda) |1 + mu0i| depends on that ratio alone.
 
+`calibrate` bisects a table's largest leakage over the bracket
+[GS/(10 eps), 10 n GS/eps], which provably holds the answer for every
+evaluator, so neither end is checked and the lower one is never evaluated.
+At the lower end the leakage is at least 10 eps: each evaluator reads
+LS_i/lambda for adversary (i, all other tuples), whose output density is
+the bare Laplace kernel, and GS is the largest LS_i. At the upper end it is
+at most eps/10: no adversary leaks more than sum_i LS_i/lambda <=
+n GS/lambda. A chain increment for forgetting x_j is the log-ratio of two
+e^{-+x_j/lambda}-weighted means over one range of x_j, so at most
+LS_j/lambda, and a node adds at most one per tuple; the exact leakage obeys
+the same group bound. A Gaussian model has no bracket: its leakage is
+(M/lambda) v exactly, with v = max |1 + mu0i| >= 1 from one enumeration.
+
 One thread pool, capped by the env var PDP_THREADS and otherwise one thread
 per usable CPU, runs the `experiment` cells and the Gaussian `oracle-check`
 rows. On the n=14 discrete sweep of six cells two threads took 0.93-1.07 s
@@ -105,9 +118,9 @@ def _query_for(dist: JointDistribution, text: str | None) -> QuerySpec:
 def _workers(n_cells: int) -> int:
     env = os.environ.get("PDP_THREADS", "")
     if env.strip():
-        cap = int(env)
+        cap = int(env) if env.strip().isdecimal() else 0
         if cap < 1:
-            raise ValueError("PDP_THREADS must be a positive integer")
+            raise ValueError(f"PDP_THREADS must be a positive integer, got {env!r}")
     elif hasattr(os, "sched_getaffinity"):
         # the CPUs this process may run on, not all of the machine's
         cap = len(os.sched_getaffinity(0))
@@ -341,38 +354,26 @@ def cmd_calibrate(args) -> int:
         gs = global_sensitivity(dist, query)
         if gs <= 0:
             raise ValueError("query has zero sensitivity; any lambda works")
-        n = dist.n
         cap = ORACLE_CAP if method == "oracle" else FULL_CAP
-        if n > cap and not args.force:
+        if dist.n > cap and not args.force:
             raise SearchSpaceExceeded(
-                f"calibrate --method {method} over n={n} exceeds cap {cap}; "
+                f"calibrate --method {method} over n={dist.n} exceeds cap {cap}; "
                 "pass --force to override"
             )
-
-        if method == "oracle":
-            def leak(lam: float) -> float:
-                return max(r.leakage for r in pdp_exact_all(dist, query, lam).values())
-        elif method == "fast":
-            def leak(lam: float) -> float:
-                return fast_search(dist, query, lam)[1].leakage
-        else:
-            def leak(lam: float) -> float:
-                return full_space_search(dist, query, lam, force=True)[1].leakage
+        bracket = [gs / (10.0 * eps), 10.0 * dist.n * gs / eps]
+        lam, f_lam, iters = _bisect(
+            lambda scale: _max_leakage(dist, query, scale, method), eps, *bracket
+        )
     else:
         _refuse_on_gaussian(args, method="--method", query="--query")
-        gs, n, method = obj.M, obj.n, "enumerate"
-    lo = gs / (10.0 * eps)
-    hi = 10.0 * n * gs / eps
-    if kind == "discrete":
-        lam, f_lam, iters = _bisect(leak, eps, lo, hi)
-    else:
-        lam, f_lam, iters = _scale_gaussian(obj, eps, lo, hi, args.force)
+        method, bracket = "enumerate", None
+        lam, f_lam, iters = _scale_gaussian(obj, eps, args.force)
     payload = {
         "lambda": lam,
         "epsilon": eps,
         "leakage_at_lambda": f_lam,
         "iterations": iters,
-        "bracket": [lo, hi],
+        "bracket": bracket,
         "method": method,
         "invocation": _invocation(args),
     }
@@ -380,21 +381,22 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _exhausted(f_hi: float, hi: float, eps: float) -> PrivacyModelError:
-    return PrivacyModelError(
-        f"bracket exhausted: leakage {f_hi:.6g} at lambda {hi:.6g} still "
-        f"exceeds epsilon {eps:.6g}"
-    )
+def _max_leakage(dist: JointDistribution, query: QuerySpec, lam: float, method: str) -> float:
+    """The largest leakage over every adversary of a table at noise scale
+    lam, by the evaluator calibrate --method names."""
+    if method == "oracle":
+        return max(r.leakage for r in pdp_exact_all(dist, query, lam).values())
+    if method == "fast":
+        return fast_search(dist, query, lam)[1].leakage
+    return full_space_search(dist, query, lam, force=True)[1].leakage
 
 
 def _bisect(leak, eps: float, lo: float, hi: float) -> tuple[float, float, int]:
     """(lambda, leakage there, iterations): bisection to 1e-6 relative width
-    for the smallest bracketed lambda whose leakage is at most eps."""
-    f_lo, f_hi = leak(lo), leak(hi)
-    if f_hi > eps:
-        raise _exhausted(f_hi, hi, eps)
-    if f_lo <= eps:
-        return lo, f_lo, 0  # already private at the smallest bracketed scale
+    for the smallest lambda in [lo, hi] whose leakage is at most eps, given
+    leak(lo) > eps >= leak(hi) (module notes). hi is the answer when no
+    midpoint reaches eps, and leak(hi) its leakage."""
+    f_hi = leak(hi)
     iters = 0
     while (hi - lo) / hi > 1e-6 and iters < 200:
         mid = 0.5 * (lo + hi)
@@ -407,24 +409,20 @@ def _bisect(leak, eps: float, lo: float, hi: float) -> tuple[float, float, int]:
     return hi, f_hi, iters
 
 
-def _scale_gaussian(
-    model: GaussianModel, eps: float, lo: float, hi: float, force: bool
-) -> tuple[float, float, int]:
-    """(lambda, leakage there, 0) for a Gaussian model without bisection.
+def _scale_gaussian(model: GaussianModel, eps: float, force: bool) -> tuple[float, float, int]:
+    """(lambda, leakage there, 0) for a Gaussian model, without a bracket.
 
     The leakage is exactly (M / lambda) * v, where v = max |1 + mu0i| does
     not depend on M or lambda. One enumeration at M = lambda = 1 gives v;
-    lambda = M v / eps (at least lo) is then nudged up one float at a time
-    until the float product (M / lambda) * v, which is what the enumeration
-    reports at that lambda, is at most eps.
+    lambda = M v / eps is then nudged up one float at a time until the float
+    product (M / lambda) * v, which is what the enumeration reports at that
+    lambda, is at most eps.
     """
     unit = GaussianModel(mu=model.mu, sigma=model.sigma, M=1.0, lam=1.0)
     v = max_leakage_gaussian(unit, force=force).leakage
-    lam = max(lo, model.M * v / eps)
+    lam = model.M * v / eps
     while model.M / lam * v > eps:
         lam = float(np.nextafter(lam, np.inf))
-    if lam > hi:
-        raise _exhausted(model.M / hi * v, hi, eps)
     return lam, model.M / lam * v, 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -60,6 +61,8 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         doms = tuple(_as_sorted_values(d) for d in self.domains)
+        if not doms:
+            raise ValueError("a distribution needs at least one tuple")
         object.__setattr__(self, "domains", doms)
         table = np.asarray(self.probs, dtype=float)
         shape = tuple(len(d) for d in doms)
@@ -121,6 +124,31 @@ class QuerySpec:
     @classmethod
     def parse(cls, text: str) -> "QuerySpec":
         return cls(tuple(float(t) for t in text.split(",")))
+
+
+class _Scratch(threading.local):
+    """Rows of one thread, reused from call to call and grown on demand.
+
+    A fresh large array is handed back to the OS when it is freed, so the
+    next one faults in every page again; a thread that keeps its rows pays
+    that once. _SCRATCH is the one instance, and each row name belongs to
+    one function: "stack" to the table edge source's log-sum-exp stacks,
+    "x", "lead" and "shifted" to the Gaussian grid oracle, and "a", "zm",
+    "zp" and "small" to log_g.
+    """
+
+    def __init__(self):
+        self._rows: dict[str, np.ndarray] = {}
+
+    def row(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        n = math.prod(shape)
+        buf = self._rows.get(name)
+        if buf is None or buf.size < n:
+            buf = self._rows[name] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
+
+
+_SCRATCH = _Scratch()
 
 
 def logsumexp(a, axis=None, b=None) -> np.ndarray | float:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Mapping
@@ -33,6 +32,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import SearchSpaceExceeded, SingularConditioning
+from .model_discrete import _SCRATCH
 from .report import LeakageReport, _Summary
 
 _LN2 = math.log(2.0)
@@ -173,28 +173,6 @@ def leakage_gaussian(
     """
     exp = mu0_expand(model, i, K) if expansion is None else expansion
     return model.M / model.lam * abs(1.0 + exp.coef_i)
-
-
-class _Scratch(threading.local):
-    """Rows of one thread, reused from call to call and grown on demand.
-
-    A fresh grid-size array is handed back to the OS when it is freed, so
-    the next one faults in every page again; a thread that keeps its rows
-    pays that once.
-    """
-
-    def __init__(self):
-        self._rows: dict[str, np.ndarray] = {}
-
-    def row(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        n = math.prod(shape)
-        buf = self._rows.get(name)
-        if buf is None or buf.size < n:
-            buf = self._rows[name] = np.empty(n, dtype)
-        return buf[:n].reshape(shape)
-
-
-_SCRATCH = _Scratch()
 
 
 def log_g(x, b, out=None):

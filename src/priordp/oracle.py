@@ -50,6 +50,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .model_discrete import (
+    _SCRATCH,
     PROB_FLOOR,
     JointDistribution,
     QuerySpec,
@@ -57,7 +58,7 @@ from .model_discrete import (
     marginal,
     transform_linear_query,
 )
-from .model_gaussian import GaussianModel, Mu0Expansion, _Scratch, log_g, mu0_expand
+from .model_gaussian import GaussianModel, Mu0Expansion, log_g, mu0_expand
 
 _NEG_RAY = float("-inf")
 _POS_RAY = float("inf")
@@ -69,10 +70,8 @@ _POS_RAY = float("inf")
 # budget is split along its kinks, and a single adversary is a batch.
 _STACK_CELLS = 1 << 14
 
-# The Gaussian grid has 2 * _HALF_GRID + 1 points; _GRID holds each thread's
-# rows of it.
+# The Gaussian grid has 2 * _HALF_GRID + 1 points, held in rows of _SCRATCH.
 _HALF_GRID = 10000
-_GRID = _Scratch()
 
 
 @dataclass
@@ -505,9 +504,9 @@ def pdp_numeric_gaussian(
     span = 12.0 * sigma0 + 4.0 * exp.sigma0_sq / lam + 20.0 * lam + abs(delta)
     b = sigma0 / lam
     steps = _grid_steps()
-    x = _GRID.row("x", steps.shape)
-    lead = _GRID.row("lead", steps.shape)
-    shifted = _GRID.row("shifted", steps.shape)
+    x = _SCRATCH.row("x", steps.shape)
+    lead = _SCRATCH.row("lead", steps.shape)
+    shifted = _SCRATCH.row("shifted", steps.shape)
     # r = k * (span / _HALF_GRID) is odd in k bit for bit, and G is even, so
     # log_g(r / lam, b) is computed on k >= 0 and mirrored
     np.multiply(steps[_HALF_GRID:], span / _HALF_GRID, out=x[_HALF_GRID:])

@@ -93,6 +93,7 @@ import numpy as np
 
 from .errors import SearchSpaceExceeded
 from .model_discrete import (
+    _SCRATCH,
     PROB_FLOOR,
     JointDistribution,
     QuerySpec,
@@ -197,11 +198,9 @@ class _TableEdges:
             raise ValueError(f"lambda {lam!r} is too small: a domain value / lambda overflows")
         self._y = y
         self._lam = lam
-        self._size = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
         self._off = np.full(1 << n, -1, dtype=np.int64)
         self._flat = np.empty(0)
         self._end = 0
-        self._buf = np.empty(0)
 
     def values(
         self, i: int | np.ndarray, child_masks: np.ndarray, j: int | np.ndarray
@@ -214,13 +213,13 @@ class _TableEdges:
             self._fill(np.unique(t[off < 0]))
             off = self._off[t]
         # entry (rank of i in T, rank of j in T) of T's |T| x |T| x 2 block
-        k = self._size[t].astype(np.int64)
+        k = np.bitwise_count(t).astype(np.int64)
         pos = off + 2 * (np.bitwise_count(t & ((1 << atts) - 1)) * k
                          + np.bitwise_count(t & ((1 << js) - 1)))
         return self._flat[pos], self._flat[pos + 1]
 
     def _fill(self, missing: np.ndarray) -> None:
-        size = self._size[missing]
+        size = np.bitwise_count(missing)
         for k in np.unique(size).tolist():
             self._compute(missing[size == k], k)
 
@@ -259,14 +258,6 @@ class _TableEdges:
                 self._flat[pos] = ext[0]
                 self._flat[pos + 1] = ext[1]
 
-    def _scratch(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A buffer of this shape, reused from stack to stack: a fresh one
-        costs a page fault per 4 KiB on first write."""
-        size = math.prod(shape)
-        if self._buf.size < size:
-            self._buf = np.empty(size)
-        return self._buf[:size].reshape(shape)
-
     def _reduce(
         self,
         shape: tuple[int, ...],
@@ -284,14 +275,14 @@ class _TableEdges:
                 # the log lands in a buffer with x_j leading, where each sum
                 # over x_j is one vector op along long runs; numpy reduces a
                 # short innermost axis many times slower
-                lt = self._scratch((3, s, g) + dims)
+                lt = _SCRATCH.row("stack", (3, s, g) + dims)
                 views = [probs[row].transpose(_lead(pj, len(shape))) for row, pj in chunk]
                 np.log(np.stack(views, axis=1, out=lt[0]), out=lt[0])
                 w = w.reshape((s, g) + (1,) * len(dims))
                 axis = 1
             else:
                 (row, pj), = chunk
-                lt = self._scratch((3,) + probs[row].shape)
+                lt = _SCRATCH.row("stack", (3,) + probs[row].shape)
                 np.log(probs[row], out=lt[0])
                 w = w.reshape((s,) + (1,) * (len(dims) - pj))
                 axis = pj + 1

@@ -25,6 +25,7 @@ from priordp import (
     distribution_to_json,
     full_space_search,
     gen_discrete_corr,
+    global_sensitivity,
     leakage_gaussian,
     load_gaussian_model,
     max_leakage_gaussian,
@@ -142,6 +143,12 @@ class TestAnalyzeDiscrete:
             assert rep["node_count"] == 4
         else:
             assert len(rep["rows"]) == 4 and all(r["pass"] for r in rep["rows"])
+
+    def test_no_tuples(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"domains": [], "probs": [1.0]}))
+        assert main(["analyze-discrete", str(path)]) == 2
+        assert "at least one tuple" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze-discrete", "oracle-check"])
     def test_overflowing_domain_quotient(self, tmp_path, capsys, command):
@@ -572,14 +579,15 @@ class TestExperiment:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_bad_thread_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PDP_THREADS", "0")
-        rc, _ = self.run(
-            tmp_path,
-            "z.csv",
-            ["experiment", "--kind", "discrete", "--n", "6", "--seeds", "1"],
-        )
-        assert rc == 2
-        assert "PDP_THREADS" in capsys.readouterr().err
+        for value in ("0", "abc", "1.5"):
+            monkeypatch.setenv("PDP_THREADS", value)
+            rc, _ = self.run(
+                tmp_path,
+                "z.csv",
+                ["experiment", "--kind", "discrete", "--n", "6", "--seeds", "1"],
+            )
+            assert rc == 2
+            assert "PDP_THREADS must be a positive integer" in capsys.readouterr().err
 
     def test_csv_digest_pinned(self, tmp_path):
         # sha256 of this sweep's CSV before the search kernel batched its
@@ -654,15 +662,37 @@ class TestCalibrate:
         at = GaussianModel(mu=model["mu"], sigma=model["sigma"], M=1.7, lam=rep["lambda"])
         assert rep["leakage_at_lambda"] == max_leakage_gaussian(at).leakage
 
-    def test_gaussian_bracket_exhausted(self, tmp_path, capsys):
-        # x_1 tracks 100 x_0, so |1 + mu0i| reaches 101 > 10 n and no
-        # lambda inside the bracket brings the leakage down to epsilon
+    def test_gaussian_beyond_table_bracket(self, tmp_path, capsys):
+        # x_1 tracks 100 x_0, so v = max |1 + mu0i| reaches 101 > 10 n: the
+        # answer lies past a table's bracket end, and a Gaussian input has no
+        # bracket
         model = {"mu": [0.0, 0.0], "sigma": [[1.0, 100.0], [100.0, 10000.01]],
                  "M": 1.0, "lambda": 1.0}
         path = tmp_path / "steep.json"
         path.write_text(json.dumps(model))
-        assert main(["calibrate", str(path), "--epsilon", "1"]) == 4
-        assert "bracket exhausted" in capsys.readouterr().err
+        assert main(["calibrate", str(path), "--epsilon", "1"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        v = max_leakage_gaussian(load_gaussian_model(model)).leakage
+        assert v == pytest.approx(101.0, rel=1e-9)
+        lam = rep["lambda"]
+        assert rep["bracket"] is None
+        assert rep["leakage_at_lambda"] == 1.0 / lam * v <= 1.0
+        # the least float at or above M v / eps whose leakage is at most eps
+        below = float(np.nextafter(lam, 0.0))
+        assert lam >= v and (below < v or 1.0 / below * v > 1.0)
+
+    def test_gaussian_nudge(self, tmp_path, capsys):
+        # M / (M / eps) rounds to 2.9790000000000005 > eps, so lambda = M / eps
+        # is nudged up one float
+        model = {"mu": [0.0], "sigma": [[1.0]], "M": 1.587, "lambda": 1.0}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(model))
+        assert 1.587 / (1.587 / 2.979) > 2.979
+        assert main(["calibrate", str(path), "--epsilon", "2.979"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["lambda"] == 0.5327291037260826
+        assert rep["lambda"] == float(np.nextafter(1.587 / 2.979, np.inf))
+        assert rep["leakage_at_lambda"] == 2.9789999999999996
 
     def test_discrete_methods_agree(self, table_a_file, capsys):
         # no --method means full
@@ -730,8 +760,9 @@ class TestCalibrate:
 
 
     def test_evaluations(self, table_a_file, monkeypatch, capsys):
-        # the bracket ends cost one evaluation each and every bisection step
-        # one more; the leakage at the answer is not evaluated again
+        # the upper bracket end costs one evaluation and every bisection step
+        # one more; the lower end, whose leakage is at least 10 eps, and the
+        # answer are not evaluated again
         calls = []
 
         def stand_in(dist, query, lam, *rest, **kw):
@@ -742,7 +773,7 @@ class TestCalibrate:
         assert main(["calibrate", table_a_file, "--epsilon", "1"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["iterations"] > 0
-        assert len(calls) == rep["iterations"] + 2
+        assert len(calls) == rep["iterations"] + 1
         assert rep["leakage_at_lambda"] == 1.0 / rep["lambda"]
 
 
@@ -761,6 +792,30 @@ def test_gaussian_refuses_unused_options(gauss_file, tmp_path, capsys, argv, fla
     assert main([a.format(g=gauss_file) for a in argv] + ["--out", str(out)]) == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestCalibrateBracket:
+    """calibrate checks neither end of a table's bracket: it relies on the
+    leakage reaching 10 eps at GS/(10 eps) and at most eps/10 at 10 n GS/eps
+    for every evaluator."""
+
+    COEFFICIENTS = (-2.0, -0.5, 0.0, 1.0, 3.0)
+
+    def test_bracket_holds_answer(self):
+        rng = np.random.default_rng(24)
+        for _ in range(120):
+            n = int(rng.integers(2, 6))
+            dist = random_instance(rng, n)
+            coef = rng.choice(self.COEFFICIENTS, size=n)
+            if not coef.any():
+                coef[rng.integers(n)] = 1.0
+            query = QuerySpec(tuple(coef))
+            gs = global_sensitivity(dist, query)
+            for eps in (0.01, 1.0, 50.0):
+                lo, hi = gs / (10.0 * eps), 10.0 * n * gs / eps
+                for method in ("full", "fast", "oracle"):
+                    assert cli._max_leakage(dist, query, lo, method) >= 10.0 * eps * (1 - 1e-12)
+                    assert cli._max_leakage(dist, query, hi, method) <= eps / 10.0
 
 
 class TestCalibrateMonotonicity:

@@ -321,6 +321,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_distribution({"domains": [[0, 1], [0, 1]], "probs": [0.5, 0.5]})
 
+    def test_no_tuples(self):
+        # numpy once refused this table with "Cannot set flags on array scalars."
+        with pytest.raises(ValueError, match="at least one tuple"):
+            load_distribution({"domains": [], "probs": [1.0]})
+
 
 @st.composite
 def small_tables(draw):
