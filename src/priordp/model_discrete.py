@@ -329,6 +329,25 @@ def transform_linear_query(
     return JointDistribution._of_sums(tuple(domains), table)
 
 
+def _noise_floor(y: JointDistribution) -> float:
+    """The least noise scale the evaluators of the sum-query table y can
+    divide by. Every quotient they form (a domain value, a width LS_t, a
+    chain node value, a query sum or a kink offset, over lambda) is at most
+    S / lambda, S = sum_t (|min y_t| + |max y_t|), here held 2^-40 below
+    the float maximum for their rounding."""
+    s = math.fsum(abs(d[0]) + abs(d[-1]) for d in y.domains)
+    return math.nextafter(s / (np.finfo(float).max * (1.0 - 2.0**-40)), math.inf)
+
+
+def _noise_table(dist: JointDistribution, query: QuerySpec, lam: float) -> JointDistribution:
+    """transform_linear_query(dist, query), refused unless lam >= _noise_floor(y)."""
+    y = transform_linear_query(dist, query)
+    floor = _noise_floor(y)
+    if not floor <= lam < math.inf:
+        raise ValueError(f"lambda {lam!r} is too small or not finite: the table needs >= {floor!r}")
+    return y
+
+
 def load_distribution(obj: Mapping | str) -> JointDistribution:
     """Build a JointDistribution from the JSON object format.
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import SearchSpaceExceeded, SingularConditioning
 from .model_discrete import _SCRATCH
-from .report import LeakageReport, _Summary
+from .report import LeakageReport, _Summary, _adversary
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -139,13 +139,8 @@ def mu0_expand(model: GaussianModel, i: int, K: Iterable[int]) -> Mu0Expansion:
     coefficients are extracted here by linearity, from the same solve as
     the enumeration's, so both give the same leakage bit for bit.
     """
-    i = int(i)
-    ks = sorted(set(int(k) for k in K))
-    if i in ks:
-        raise ValueError("attacked tuple cannot be in the prior set")
-    cond = sorted([i] + ks)
-    if not 0 <= cond[0] <= cond[-1] < model.n:
-        raise ValueError("tuple index out of range")
+    i, ks = _adversary((i, K), model.n)
+    cond = sorted((i,) + ks)
     unknown = [u for u in range(model.n) if u not in cond]
     if not unknown:
         return Mu0Expansion(0.0, 0.0, {k: 0.0 for k in ks}, 0.0)

@@ -56,9 +56,10 @@ from .model_discrete import (
     QuerySpec,
     logsumexp,
     marginal,
-    transform_linear_query,
+    _noise_table,
 )
 from .model_gaussian import GaussianModel, Mu0Expansion, log_g, mu0_expand
+from .report import _adversary
 
 _NEG_RAY = float("-inf")
 _POS_RAY = float("inf")
@@ -373,10 +374,6 @@ def _exact(tab: _Table, lam: float, adversaries: list[tuple[int, tuple[int, ...]
     """OracleResult of each adversary (i, K) of tab.y, K a sorted tuple."""
     y = tab.y
     centers, weights, m_off, hyp, ctx_cell, ctx_first, adv_ctx = _rows(tab, adversaries)
-    # the mixtures divide each center by lambda, which can overflow while
-    # LS_i / lambda stays finite
-    if not math.isfinite(float(np.abs(centers).max(initial=0.0)) / lam):
-        raise ValueError(f"lambda {lam!r} is too small: a query sum / lambda overflows")
     # the kinks of a context are the union of its rows' centers
     kinks, _, k_off = _merge_rows(centers, np.diff(m_off[ctx_first]), 0.0)
     log_at, at_off, low, up = _log_mixtures(lam, centers, weights, m_off, kinks, k_off, ctx_first)
@@ -424,16 +421,7 @@ def pdp_exact_discrete(
     table; the result is then assignment-independent and reported with an
     empty assignment.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError("lambda must be positive and finite")
-    y = transform_linear_query(dist, query)
-    i = int(i)
-    ks = tuple(sorted(set(int(k) for k in K)))
-    if i in ks:
-        raise ValueError("attacked tuple cannot be in the prior set")
-    if not all(0 <= t < y.n for t in (i,) + ks):
-        raise ValueError(f"adversary ({i}, {list(ks)}) out of range for n={y.n}")
-    return _exact(_Table(y), lam, [(i, ks)])[0]
+    return _exact(_Table(_noise_table(dist, query, lam)), lam, [_adversary((i, K), dist.n)])[0]
 
 
 def pdp_exact_all(
@@ -450,9 +438,7 @@ def pdp_exact_all(
     _STACK_CELLS table cells; that keeps a wide table's memory near one
     adversary's, while small tables run whole layers.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError("lambda must be positive and finite")
-    tab = _Table(transform_linear_query(dist, query))
+    tab = _Table(_noise_table(dist, query, lam))
     adversaries = list(_all_adversaries(tab.y.n))
     step = max(1, _STACK_CELLS // tab.y.probs.size)
     found = {}

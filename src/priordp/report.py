@@ -100,6 +100,17 @@ class _Summary:
         )
 
 
+def _adversary(node: tuple, n: int) -> tuple[int, tuple[int, ...]]:
+    """Adversary (i, K) over n tuples as an int and a sorted tuple, the form
+    of every argmax and pdp_exact_all key; refuses i in K or outside range(n)."""
+    i, ks = int(node[0]), tuple(sorted({int(k) for k in node[1]}))
+    if i in ks:
+        raise ValueError(f"attacked tuple {i} cannot be in the prior set")
+    if not all(0 <= t < n for t in (i,) + ks):
+        raise ValueError(f"adversary ({i}, {list(ks)}) out of range for n={n}")
+    return i, ks
+
+
 def _least_prior(masks: np.ndarray) -> tuple[int, ...]:
     """The least of a nonempty array of prior-set masks as sorted tuples:
     keep the masks whose lowest member is the least and strip it, until one

@@ -100,9 +100,9 @@ from .model_discrete import (
     local_sensitivity,
     logsumexp,
     marginal,
-    transform_linear_query,
+    _noise_table,
 )
-from .report import LeakageReport, _Summary
+from .report import LeakageReport, _Summary, _adversary
 
 _LOG_FLOOR = math.log(PROB_FLOOR)
 
@@ -148,10 +148,8 @@ class WeightedHierGraph:
     def node_value(self, node: tuple[int, Iterable[int]]) -> float:
         """The value of adversary (i, K), K in any order; KeyError when the
         search did not compute that node."""
-        i, prior = node
-        mask = sum(1 << t for t in set(prior))
-        if mask >> i & 1:
-            raise ValueError(f"attacked tuple {i} cannot be in the prior set")
+        i, prior = _adversary(node, self.n)
+        mask = sum(1 << t for t in prior)
         rows = self.nodes[(self.nodes["attack"] == i) & (self.nodes["mask"] == mask)]
         if rows.size == 0:
             raise KeyError(node)
@@ -188,14 +186,6 @@ class _TableEdges:
         # tuples known the output density is the bare Laplace kernel
         sum_query = QuerySpec.sum_query(n)
         self.first = [local_sensitivity(y, sum_query, i) / lam for i in range(n)]
-        if not all(map(math.isfinite, self.first)):
-            # an infinite node is never expanded, so its ancestors would
-            # drop out of the search
-            raise ValueError(f"lambda {lam!r} is too small: LS_i / lambda overflows")
-        # the candidates divide each domain value by lambda, which overflows
-        # first when the values lie far from 0 against their width
-        if not math.isfinite(max(abs(v) for d in y.domains for v in d) / lam):
-            raise ValueError(f"lambda {lam!r} is too small: a domain value / lambda overflows")
         self._y = y
         self._lam = lam
         self._off = np.full(1 << n, -1, dtype=np.int64)
@@ -518,15 +508,13 @@ def _search_distribution(
     fast: bool,
     force: bool = False,
 ) -> tuple[WeightedHierGraph, LeakageReport]:
-    y = transform_linear_query(dist, query)
-    n = y.n
+    n = dist.n
     if not fast and n > FULL_CAP and not force:
         raise SearchSpaceExceeded(
             f"n={n} would materialize {n * 2 ** (n - 1)} nodes (cap {FULL_CAP}); "
             "pass force=True to override"
         )
-    if not 0 < lam < math.inf:
-        raise ValueError("lambda must be positive and finite")
+    y = _noise_table(dist, query, lam)
     summary = _Summary()
     nodes: list[np.ndarray] = []
     edges = [np.empty(0, _EDGE)]  # a one-tuple table has no edges

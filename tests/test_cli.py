@@ -144,6 +144,15 @@ class TestAnalyzeDiscrete:
         else:
             assert len(rep["rows"]) == 4 and all(r["pass"] for r in rep["rows"])
 
+    @pytest.mark.parametrize("command", ["analyze-discrete", "oracle-check"])
+    def test_chain_and_oracle_share_the_noise_floor(self, tmp_path, capsys, command):
+        # LS_i / lambda and each domain value / lambda are 1e308, but the
+        # largest query sum, 3, over lambda overflows: both commands refuse
+        path = tmp_path / "corr.json"
+        path.write_text(json.dumps(distribution_to_json(gen_discrete_corr(3, 0.5, 2, seed=1))))
+        assert main([command, str(path), "--lambda", "1e-308"]) == 2
+        assert "too small" in capsys.readouterr().err
+
     def test_no_tuples(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"domains": [], "probs": [1.0]}))

@@ -3,13 +3,14 @@
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from priordp import whg
+from priordp import oracle, whg
 from priordp import (
     DegenerateVariable,
     JointDistribution,
@@ -203,6 +204,50 @@ class TestFirstLayer:
         assert repr(first) == repr(list(first_layer(y, QuerySpec.sum_query(n), 0.3).values()))
         graph, _ = full_space_search(dist, query, 0.3)
         assert repr(first) == repr(list(graph_dicts(graph)[0][0].values()))
+
+
+class TestNoiseFloor:
+    """One rule admits a table's noise scale for the chain and the oracle:
+    S / lambda finite, S = sum_t (|min y_t| + |max y_t|) over the scaled
+    domains, checked before any work."""
+
+    @staticmethod
+    def signed_table(seed):
+        # domains that need not start at 0, signed and zero coefficients
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        sizes = rng.integers(2, 4, size=n)
+        domains = [np.unique(rng.uniform(-3.0, 3.0, size=s)) for s in sizes]
+        probs = rng.dirichlet(np.ones(math.prod(len(d) for d in domains)))
+        coeffs = rng.choice([-2.0, -0.5, 0.0, 1.0, 1.5], size=n)
+        coeffs[rng.integers(n)] = 1.0
+        dist = JointDistribution(domains, probs.reshape([len(d) for d in domains]))
+        return dist, QuerySpec(coeffs)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_bound_admits_finite_values(self, seed):
+        dist, query = self.signed_table(seed)
+        y = transform_linear_query(dist, query)
+        s = math.fsum(abs(d[0]) + abs(d[-1]) for d in y.domains)
+        big = sys.float_info.max
+        graph, report = full_space_search(dist, query, 2 * s / big)
+        assert len(graph.nodes) == dist.n * 2 ** (dist.n - 1)
+        assert np.isfinite(graph.nodes["value"]).all() and math.isfinite(report.leakage)
+        exact = pdp_exact_all(dist, query, 2 * s / big)
+        assert all(math.isfinite(r.leakage) for r in exact.values())
+
+        def entered(*args):
+            raise AssertionError("work started before the noise scale was checked")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(whg, "_TableEdges", entered)
+            mp.setattr(oracle, "_rows", entered)
+            for run in (full_space_search, fast_search, pdp_exact_all):
+                with pytest.raises(ValueError, match="too small"):
+                    run(dist, query, s / (2 * big))
+            with pytest.raises(ValueError, match="too small"):
+                pdp_exact_discrete(dist, query, s / (2 * big), 0, [])
 
 
 def test_chain_rule_path_nested_absolutes():
@@ -501,7 +546,7 @@ class TestGraphArrays:
             # K in any order
             assert graph.node_value((i, mask_tuple(mask)[::-1])) == value
         # a two-tuple table has no tuple 2 to attack
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="out of range"):
             graph.node_value((2, ()))
         with pytest.raises(ValueError, match="prior set"):
             graph.node_value((1, (0, 1)))
