@@ -88,6 +88,9 @@ class GaussianModel:
             raise ValueError("M must be positive and finite")
         if not 0 < self.lam < math.inf:
             raise ValueError("lambda must be positive and finite")
+        # every leakage of the model is (M / lambda) |1 + mu0i|
+        if not math.isfinite(self.M / self.lam):
+            raise ValueError(f"M / lambda overflows: M {self.M!r}, lambda {self.lam!r}")
 
     @property
     def n(self) -> int:

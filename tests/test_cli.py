@@ -254,6 +254,16 @@ class TestAnalyzeGaussian:
         assert json.loads(capsys.readouterr().out)["K"] == [1, 2]
 
 
+    @pytest.mark.parametrize("command", [["analyze-gaussian", "--all"], ["oracle-check"]])
+    def test_overflowing_scale(self, tmp_path, capsys, command):
+        # M / lambda = 1e310 would print "leakage": Infinity, which is not JSON
+        model = {"mu": [0, 0], "sigma": [[1, 0.5], [0.5, 1]], "M": 1e300, "lambda": 1e-10}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(model))
+        assert main([command[0], str(path)] + command[1:]) == 2
+        assert "M / lambda overflows" in capsys.readouterr().err
+
+
 class TestOracleCheck:
     def test_discrete_pass(self, table_a_file, capsys):
         rc = main(["oracle-check", table_a_file])

@@ -557,3 +557,10 @@ class TestGaussianSerialization:
             load_gaussian_model({"mu": [0.0], "sigma": [[1.0]], "M": 1.0})
         with pytest.raises(ValueError, match="object"):
             load_gaussian_model("[1, 2, 3]")
+
+    def test_overflowing_scale(self):
+        # every leakage is (M / lambda) |1 + mu0i|, infinite at any adversary
+        model = {"mu": [0, 0], "sigma": [[1, 0.5], [0.5, 1]], "M": 1e300, "lambda": 1e-10}
+        with pytest.raises(ValueError, match="M / lambda overflows"):
+            load_gaussian_model(model)
+        assert load_gaussian_model({**model, "lambda": 1e-8}).lam == 1e-8
