@@ -23,6 +23,10 @@ e^{-+x_j/lambda}-weighted means over one range of x_j, so at most
 LS_j/lambda, and a node adds at most one per tuple; the exact leakage obeys
 the same group bound. A Gaussian model has no bracket: its leakage is
 (M/lambda) v exactly, with v = max |1 + mu0i| >= 1 from one enumeration.
+The table evaluators refuse a lambda below the table's noise floor
+(model_discrete._noise_floor), so the bisection never evaluates one, and
+an epsilon whose answer lies at or below the floor, or whose bracket end
+or Gaussian lambda overflows, exits 2 naming --epsilon.
 
 One thread pool, capped by the env var PDP_THREADS and otherwise one thread
 per usable CPU, runs the `experiment` cells and the Gaussian `oracle-check`
@@ -51,6 +55,8 @@ from .model_discrete import (
     QuerySpec,
     global_sensitivity,
     load_distribution,
+    _noise_floor,
+    transform_linear_query,
 )
 # mu0_expand is looked up on its module, where perfbench's tracing wraps it
 from . import model_gaussian
@@ -361,8 +367,12 @@ def cmd_calibrate(args) -> int:
                 "pass --force to override"
             )
         bracket = [gs / (10.0 * eps), 10.0 * dist.n * gs / eps]
+        if bracket[1] == math.inf:
+            raise ValueError(f"--epsilon {eps!r} is too small: the bracket end 10 n GS / "
+                             "epsilon overflows")
+        floor = _noise_floor(transform_linear_query(dist, query))
         lam, f_lam, iters = _bisect(
-            lambda scale: _max_leakage(dist, query, scale, method), eps, *bracket
+            lambda scale: _max_leakage(dist, query, scale, method), eps, *bracket, floor
         )
     else:
         _refuse_on_gaussian(args, method="--method", query="--query")
@@ -391,16 +401,25 @@ def _max_leakage(dist: JointDistribution, query: QuerySpec, lam: float, method: 
     return full_space_search(dist, query, lam, force=True)[1].leakage
 
 
-def _bisect(leak, eps: float, lo: float, hi: float) -> tuple[float, float, int]:
+def _bisect(
+    leak, eps: float, lo: float, hi: float, floor: float
+) -> tuple[float, float, int]:
     """(lambda, leakage there, iterations): bisection to 1e-6 relative width
     for the smallest lambda in [lo, hi] whose leakage is at most eps, given
     leak(lo) > eps >= leak(hi) (module notes). hi is the answer when no
-    midpoint reaches eps, and leak(hi) its leakage."""
+    midpoint reaches eps, and leak(hi) its leakage.
+
+    leak refuses every lambda below floor. The leakage falls as lambda
+    grows, so once leak(floor) > eps, a midpoint below floor leaks more than
+    eps without being evaluated; otherwise the answer is below floor too."""
+    if hi < floor or (lo < floor and leak(floor) <= eps):
+        raise ValueError(f"--epsilon {eps!r} is too large: it needs a lambda at or below "
+                         f"{floor!r}, the least this table admits")
     f_hi = leak(hi)
     iters = 0
     while (hi - lo) / hi > 1e-6 and iters < 200:
         mid = 0.5 * (lo + hi)
-        f_mid = leak(mid)
+        f_mid = leak(mid) if mid >= floor else math.inf
         if f_mid <= eps:
             hi, f_hi = mid, f_mid
         else:
@@ -423,6 +442,8 @@ def _scale_gaussian(model: GaussianModel, eps: float, force: bool) -> tuple[floa
     lam = model.M * v / eps
     while model.M / lam * v > eps:
         lam = float(np.nextafter(lam, np.inf))
+    if lam == math.inf:
+        raise ValueError(f"--epsilon {eps!r} is too small: M v / epsilon overflows")
     return lam, model.M / lam * v, 0
 
 

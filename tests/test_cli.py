@@ -713,6 +713,44 @@ class TestCalibrate:
         assert rep["lambda"] == float(np.nextafter(1.587 / 2.979, np.inf))
         assert rep["leakage_at_lambda"] == 2.9789999999999996
 
+    @pytest.mark.parametrize("method", ["full", "fast", "oracle"])
+    def test_epsilon_at_the_noise_floor(self, table_a_file, capsys, method):
+        # the answer to 1e308 lies near 1e-308, where S / lambda = 2e308
+        # overflows, so every method refuses and names --epsilon; the answer
+        # to 1e307 is admitted, though its bracket starts below the floor
+        argv = ["calibrate", table_a_file, "--method", method, "--epsilon"]
+        assert main(argv + ["1e308"]) == 2
+        assert "--epsilon" in capsys.readouterr().err
+        assert main(argv + ["1e307"]) == 0
+        assert json.loads(capsys.readouterr().out)["lambda"] == 1.0000005185604094e-307
+
+    def test_epsilon_without_finite_lambda(self, table_a_file, tmp_path, capsys):
+        # 10 n GS / eps overflows for the table, M v / eps for the model
+        model = {"mu": [0, 0], "sigma": [[1, 0.5], [0.5, 1]], "M": 1e300, "lambda": 1}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(model))
+        for argv in ([table_a_file, "--epsilon", "1e-308"], [str(path), "--epsilon", "1e-10"]):
+            assert main(["calibrate", *argv]) == 2
+            assert "--epsilon" in capsys.readouterr().err
+
+    def test_midpoints_below_the_floor(self):
+        # leakage 1/lambda and eps 1/1.5 put the answer at 1.5; a floor of 1
+        # makes the first midpoint of [0.1, 1.6] inadmissible, and skipping
+        # it takes the step its evaluation would
+        seen = []
+
+        def leak(lam):
+            seen.append(lam)
+            return 1.0 / lam
+
+        free = cli._bisect(lambda lam: 1.0 / lam, 1 / 1.5, 0.1, 1.6, 0.0)
+        assert cli._bisect(leak, 1 / 1.5, 0.1, 1.6, 1.0) == free
+        assert min(seen) == 1.0 and seen.count(1.0) == 1
+        # an answer below the floor is refused, as is a bracket below it
+        for eps, hi in ((1 / 0.9, 1.6), (1 / 1.5, 0.95)):
+            with pytest.raises(ValueError, match="--epsilon"):
+                cli._bisect(leak, eps, 0.1, hi, 1.0)
+
     def test_discrete_methods_agree(self, table_a_file, capsys):
         # no --method means full
         for extra, method in (([], "full"), (["--method", "full"], "full"),
