@@ -834,6 +834,22 @@ class TestCalibrate:
         assert rep["leakage_at_lambda"] == 1.0 / rep["lambda"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["oracle-check", "{listed}"], "expected a JSON object"),
+    (["calibrate", "{neither}", "--epsilon", "1"], 'need either "probs"'),
+    (["analyze-gaussian", "{g}", "--adversary", ","], "at least the attacked index"),
+    (["experiment", "--kind", "discrete", "--averCorr", ",", "--out", "{out}"],
+     "at least one value"),
+], ids=["not-an-object", "neither-kind", "empty-adversary", "empty-sweep"])
+def test_input_refusals(gauss_file, tmp_path, capsys, argv, message):
+    files = {"listed": tmp_path / "list.json", "neither": tmp_path / "neither.json",
+             "g": gauss_file, "out": tmp_path / "out.csv"}
+    files["listed"].write_text("[1, 2]")
+    files["neither"].write_text('{"mu": [0]}')
+    assert main([a.format(**files) for a in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["oracle-check", "{g}", "--lambda", "2"], "--lambda"),
     (["oracle-check", "{g}", "--query", "1,1,1"], "--query"),

@@ -359,3 +359,19 @@ def test_conditional_times_marginal_recovers_joint(dist):
         cond = conditional(dist, [0], {1: v1})
         recon[:, k1] = cond.probs * float(m1.probs[k1])
     np.testing.assert_allclose(recon, dist.probs, atol=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: JointDistribution([[0.0, 1.0], []], [[0.5], [0.5]]), "at least one value"),
+    (lambda d: marginal(d, []), "non-empty"),
+    (lambda d: marginal(d, [0, 2]), "out of range"),
+    (lambda d: pearson_corr(d, 1, 1), "two distinct"),
+    (lambda d: local_sensitivity(d, QuerySpec((1.0,)), 0), "query length"),
+    (lambda d: transform_linear_query(d, QuerySpec((1.0, 1.0, 1.0))), "query length"),
+    (lambda d: load_distribution({"domains": [[0, 1]]}), '"domains" and "probs"'),
+    (lambda d: load_distribution({"probs": [1.0]}), '"domains" and "probs"'),
+], ids=["empty_domain", "empty_subset", "subset_range", "same_tuple", "ls_query",
+        "transform_query", "no_probs", "no_domains"])
+def test_input_refusals(table_a, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(table_a)

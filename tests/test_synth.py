@@ -207,6 +207,11 @@ class TestGenDiscreteCorr:
         with pytest.raises(ValueError, match="target_corr"):
             gen_discrete_corr(2, 1.5, 2)
 
+    def test_one_tuple_has_no_pairs(self):
+        one = JointDistribution([[0.0, 1.0]], [0.4, 0.6])
+        with pytest.raises(ValueError, match="at least two tuples"):
+            mean_pairwise_corr(one)
+
     def test_returns_joint_distribution(self):
         dist = gen_discrete_corr(2, 0.4, 4, seed=11)
         assert isinstance(dist, JointDistribution)
