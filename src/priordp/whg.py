@@ -72,6 +72,11 @@ if it were searched alone, so the kept edges are those of a search one
 attacked tuple at a time. An on_edges hook asks for every edge, so a kernel
 given one evaluates them all.
 
+A table search admits its noise scale by model_discrete._noise_table, the
+rule the oracle shares, before any work: every value it divides by lambda
+(a domain value, a width, a node value) is at most the bound S behind the
+table's noise floor, so every node is finite and none drops out.
+
 Both searches feed the kernel's on_layer calls to report._Summary, which
 builds every evaluator's report. A table search also returns its graph:
 the arrays of its on_layer and on_edges calls, joined into one array each.
