@@ -401,9 +401,7 @@ def _max_leakage(dist: JointDistribution, query: QuerySpec, lam: float, method: 
     return full_space_search(dist, query, lam, force=True)[1].leakage
 
 
-def _bisect(
-    leak, eps: float, lo: float, hi: float, floor: float
-) -> tuple[float, float, int]:
+def _bisect(leak, eps: float, lo: float, hi: float, floor: float) -> tuple[float, float, int]:
     """(lambda, leakage there, iterations): bisection to 1e-6 relative width
     for the smallest lambda in [lo, hi] whose leakage is at most eps, given
     leak(lo) > eps >= leak(hi) (module notes). hi is the answer when no

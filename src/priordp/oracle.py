@@ -18,8 +18,7 @@ All mixture arithmetic runs through log-sum-exp so that lam much smaller
 than the domain width cannot underflow. Both oracles admit the noise scale
 by model_discrete._noise_table, the rule the chain shares, before any work:
 every query sum and kink offset is at most the bound S behind the table's
-noise floor, so none overflows when divided by lam. report._adversary
-checks the adversary of pdp_exact_discrete.
+noise floor, so none overflows when divided by lam.
 
 pdp_exact_all evaluates every adversary of a table, one batch per layer |K|
 (split at _STACK_CELLS mixture terms on a wide table), and

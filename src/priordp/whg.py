@@ -151,8 +151,9 @@ class WeightedHierGraph:
     edges: np.ndarray
 
     def node_value(self, node: tuple[int, Iterable[int]]) -> float:
-        """The value of adversary (i, K), K in any order; KeyError when the
-        search did not compute that node."""
+        """The value of adversary (i, K), K in any order; ValueError when
+        (i, K) is no adversary over n tuples, KeyError when the search did
+        not compute that node."""
         i, prior = _adversary(node, self.n)
         mask = sum(1 << t for t in prior)
         rows = self.nodes[(self.nodes["attack"] == i) & (self.nodes["mask"] == mask)]
