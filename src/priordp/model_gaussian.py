@@ -168,9 +168,21 @@ def leakage_gaussian(
     """Exact leakage of adversary (i, K): (M / lambda) * |1 + mu0i|.
 
     `expansion` is mu0_expand(model, i, K) when the caller already has it.
+    Raises ValueError when the product overflows.
     """
     exp = mu0_expand(model, i, K) if expansion is None else expansion
-    return model.M / model.lam * abs(1.0 + exp.coef_i)
+    value = model.M / model.lam * abs(1.0 + exp.coef_i)
+    if not math.isfinite(value):
+        raise _overflow(model, *_adversary((i, K), model.n), abs(1.0 + exp.coef_i))
+    return value
+
+
+def _overflow(model: GaussianModel, i: int, ks: tuple[int, ...], factor: float) -> ValueError:
+    """The refusal of a leakage (M / lambda) |1 + mu0i| that is not finite."""
+    return ValueError(
+        f"the Gaussian leakage of adversary (i={i}, K={list(ks)}) overflows: "
+        f"(M / lambda) |1 + mu0i| = ({model.M!r} / {model.lam!r}) * {factor!r} is not finite"
+    )
 
 
 def log_g(x, b, out=None):
@@ -249,16 +261,24 @@ def _adversary_values(
     The full set is never inverted: with no unknown tuple its adversaries
     face the noise alone. Each batch yields (attacks, layer, masks,
     leakages), three aligned (sets, |C|) arrays and the graph layer
-    n - |K|; masks hold each K over all n tuples.
+    n - |K|; masks hold each K over all n tuples. A leakage that overflows
+    raises ValueError naming the first such adversary in this order.
     """
     n = model.n
     scale = model.M / model.lam
     for size in range(1, n):
         for idx in _prior_sets(n, size, max(1, _STACK_CELLS // (size * size))):
             w, _ = _coefficients(model.sigma, idx)
+            with np.errstate(over="ignore"):
+                values = scale * np.abs(1.0 + w)
+            if not np.isfinite(values).all():
+                row, col = np.argwhere(~np.isfinite(values))[0].tolist()
+                i = int(idx[row, col])
+                ks = tuple(int(k) for k in idx[row] if k != i)
+                raise _overflow(model, i, ks, float(abs(1.0 + w[row, col])))
             bit = 1 << idx
             masks = bit.sum(axis=1, keepdims=True) - bit
-            yield idx, n - size + 1, masks, scale * np.abs(1.0 + w)
+            yield idx, n - size + 1, masks, values
     attacks = np.arange(n)[:, None]
     yield attacks, 1, ((1 << n) - 1) ^ (1 << attacks), np.full((n, 1), scale)
 

@@ -8,6 +8,7 @@ modules a fresh interpreter loads.
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -262,6 +263,21 @@ class TestAnalyzeGaussian:
         path.write_text(json.dumps(model))
         assert main([command[0], str(path)] + command[1:]) == 2
         assert "M / lambda overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["analyze-gaussian", "--all"],
+                                         ["analyze-gaussian", "--adversary", "0"],
+                                         ["oracle-check"]])
+    def test_overflowing_leakage(self, tmp_path, capsys, command):
+        # M / lambda = 1e308 is finite, but |1 + mu0i| = 101 at (0, ()) takes
+        # the leakage past the largest float: no command prints Infinity
+        model = {"mu": [0, 0], "sigma": [[1, 100], [100, 10000.01]], "M": 1e307, "lambda": 0.1}
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(model))
+        assert main([command[0], str(path)] + command[1:]) == 2
+        assert "adversary (i=0, K=[]) overflows" in capsys.readouterr().err
+        # (1, ()) has |1 + mu0i| just above 1, and its leakage is finite
+        assert main(["analyze-gaussian", str(path), "--adversary", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["leakage"] < math.inf
 
 
 class TestOracleCheck:

@@ -564,3 +564,13 @@ class TestGaussianSerialization:
         with pytest.raises(ValueError, match="M / lambda overflows"):
             load_gaussian_model(model)
         assert load_gaussian_model({**model, "lambda": 1e-8}).lam == 1e-8
+
+    def test_overflowing_leakage(self):
+        # M / lambda is finite, but (M / lambda) |1 + mu0i| is not at (0, ())
+        model = load_gaussian_model(
+            {"mu": [0, 0], "sigma": [[1, 100], [100, 10000.01]], "M": 1e307, "lambda": 0.1})
+        for evaluate in (lambda: max_leakage_gaussian(model),
+                         lambda: leakage_gaussian(model, 0, [])):
+            with pytest.raises(ValueError, match=r"adversary \(i=0, K=\[\]\) overflows"):
+                evaluate()
+        assert math.isfinite(leakage_gaussian(model, 1, []))
