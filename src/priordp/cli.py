@@ -201,10 +201,9 @@ def cmd_oracle_check(args) -> int:
             "pass --force to override"
         )
     if kind == "discrete":
-        # serial: on the 428 adversaries of six small skewed tables, the
-        # oracle's per-layer batches on two threads took 0.33-0.45 s against
-        # 0.25-0.33 s serially (perfbench wall_s, 5 alternating pairs, 2-core
-        # x86 host)
+        # serial: the oracle's batches span layers, so the 428 adversaries of
+        # perfbench's six small skewed tables run in seven batches, one or
+        # two per table, and leave threads nothing to overlap
         dist = obj
         tol = args.tolerance if args.tolerance is not None else 1e-9
         lam = args.lam if args.lam is not None else 1.0

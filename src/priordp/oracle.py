@@ -20,26 +20,34 @@ by model_discrete._noise_table, the rule the chain shares, before any work:
 every query sum and kink offset is at most the bound S behind the table's
 noise floor, so none overflows when divided by lam.
 
-pdp_exact_all evaluates every adversary of a table, one batch per layer |K|
-(split at _STACK_CELLS mixture terms on a wide table), and
+pdp_exact_all evaluates every adversary of a table in batches ordered by
+(|K|, T), T = {i} u K. An adversary has at most one mixture term per table
+cell, so each batch takes the next _STACK_CELLS // (table cells)
+adversaries, whatever their layer |K|: a small table runs in one or two
+batches, and a wide one keeps its memory near one adversary's.
 pdp_exact_discrete is the same kernel on a batch of one. Adversaries with
-the same T = {i} u K share their x_T slices: each slice is read once, with
-its own sum as the mass, for every i in T. Each feasible (adversary,
-assignment of x_K, hypothesis x_i) triple gives one mixture row; rows of
-one length merge their centers together (argsort along the row, the 1e-12
-rule, one np.add.at in sorted order), and the rows of one assignment share
-its kinks, the union of their centers. Rows are then grouped by shape
-(number of kinks, number of centers) across the batch, and each group takes
-one log-sum-exp over a (rows, kinks, centers) stack for the values at the
-kinks and one per output ray, split at _STACK_CELLS cells (a single row
-above that, along its kinks). Groups are never padded to a common shape:
-zero-weight terms change how numpy's pairwise summation groups the terms of
-a row longer than 8, and with it the last bits of the sum, whereas an
-unpadded stack reduces each row exactly as a call on that row alone would.
-The candidates keep a fixed scan order (assignment, hypothesis x_i,
-hypothesis x_i', then kink, r -> -inf, r -> +inf), and the witness is the
-first candidate that reaches the supremum; a NaN candidate never wins. The
-results are bit for bit those of one adversary, one hypothesis at a time.
+the same T share their x_T slices: each slice is read once, for every i in
+T, and its mass is the sum of its row gathered from the table. The rows of
+a batch are laid out by array arithmetic on the x_T cell index: an
+adversary reads the cells of T in (context, hypothesis) order, its context
+the cell index with axis i removed and its hypothesis the coordinate on
+axis i. Each feasible (adversary, assignment of x_K, hypothesis x_i) triple
+gives one mixture row; rows of one length merge their centers together
+(argsort along the row, the 1e-12 rule, one np.add.at in sorted order), and
+the rows of one assignment share its kinks, the union of their centers.
+Rows are then grouped by shape (number of kinks, number of centers) across
+the batch, and each group takes one log-sum-exp over a (rows, kinks,
+centers) stack for the values at the kinks and one per output ray, split at
+_STACK_CELLS cells (a single row above that, along its kinks). Groups are
+never padded to a common shape: zero-weight terms change how numpy's
+pairwise summation groups the terms of a row longer than 8, and with it the
+last bits of the sum, whereas an unpadded stack reduces each row exactly as
+a call on that row alone would. The candidates keep a fixed scan order
+(assignment, hypothesis x_i, hypothesis x_i', then kink, r -> -inf,
+r -> +inf), and the witness is the first candidate that reaches the
+supremum; a NaN candidate never wins. The results are bit for bit those of
+one adversary, one hypothesis at a time, on every table whose x_T slices
+hold at most 8192 cells (see _slices).
 """
 
 from __future__ import annotations
@@ -190,7 +198,7 @@ def _slices(
     """Mixture terms of every x_T slice of the table, T = ts.
 
     Returns (slot, weights, sums, lengths). slot gives each x_T cell, in
-    the T shape, its row of lengths, or -1 where Pr(x_T) is below
+    product order, its row of lengths, or -1 where Pr(x_T) is below
     PROB_FLOOR or the slice itself sums below it. weights and sums hold,
     slice after slice, Pr(x_U | x_T) and the sum of x_U over the cells of
     the slice with positive weight, U the tuples outside T.
@@ -198,23 +206,23 @@ def _slices(
     y = tab.y
     shape = tab.shape(ts)
     cells = np.flatnonzero(tab.live(ts))
-    mass = np.empty(cells.size)
-    view: list[object] = [slice(None)] * y.n
-    for j, cell in enumerate(np.transpose(np.unravel_index(cells, shape)).tolist()):
-        for t, p in zip(ts, cell):
-            view[t] = p
-        # each slice's own sum: a sum over the U axes of the whole table
-        # differs from it in the last bit on some cells
-        mass[j] = y.probs[tuple(view)].sum()
+    unknown = tuple(u for u in range(y.n) if u not in ts)
+    table = y.probs.transpose(ts + unknown).reshape(math.prod(shape), -1)
+    rows = table[cells]
+    # a gathered row is contiguous, and numpy sums it pairwise; so does it
+    # sum a slice taken alone as a view of the table, bit for bit, up to
+    # numpy's 8192-element buffer, past which a strided view is summed one
+    # buffer at a time. Only a sum over the U axes of the whole table
+    # differs on smaller slices, in the last bit on some cells
+    mass = rows.sum(axis=1)
     ok = mass >= PROB_FLOOR
-    slot = np.full(math.prod(shape), -1)
+    slot = np.full(table.shape[0], -1)
     slot[cells[ok]] = np.arange(int(ok.sum()))
-    unknown = [u for u in range(y.n) if u not in ts]
-    table = np.moveaxis(y.probs, ts, range(len(ts))).reshape(slot.size, -1)
-    w = table[cells[ok]] / mass[ok, None]
+    w = rows[ok] / mass[ok, None]
     pos = w > 0.0
-    sums = sum(np.meshgrid(*[tab.doms[u] for u in unknown], indexing="ij")).ravel()
-    return slot.reshape(shape), w[pos], np.broadcast_to(sums, w.shape)[pos], pos.sum(axis=1)
+    # x_U sums in product order, added axis by axis from 0.0
+    sums = functools.reduce(np.add.outer, [tab.doms[u] for u in unknown], 0.0).ravel()
+    return slot, w[pos], sums[np.nonzero(pos)[1]], pos.sum(axis=1)
 
 
 def _rows(tab: _Table, adversaries: list[tuple[int, tuple[int, ...]]]) -> tuple[np.ndarray, ...]:
@@ -230,57 +238,91 @@ def _rows(tab: _Table, adversaries: list[tuple[int, tuple[int, ...]]]) -> tuple[
     # slot 0 is the law of an adversary who knows every other tuple: the
     # noise alone, one center at its base (adding -0.0 keeps every bit)
     w_parts, s_parts, len_parts = [np.ones(1)], [np.full(1, -0.0)], [np.ones(1, dtype=np.intp)]
-    slots: dict[tuple[int, ...], np.ndarray] = {}
     n_slots = 1
-    for ts in dict.fromkeys(tuple(sorted((i,) + ks)) for i, ks in adversaries):
-        if len(ts) < n:
-            slot, w, s, lengths = _slices(tab, ts)
-            slots[ts] = np.where(slot < 0, -1, slot + n_slots)
-            w_parts.append(w)
-            s_parts.append(s)
-            len_parts.append(lengths)
-            n_slots += lengths.size
-
-    row_slot, row_base, row_hyp, ctx_cell, ctx_h, adv_ctx = [], [], [], [], [], [0]
+    # each T = {i} u K once: Pr(x_T) >= PROB_FLOOR and the slot of each x_T
+    # cell, from t_first[T] on in the concatenation of t_live and t_slot
+    t_first: dict[object, int] = {}
+    t_live, t_slot = [], []
+    t_size = 0
+    # each adversary: its cells of T, hypotheses, cells per hypothesis step
+    # along T, first x_T cell, and per x_K cell Pr(x_K) >= PROB_FLOOR and the
+    # fsum of the assignment
+    size, d, inner, t_off, k_live, known = [], [], [], [], [], []
+    one, zero = np.ones(1, dtype=bool), np.zeros(1)
     for i, ks in adversaries:
         ts = tuple(sorted((i,) + ks))
         d_i = len(y.domains[i])
         if len(ts) == n:
-            # assignment-independent: one context with an empty assignment
-            ctx, hyp = np.zeros(d_i, dtype=np.intp), np.arange(d_i)
-            slot, known = np.zeros(d_i, dtype=np.intp), np.zeros(1)
+            # assignment-independent: one context with an empty assignment,
+            # every hypothesis on slot 0
+            key: object = d_i
+            if key not in t_first:
+                t_first[key] = t_size
+                t_size += d_i
+                t_live.append(np.ones(d_i, dtype=bool))
+                t_slot.append(np.zeros(d_i, dtype=np.intp))
+            size.append(d_i)
+            inner.append(1)
+            k_live.append(one)
+            known.append(zero)
         else:
-            # Pr(x_K) gates the assignments and Pr(x_i, x_K) the hypotheses:
-            # one row per x_K cell in product order, one column per x_i value
-            p = ts.index(i)
-            use = np.moveaxis(tab.live(ts).reshape(tab.shape(ts)), p, -1).reshape(-1, d_i)
-            if ks:
-                use = use & tab.live(ks)[:, None]
-            slot_ik = np.moveaxis(slots[ts], p, -1).reshape(-1, d_i)
-            # a hypothesis whose slice sums below PROB_FLOOR voids the assignment
-            use[(use & (slot_ik < 0)).any(axis=1)] = False
-            ctx, hyp = np.nonzero(use)
-            slot, known = slot_ik[ctx, hyp], tab.known(ks)
-        counts = np.bincount(ctx, minlength=1)
-        cells = np.flatnonzero(counts)
-        row_slot.append(slot)
-        row_base.append(tab.doms[i][hyp] + known[ctx])
-        row_hyp.append(hyp)
-        ctx_cell.append(cells)
-        ctx_h.append(counts[cells])
-        adv_ctx.append(adv_ctx[-1] + cells.size)
+            key = ts
+            if key not in t_first:
+                slot, w, s, lengths = _slices(tab, ts)
+                t_first[key] = t_size
+                t_size += slot.size
+                t_live.append(tab.live(ts))
+                t_slot.append(np.where(slot < 0, -1, slot + n_slots))
+                w_parts.append(w)
+                s_parts.append(s)
+                len_parts.append(lengths)
+                n_slots += lengths.size
+            shape = tab.shape(ts)
+            size.append(math.prod(shape))
+            inner.append(math.prod(shape[ts.index(i) + 1 :]))
+            # Pr(x_K) gates the assignments
+            k_live.append(tab.live(ks) if ks else one)
+            known.append(tab.known(ks))
+        d.append(d_i)
+        t_off.append(t_first[key])
+
+    # element q of adversary a is context q // d and hypothesis q % d, so
+    # each adversary reads its x_T cells in the order (context, hypothesis):
+    # the context is the cell index with axis i removed, and the hypothesis
+    # coordinate i
+    size, d, inner = np.array(size), np.array(d), np.array(inner)
+    adv = np.repeat(np.arange(size.size), size)
+    ctx, hyp = np.divmod(np.arange(adv.size) - _starts(size)[adv], d[adv])
+    step = inner[adv]
+    cell = ctx // step * (d[adv] * step) + hyp * step + ctx % step + np.array(t_off)[adv]
+    k_first = _starts(size // d)
+    ctx += k_first[adv]
+    # Pr(x_i, x_K) gates the hypotheses
+    use = np.concatenate(t_live)[cell] & np.concatenate(k_live)[ctx]
+    slot = np.concatenate(t_slot)[cell]
+    # a hypothesis whose slice sums below PROB_FLOOR voids the assignment
+    void = np.zeros(k_first[-1], dtype=bool)
+    void[ctx[use & (slot < 0)]] = True
+    use &= ~void[ctx]
+    kept = np.flatnonzero(use)
+    adv, ctx, hyp = adv[kept], ctx[kept], hyp[kept]
+    row_base = (np.concatenate([tab.doms[i] for i, _ in adversaries])[_starts(d)[adv] + hyp]
+                + np.concatenate(known)[ctx])
+    counts = np.bincount(ctx, minlength=k_first[-1])
+    cells = np.flatnonzero(counts)
+    owner = np.searchsorted(k_first, cells, side="right") - 1
 
     # gather each row's terms from its slice, centers at sum(x_U) + base
     slot_len = np.concatenate(len_parts)
-    row_slot = np.concatenate(row_slot)
+    row_slot = slot[kept]
     lengths = slot_len[row_slot]
     src = np.repeat(_starts(slot_len)[row_slot] - _starts(lengths)[:-1], lengths)
     src += np.arange(src.size)
     raw = np.concatenate(s_parts)[src]
-    raw += np.repeat(np.concatenate(row_base), lengths)
+    raw += np.repeat(row_base, lengths)
     centers, weights, m_off = _merge_rows(raw, lengths, 1e-12, np.concatenate(w_parts)[src])
-    return (centers, weights, m_off, np.concatenate(row_hyp), np.concatenate(ctx_cell),
-            _starts(np.concatenate(ctx_h)), np.array(adv_ctx))
+    return (centers, weights, m_off, hyp, cells - k_first[owner], _starts(counts[cells]),
+            _starts(np.bincount(owner, minlength=size.size)))
 
 
 def _log_mixtures(
@@ -434,23 +476,21 @@ def pdp_exact_all(
     a sorted tuple: by attacked tuple i, then by the bitmask of K over the
     other tuples.
 
-    The table is transformed once and each marginal taken once. Each layer
-    |K| is one batch, ordered by T = {i} u K so that adversaries sharing
-    their slices meet in one batch. An adversary has at most one mixture
-    term per table cell, so a layer is split into batches of at most
-    _STACK_CELLS table cells; that keeps a wide table's memory near one
-    adversary's, while small tables run whole layers.
+    The table is transformed once and each marginal taken once. The
+    adversaries are ordered by (|K|, T), T = {i} u K, so that adversaries
+    sharing their slices meet in one batch, and cut into batches of
+    _STACK_CELLS // (table cells) adversaries, across layers: an adversary
+    has at most one mixture term per table cell, which keeps a wide table's
+    memory near one adversary's, while a small table runs whole.
     """
     tab = _Table(_noise_table(dist, query, lam))
     adversaries = list(_all_adversaries(tab.y.n))
+    ordered = sorted(adversaries, key=lambda a: (len(a[1]), sorted((a[0],) + a[1])))
     step = max(1, _STACK_CELLS // tab.y.probs.size)
     found = {}
-    for size in range(tab.y.n):
-        layer = sorted((a for a in adversaries if len(a[1]) == size),
-                       key=lambda a: sorted((a[0],) + a[1]))
-        for s in range(0, len(layer), step):
-            batch = layer[s : s + step]
-            found.update(zip(batch, _exact(tab, lam, batch)))
+    for s in range(0, len(ordered), step):
+        batch = ordered[s : s + step]
+        found.update(zip(batch, _exact(tab, lam, batch)))
     return {a: found[a] for a in adversaries}
 
 

@@ -328,6 +328,25 @@ class TestBatchedMatchesReference:
         assert res.kinks_evaluated == 3
         assert_oracle_matches_reference(dist, query, 1.0)
 
+    def test_slices_past_the_pairwise_block(self):
+        # at n=9 an x_T slice with |K| <= 1 holds 128 or 256 cells, past the
+        # 128 terms at which numpy's pairwise sum starts to split: each
+        # slice's mass is still its own sum, bit for bit
+        rng = np.random.default_rng(69)
+        dist = sized_table(rng, 9, 2, zero_frac=0.1)
+        query = QuerySpec.sum_query(9)
+        for i in range(9):
+            for K in [()] + [(k,) for k in range(9) if k != i]:
+                got = pdp_exact_discrete(dist, query, 1.0, i, K)
+                want = oracle_reference.pdp_exact_discrete(dist, query, 1.0, i, K)
+                assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want)), (i, K)
+
+
+# _STACK_CELLS budgets at which, on an 81-cell table, a batch of 5
+# adversaries splits layer |K| = 1, or a batch of 16 holds layers 0 and 1
+BATCH_SPLITS_LAYER = 5 * 81
+BATCH_SPANS_LAYERS = 16 * 81
+
 
 def assert_all_matches_reference(dist, query, lam):
     """pdp_exact_all equals the per-hypothesis loop on every adversary, bit
@@ -352,16 +371,38 @@ class TestAllMatchesReference:
                 dist = sized_table(rng, n, size, zero_frac=0.2 if n > 2 else 0.0)
                 assert_all_matches_reference(dist, QuerySpec.sum_query(n), lam)
 
-    @pytest.mark.parametrize("cells", [1, 7])
+    @pytest.mark.parametrize("cells", [1, 7, BATCH_SPLITS_LAYER, BATCH_SPANS_LAYERS])
     def test_stack_bounds_move_no_bit(self, monkeypatch, cells):
         # stacks of one row, or split along their kinks, and scan stacks of
-        # one context: each row and pair still reduces on its own
+        # one context: each row and pair still reduces on its own; at the
+        # last two budgets a batch splits a layer, or holds two whole layers
         monkeypatch.setattr(oracle, "_STACK_CELLS", cells)
         rng = np.random.default_rng(65)
         for n, size in ((3, 3), (4, 2), (4, 3)):
             dist = sized_table(rng, n, size, zero_frac=0.1)
             for lam in (0.05, 1.0):
                 assert_all_matches_reference(dist, QuerySpec.sum_query(n), lam)
+
+    @pytest.mark.parametrize("cells", [BATCH_SPLITS_LAYER, BATCH_SPANS_LAYERS])
+    def test_batches_at_the_stack_bounds(self, monkeypatch, cells):
+        # the budgets above do what they say on the 81-cell n=4 table: its
+        # layers |K| = 0..3 hold 4, 12, 12 and 4 adversaries, and a batch
+        # takes the next cells // 81 adversaries in (|K|, T) order
+        batches = []
+        exact = oracle._exact
+
+        def record(tab, lam, adversaries):
+            batches.append(sorted({len(ks) for _, ks in adversaries}))
+            return exact(tab, lam, adversaries)
+
+        monkeypatch.setattr(oracle, "_STACK_CELLS", cells)
+        monkeypatch.setattr(oracle, "_exact", record)
+        dist = sized_table(np.random.default_rng(65), 4, 3, zero_frac=0.1)
+        pdp_exact_all(dist, QuerySpec.sum_query(4), 1.0)
+        if cells == BATCH_SPANS_LAYERS:
+            assert batches == [[0, 1], [2, 3]]
+        else:
+            assert batches == [[0, 1], [1], [1], [1, 2], [2], [2, 3], [3]]
 
     def test_zero_cell_tables(self):
         for dist in (binary_table(CELLS_C), gen_discrete_corr(3, 1.0, 2),
