@@ -258,7 +258,7 @@ def cmd_oracle_check(args) -> int:
         )
     summary = f"{sum(r['pass'] for r in rows)}/{len(rows)} adversaries pass (tol {tol:g})"
     if kind == "discrete":
-        summary += f", {sum(r['witness'] == 'kink' for r in rows)} suprema at a kink"
+        summary += f", {sum(r['witness'] == 'interior' for r in rows)} interior suprema"
     print(summary)
     if args.out:
         _emit(

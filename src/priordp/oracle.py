@@ -10,9 +10,12 @@ densities centered at the achievable query sums. On every interval between
 adjacent centers each mixture equals A e^{-r/lam} + B e^{r/lam}, so the
 log-ratio of two mixtures is a Moebius function of e^{2r/lam} there, hence
 monotone per interval. The supremum over r is therefore attained at a center
-("kink point") of either mixture or in one of the two r -> +-inf limits, and
-this module evaluates exactly those candidates; no output grid is involved
-for discrete data.
+("kink point") of either mixture or in one of the two r -> +-inf limits.
+Past the largest kink of a context, the union of its rows' centers, every
+mixture is a constant times e^{-r/lam}, so the log-ratio of two is constant
+there and equals its value at that kink; the same holds below the smallest
+kink. The kinks are thus the only candidates this module evaluates: no
+output grid is involved for discrete data, and no ray.
 
 All mixture arithmetic runs through log-sum-exp so that lam much smaller
 than the domain width cannot underflow. Both oracles admit the noise scale
@@ -37,17 +40,19 @@ gives one mixture row; rows of one length merge their centers together
 the rows of one assignment share its kinks, the union of their centers.
 Rows are then grouped by shape (number of kinks, number of centers) across
 the batch, and each group takes one log-sum-exp over a (rows, kinks,
-centers) stack for the values at the kinks and one per output ray, split at
-_STACK_CELLS cells (a single row above that, along its kinks). Groups are
-never padded to a common shape: zero-weight terms change how numpy's
-pairwise summation groups the terms of a row longer than 8, and with it the
-last bits of the sum, whereas an unpadded stack reduces each row exactly as
-a call on that row alone would. The candidates keep a fixed scan order
-(assignment, hypothesis x_i, hypothesis x_i', then kink, r -> -inf,
-r -> +inf), and the witness is the first candidate that reaches the
-supremum; a NaN candidate never wins. The results are bit for bit those of
-one adversary, one hypothesis at a time, on every table whose x_T slices
-hold at most 8192 cells (see _slices).
+centers) stack for the values at the kinks, split at _STACK_CELLS cells (a
+single row above that, along its kinks). Groups are never padded to a
+common shape: zero-weight terms change how numpy's pairwise summation
+groups the terms of a row longer than 8, and with it the last bits of the
+sum, whereas an unpadded stack reduces each row exactly as a call on that
+row alone would. Each ordered hypothesis pair gives one candidate, its
+first-argmax kink, in a fixed scan order (assignment, hypothesis x_i,
+hypothesis x_i'); the winner is the first candidate that reaches the
+supremum, and a NaN candidate never wins. The witness says "interior" when
+the winner beats its pair's tail, the larger of the pair's values at the
+first and last kink, by more than _TAIL_MARGIN relative; otherwise the
+supremum holds on a whole output ray and the witness says "tail". The
+results are bit for bit those of one adversary, one hypothesis at a time.
 """
 
 from __future__ import annotations
@@ -72,8 +77,12 @@ from .model_discrete import (
 from .model_gaussian import GaussianModel, Mu0Expansion, log_g, mu0_expand
 from .report import _adversary
 
-_NEG_RAY = float("-inf")
-_POS_RAY = float("inf")
+# A winning kink is "interior" when it beats its pair's tail by more than
+# _TAIL_MARGIN * max(1, value). On the pinned corpus, the oracle tests and
+# the criterion-5 survey, a tail that ties the kink up to rounding lies
+# within 3.1e-12 of it in these units, and every other kink beats both
+# tails by 4.7e-5 or more.
+_TAIL_MARGIN = 1e-9
 
 # Most cells stacked into one log-sum-exp or one scan, and most mixture terms
 # in one batch of pdp_exact_all. Stacking saves calls on the many small
@@ -90,8 +99,11 @@ _HALF_GRID = 10000
 class OracleResult:
     """Supremum found by the brute-force search plus its witness.
 
-    r_star is a kink point, or +-inf when the supremum sits on an output
-    ray. xi, xi_prime and the assignment values are in sum-query units
+    r_star is the kink at which the supremum sits. witness is "interior"
+    when r_star beats both ends of the pair's kinks by more than
+    _TAIL_MARGIN relative; "tail" when it does not, and the supremum then
+    holds on the whole output ray beyond the outermost kink; None at zero
+    leakage. xi, xi_prime and the assignment values are in sum-query units
     (original values scaled by the query coefficients).
     """
 
@@ -101,13 +113,7 @@ class OracleResult:
     r_star: float
     assignment: dict[int, float] = field(default_factory=dict)
     kinks_evaluated: int = 0
-
-    @property
-    def witness(self) -> str | None:
-        """Where the supremum sat: "kink", "ray", or None at zero leakage."""
-        if self.leakage == 0.0:
-            return None
-        return "ray" if math.isinf(self.r_star) else "kink"
+    witness: str | None = None
 
 
 def _all_adversaries(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -209,11 +215,9 @@ def _slices(
     unknown = tuple(u for u in range(y.n) if u not in ts)
     table = y.probs.transpose(ts + unknown).reshape(math.prod(shape), -1)
     rows = table[cells]
-    # a gathered row is contiguous, and numpy sums it pairwise; so does it
-    # sum a slice taken alone as a view of the table, bit for bit, up to
-    # numpy's 8192-element buffer, past which a strided view is summed one
-    # buffer at a time. Only a sum over the U axes of the whole table
-    # differs on smaller slices, in the last bit on some cells
+    # a gathered row is contiguous, and numpy sums it pairwise, as it sums
+    # a contiguous copy of the slice taken alone; a sum over the U axes of
+    # the whole table differs in the last bit on some cells
     mass = rows.sum(axis=1)
     ok = mass >= PROB_FLOOR
     slot = np.full(table.shape[0], -1)
@@ -328,10 +332,9 @@ def _rows(tab: _Table, adversaries: list[tuple[int, tuple[int, ...]]]) -> tuple[
 def _log_mixtures(
     lam: float, centers: np.ndarray, weights: np.ndarray, m_off: np.ndarray,
     kinks: np.ndarray, k_off: np.ndarray, ctx_first: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Log mixture of every row at each kink of its context and on both
-    output rays: (log_at, at_off, low, up), row r's kink values at
-    log_at[at_off[r] : at_off[r + 1]].
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log mixture of every row at each kink of its context: (log_at,
+    at_off), row r's values at log_at[at_off[r] : at_off[r + 1]].
 
     Rows of one shape (kinks, centers) are stacked, _STACK_CELLS cells at a
     time; a single row above that is reduced a slice of its kinks at a
@@ -342,8 +345,6 @@ def _log_mixtures(
     row_nc = np.diff(m_off)
     at_off = _starts(row_nk)
     log_at = np.empty(at_off[-1])
-    low = np.empty(row_nc.size)
-    up = np.empty(row_nc.size)
     shapes = row_nk * (row_nc.max(initial=0) + 1) + row_nc
     for key in np.unique(shapes).tolist():
         ids = np.flatnonzero(shapes == key)
@@ -364,55 +365,48 @@ def _log_mixtures(
                 for k in range(0, nk, k_step)
             ], axis=1)
             log_at[at_off[part, None] + np.arange(nk)] = at
-            low[part] = logsumexp(-cc / lam, axis=1, b=ww)
-            up[part] = logsumexp(cc / lam, axis=1, b=ww)
-    return log_at, at_off, low, up
+    return log_at, at_off
 
 
 def _candidates(
-    log_at: np.ndarray, at_off: np.ndarray, low: np.ndarray, up: np.ndarray,
+    log_at: np.ndarray, at_off: np.ndarray,
     kinks: np.ndarray, k_off: np.ndarray, ctx_first: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every candidate value and its output r, in scan order: context,
-    hypothesis x_i, hypothesis x_i' != x_i, then the best kink, r -> -inf
-    and r -> +inf. Returns (values, r, cand_off): a context of h rows has
-    3 h (h - 1) candidates, from cand_off of it.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate of every ordered hypothesis pair, in scan order:
+    context, hypothesis x_i, hypothesis x_i' != x_i. Its value is the
+    pair's log-ratio at its best kink, the first argmax over the context's
+    kinks, so a NaN there makes the candidate NaN; its tail is the larger
+    of the pair's log-ratios at the first and last kink, which each hold on
+    the output ray beyond that kink. Returns (values, r, tails, cand_off):
+    a context of h rows has h (h - 1) candidates, from cand_off of it.
 
-    The best kink of a pair is the first argmax of its log-ratio over the
-    kinks, so a NaN there makes the kink candidate NaN. Contexts of one
-    shape (rows, kinks) are stacked, _STACK_CELLS cells at a time.
+    Contexts of one shape (rows, kinks) are stacked, _STACK_CELLS cells at
+    a time.
     """
     ctx_h = np.diff(ctx_first)
     ctx_nk = np.diff(k_off)
-    cand_off = _starts(3 * ctx_h * (ctx_h - 1))
+    cand_off = _starts(ctx_h * (ctx_h - 1))
     values = np.empty(cand_off[-1])
     r_at = np.empty(cand_off[-1])
+    tails = np.empty(cand_off[-1])
     shapes = ctx_h * (ctx_nk.max(initial=0) + 1) + ctx_nk
     for key in np.unique(shapes[ctx_h > 1]).tolist():
         ids = np.flatnonzero(shapes == key)
         h, nk = int(ctx_h[ids[0]]), int(ctx_nk[ids[0]])
         pairs = ~np.eye(h, dtype=bool)
-        block = np.arange(3 * h * (h - 1))
+        block = np.arange(h * (h - 1))
         step = max(1, _STACK_CELLS // (h * h * nk))
         for s in range(0, ids.size, step):
             part = ids[s : s + step]
             rows = ctx_first[part, None] + np.arange(h)
             la = log_at[at_off[rows][:, :, None] + np.arange(nk)]
             diff = la[:, :, None, :] - la[:, None, :, :]
-            k_best = np.argmax(diff, axis=3)[..., None]
-            r_kink = kinks[k_off[part, None, None] + k_best[..., 0]]
-            v = np.stack([
-                np.take_along_axis(diff, k_best, axis=3)[..., 0],
-                low[rows][:, :, None] - low[rows][:, None, :],
-                up[rows][:, :, None] - up[rows][:, None, :],
-            ], axis=3)
-            r = np.stack([
-                r_kink, np.full(r_kink.shape, _NEG_RAY), np.full(r_kink.shape, _POS_RAY)
-            ], axis=3)
+            k_best = np.argmax(diff, axis=3)
             dest = cand_off[part, None] + block
-            values[dest] = v[:, pairs].reshape(part.size, -1)
-            r_at[dest] = r[:, pairs].reshape(part.size, -1)
-    return values, r_at, cand_off
+            values[dest] = np.take_along_axis(diff, k_best[..., None], axis=3)[:, pairs, 0]
+            r_at[dest] = kinks[k_off[part, None, None] + k_best][:, pairs]
+            tails[dest] = np.maximum(diff[..., 0], diff[..., -1])[:, pairs]
+    return values, r_at, tails, cand_off
 
 
 def _exact(tab: _Table, lam: float, adversaries: list[tuple[int, tuple[int, ...]]]) -> list[OracleResult]:
@@ -421,10 +415,10 @@ def _exact(tab: _Table, lam: float, adversaries: list[tuple[int, tuple[int, ...]
     centers, weights, m_off, hyp, ctx_cell, ctx_first, adv_ctx = _rows(tab, adversaries)
     # the kinks of a context are the union of its rows' centers
     kinks, _, k_off = _merge_rows(centers, np.diff(m_off[ctx_first]), 0.0)
-    log_at, at_off, low, up = _log_mixtures(lam, centers, weights, m_off, kinks, k_off, ctx_first)
-    values, r_at, cand_off = _candidates(log_at, at_off, low, up, kinks, k_off, ctx_first)
-    # the first candidate that reaches the supremum is the witness; a NaN
-    # candidate never wins
+    log_at, at_off = _log_mixtures(lam, centers, weights, m_off, kinks, k_off, ctx_first)
+    values, r_at, tails, cand_off = _candidates(log_at, at_off, kinks, k_off, ctx_first)
+    # the first candidate that reaches the supremum wins; a NaN candidate
+    # never does
     ranked = np.where(np.isnan(values), -np.inf, values)
     kink_counts = np.diff(k_off[adv_ctx]).tolist()
     results = []
@@ -434,8 +428,7 @@ def _exact(tab: _Table, lam: float, adversaries: list[tuple[int, tuple[int, ...]
         j = lo + int(np.argmax(ranked[lo:hi])) if hi > lo else lo
         if hi > lo and values[j] > best.leakage:
             c = int(np.searchsorted(cand_off, j, side="right")) - 1
-            pair = (j - cand_off[c]) // 3
-            ai, bi = divmod(pair, int(ctx_first[c + 1] - ctx_first[c]) - 1)
+            ai, bi = divmod(j - cand_off[c], int(ctx_first[c + 1] - ctx_first[c]) - 1)
             bi += bi >= ai
             if ks and len(ks) + 1 < y.n:
                 k_pos = np.unravel_index(ctx_cell[c], tab.shape(ks))
@@ -444,6 +437,8 @@ def _exact(tab: _Table, lam: float, adversaries: list[tuple[int, tuple[int, ...]
             best.xi = y.domains[i][hyp[ctx_first[c] + ai]]
             best.xi_prime = y.domains[i][hyp[ctx_first[c] + bi]]
             best.r_star = float(r_at[j])
+            interior = best.leakage - tails[j] > _TAIL_MARGIN * max(1.0, best.leakage)
+            best.witness = "interior" if interior else "tail"
         results.append(best)
     return results
 

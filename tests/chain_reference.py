@@ -94,7 +94,10 @@ def conditional_at(
     remaining = [i for i in range(dist.n) if i not in giv]
     sum_axes = tuple(ax for ax, i in enumerate(remaining) if i not in tgt)
     table = sliced.sum(axis=sum_axes) if sum_axes else sliced
-    mass = float(table.sum())
+    # a contiguous copy sums pairwise, as the package sums a gathered row;
+    # numpy sums a strided view past its 8192-element buffer one buffer at
+    # a time
+    mass = float(np.ascontiguousarray(table).sum())
     if mass < PROB_FLOOR:
         raise ImpossibleCondition(f"Pr(given={giv}) = {mass!r} is (near) zero")
     return SimpleNamespace(domains=tuple(dist.domains[i] for i in tgt), probs=table / mass)

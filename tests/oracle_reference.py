@@ -3,11 +3,13 @@
 The package evaluates each adversary in one batched pass: table slices
 instead of conditional tables, and one log-sum-exp per mixture shape. This
 module is the earlier, direct formulation: one conditional table, one
-mixture and three log-sum-exps per (assignment, hypothesis), and feasibility
-read cell by cell. Tests require the package to match it in every
-OracleResult field, bit for bit; nothing in the package imports it. It also
-holds `bayesian_gain`, the adversary's posterior log-odds gain, which tests
-check against the output log-density ratio.
+mixture and one log-sum-exp per (assignment, hypothesis), and feasibility
+read cell by cell. It scans the same candidates, one kink per hypothesis
+pair, and labels the witness by the same rule. Tests require the package
+to match it in every OracleResult field, bit for bit; nothing in the
+package imports it. It also holds `bayesian_gain`, the adversary's
+posterior log-odds gain, which tests check against the output log-density
+ratio.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from priordp import (
     transform_linear_query,
 )
 from priordp.model_discrete import PROB_FLOOR, logsumexp
+from priordp.oracle import _TAIL_MARGIN
 
 from chain_reference import ImpossibleCondition, conditional_at, value_index
-
-_NEG_RAY = float("-inf")
-_POS_RAY = float("inf")
 
 
 def _merge_centers(centers: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,22 +136,20 @@ def pdp_exact_discrete(
         kink_count += kinks.size
         hyp = list(mixtures)
         log_at = np.stack([_log_mixture_at(kinks, *mixtures[a], lam) for a in hyp])
-        low = np.array([logsumexp(-mixtures[a][0] / lam, b=mixtures[a][1]) for a in hyp])
-        up = np.array([logsumexp(mixtures[a][0] / lam, b=mixtures[a][1]) for a in hyp])
         for ai, a in enumerate(hyp):
             for bi, b in enumerate(hyp):
                 if ai == bi:
                     continue
                 diff = log_at[ai] - log_at[bi]
                 k_best = int(np.argmax(diff))
-                cands = (
-                    (float(diff[k_best]), float(kinks[k_best])),
-                    (float(low[ai] - low[bi]), _NEG_RAY),
-                    (float(up[ai] - up[bi]), _POS_RAY),
-                )
-                for v, r in cands:
-                    if v > best.leakage:
-                        best = OracleResult(v, dom[a], dom[b], r, dict(assignment))
+                v = float(diff[k_best])
+                if v > best.leakage:
+                    # the log-ratio is constant on each output ray beyond
+                    # the outermost kinks
+                    tail = max(float(diff[0]), float(diff[-1]))
+                    interior = v - tail > _TAIL_MARGIN * max(1.0, v)
+                    best = OracleResult(v, dom[a], dom[b], float(kinks[k_best]), dict(assignment),
+                                        witness="interior" if interior else "tail")
     best.kinks_evaluated = kink_count
     return best
 

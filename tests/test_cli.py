@@ -306,11 +306,12 @@ class TestOracleCheck:
         out = tmp_path / "check.json"
         assert main(["oracle-check", table_a_file, "--out", str(out)]) == 0
         rows = {(r["i"], tuple(r["K"])): r for r in read_json(out)["rows"]}
-        # both suprema of table A sit at the kink r = 0
-        assert rows[(0, ())]["witness"] == "kink"
-        assert rows[(0, (1,))]["witness"] == "kink"
-        assert {r["witness"] for r in rows.values()} == {"kink"}
-        assert "4 suprema at a kink" in capsys.readouterr().out
+        # both suprema of table A sit at the outermost kink r = 0, and hold
+        # on the whole ray r <= 0
+        assert rows[(0, ())]["witness"] == "tail"
+        assert rows[(0, (1,))]["witness"] == "tail"
+        assert {r["witness"] for r in rows.values()} == {"tail"}
+        assert "0 interior suprema" in capsys.readouterr().out
 
     def test_discrete_gap_detected(self, tmp_path, capsys):
         probs = np.asarray(GAP_PROBS)

@@ -162,16 +162,37 @@ class TestWitnessConsistency:
         dist = request.getfixturevalue(fixture)
         res = pdp_exact_discrete(dist, sum2, 1.0, 0, [])
         args = (dist, sum2, 1.0, 0)
-        if math.isinf(res.r_star):
-            sign = 1 if res.r_star > 0 else -1
-            v = ref_ray_limit(*args, res.xi, res.assignment, sign) - ref_ray_limit(
-                *args, res.xi_prime, res.assignment, sign
-            )
-        else:
-            v = ref_log_density(*args, res.xi, res.assignment, res.r_star) - ref_log_density(
-                *args, res.xi_prime, res.assignment, res.r_star
-            )
+        v = ref_log_density(*args, res.xi, res.assignment, res.r_star) - ref_log_density(
+            *args, res.xi_prime, res.assignment, res.r_star
+        )
         assert v == pytest.approx(res.leakage, abs=1e-10)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 4.0])
+    def test_rays_are_the_outermost_kinks(self, lam):
+        # the best ray log-ratio of an adversary, over both signs, every
+        # assignment and every hypothesis pair, reaches a "tail" supremum
+        # and falls clearly below an "interior" one
+        rng = np.random.default_rng(70)
+        labels = set()
+        for n, size in ((2, 3), (3, 2), (3, 3), (4, 2), (4, 2)):
+            dist = sized_table(rng, n, size)
+            query = QuerySpec.sum_query(n)
+            for (i, K), res in pdp_exact_all(dist, query, lam).items():
+                rays = []
+                for cells in itertools.product(*[dist.domains[k] for k in K]):
+                    known = dict(zip(K, cells))
+                    for sign in (-1, 1):
+                        limit = [ref_ray_limit(dist, query, lam, i, x, known, sign)
+                                 for x in dist.domains[i]]
+                        rays += [a - b for a, b in itertools.permutations(limit, 2)]
+                ray = max(rays)
+                labels.add(res.witness)
+                if res.witness == "tail":
+                    assert abs(ray - res.leakage) <= 1e-13 * res.leakage, (i, K)
+                else:
+                    assert res.witness == "interior"
+                    assert res.leakage - ray > oracle._TAIL_MARGIN * max(1.0, res.leakage), (i, K)
+        assert labels == {"interior", "tail"}
 
     @pytest.mark.parametrize("fixture", ["table_a", "table_b", "table_e3b"])
     def test_no_output_beats_supremum(self, fixture, sum2, request):
@@ -340,6 +361,17 @@ class TestBatchedMatchesReference:
                 got = pdp_exact_discrete(dist, query, 1.0, i, K)
                 want = oracle_reference.pdp_exact_discrete(dist, query, 1.0, i, K)
                 assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want)), (i, K)
+
+    def test_slices_past_the_sum_buffer(self):
+        # at n=16 the x_T slice of an adversary (i, ()) holds 32768 cells,
+        # past the 8192 elements numpy sums a strided view in: each slice's
+        # mass is still the pairwise sum of its cells, bit for bit
+        dist = gen_discrete_corr(16, 0.5, 2, seed=1)
+        query = QuerySpec.sum_query(16)
+        for i in (3, 6):
+            got = pdp_exact_discrete(dist, query, 1.0, i, ())
+            want = oracle_reference.pdp_exact_discrete(dist, query, 1.0, i, ())
+            assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want)), i
 
 
 # _STACK_CELLS budgets at which, on an 81-cell table, a batch of 5

@@ -66,14 +66,14 @@ def test_corpus_unchanged():
 def test_mismatches_report_the_largest_difference():
     want = {"tables": [{"full": {"leakage": (1.0).hex(), "layer_max": {"1": (2.0).hex()},
                                  "argmax": [0, [1]], "node_count": 4, "nodes": "ac"},
-                        "oracle": {"kinks": [3, 4], "witness": ["ray", None]}}]}
+                        "oracle": {"kinks": [3, 4], "witness": ["tail", None]}}]}
     got = json.loads(json.dumps(want))
     case = got["tables"][0]
     case["full"]["leakage"] = (1.0 + 2**-52).hex()
     case["full"]["layer_max"]["1"] = (2.5).hex()
     case["full"]["argmax"] = [0, [2]]
     case["oracle"]["kinks"] = [3, 6]
-    case["oracle"]["witness"] = ["kink", None]
+    case["oracle"]["witness"] = ["interior", None]
     case["full"]["nodes"] = "ab"
     del case["full"]["node_count"]
     assert mismatches(want, got) == {
