@@ -35,9 +35,10 @@ a batch are laid out by array arithmetic on the x_T cell index: an
 adversary reads the cells of T in (context, hypothesis) order, its context
 the cell index with axis i removed and its hypothesis the coordinate on
 axis i. Each feasible (adversary, assignment of x_K, hypothesis x_i) triple
-gives one mixture row; rows of one length merge their centers together
-(argsort along the row, the 1e-12 rule, one np.add.at in sorted order), and
-the rows of one assignment share its kinks, the union of their centers.
+gives one mixture row. Rows of one length are sorted together, one argsort
+along the row, and then every row merges its centers in one pass (the
+1e-12 rule, one np.add.at in sorted order); the rows of one assignment
+share its kinks, the union of their centers.
 Rows are then grouped by shape (number of kinks, number of centers) across
 the batch, and each group takes one log-sum-exp over a (rows, kinks,
 centers) stack for the values at the kinks, split at _STACK_CELLS cells (a
@@ -166,36 +167,31 @@ def _merge_rows(
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Sort each row and merge every value within tol of the one before it.
 
-    Rows of the given lengths lie back to back in values. Rows of one length
-    are merged together: one argsort along the row and, with weights, one
-    np.add.at in sorted order, so each merged weight adds its terms in the
-    order a row merged alone would. With tol 0 this is np.unique of each
-    row. Returns the merged values and weights (None without weights), row
-    after row, and the offset of each row plus the total.
+    Rows of the given lengths lie back to back in values, and none is empty.
+    Rows of one length are sorted together, one argsort along the row, so
+    that tied values keep the order a row sorted alone gives them; the merge
+    then runs over every row at once, restarting at each row's first value,
+    and with weights one np.add.at adds each merged weight's terms in sorted
+    order. With tol 0 this is np.unique of each row. Returns the merged
+    values and weights (None without weights), row after row, and the
+    offset of each row plus the total.
     """
     start = _starts(lengths)
-    parts = []
-    kept = np.empty(lengths.size, dtype=np.intp)
+    order = np.empty(start[-1], dtype=np.intp)
     for length in np.unique(lengths).tolist():
-        rows = np.flatnonzero(lengths == length)
-        src = start[rows, None] + np.arange(length)
-        src = np.take_along_axis(src, np.argsort(values[src], axis=1), axis=1)
-        v = values[src]
-        keep = np.empty(v.shape, dtype=bool)
-        keep[:, 0] = True
-        np.greater(np.diff(v, axis=1), tol, out=keep[:, 1:])
-        rank = np.cumsum(keep, axis=1) - 1
-        kept[rows] = rank[:, -1] + 1
-        parts.append((rows, src, v, keep, rank))
-    off = _starts(kept)
-    out = np.empty(off[-1])
-    out_w = None if weights is None else np.zeros(off[-1])
-    for rows, src, v, keep, rank in parts:
-        dest = off[rows, None] + rank
-        out[dest[keep]] = v[keep]
-        if out_w is not None:
-            np.add.at(out_w, dest.ravel(), weights[src].ravel())
-    return out, out_w, off
+        src = start[np.flatnonzero(lengths == length), None] + np.arange(length)
+        order[src] = np.take_along_axis(src, np.argsort(values[src], axis=1), axis=1)
+    v = values[order]
+    keep = np.empty(v.size, dtype=bool)
+    np.greater(np.diff(v), tol, out=keep[1:])
+    keep[start[:-1]] = True
+    # merged values before each position, and the total
+    rank = _starts(keep)
+    out_w = None
+    if weights is not None:
+        out_w = np.zeros(rank[-1])
+        np.add.at(out_w, rank[1:] - 1, weights[order])
+    return v[keep], out_w, rank[start]
 
 
 def _slices(
@@ -479,14 +475,13 @@ def pdp_exact_all(
     memory near one adversary's, while a small table runs whole.
     """
     tab = _Table(_noise_table(dist, query, lam))
-    adversaries = list(_all_adversaries(tab.y.n))
-    ordered = sorted(adversaries, key=lambda a: (len(a[1]), sorted((a[0],) + a[1])))
+    found = dict.fromkeys(_all_adversaries(tab.y.n))
+    ordered = sorted(found, key=lambda a: (len(a[1]), sorted((a[0],) + a[1])))
     step = max(1, _STACK_CELLS // tab.y.probs.size)
-    found = {}
     for s in range(0, len(ordered), step):
         batch = ordered[s : s + step]
         found.update(zip(batch, _exact(tab, lam, batch)))
-    return {a: found[a] for a in adversaries}
+    return found
 
 
 @functools.cache

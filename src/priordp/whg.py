@@ -83,8 +83,9 @@ the arrays of its on_layer and on_edges calls, joined into one array each.
 
 A table's edge source computes the candidates of whole prior sets
 T = {i} u K, every (i, j) pair of T at once, stacking the sets of one size
-|T| into one log-sum-exp over x_j per table shape. It keeps them in one flat
-array indexed by the mask of T, so each values() call is one numpy gather.
+|T| into one log-sum-exp over x_j per table shape, x_j leading whatever
+its width. It keeps them in one flat array indexed by the mask of T, so
+each values() call is one numpy gather.
 """
 
 from __future__ import annotations
@@ -115,9 +116,6 @@ _LOG_FLOOR = math.log(PROB_FLOOR)
 # calls on the many small prior sets; the bound keeps the stack's memory
 # flat where a batch of sets or a single marginal is large.
 _STACK_CELLS = 1 << 15
-
-# fewest values numpy sums pairwise rather than one by one
-_PAIRWISE = 8
 
 # Most expanded masks per edge-source call of the kernel. A call covers
 # every removed tuple of its masks, so it holds up to n - 1 (mask, j) pairs
@@ -172,9 +170,10 @@ class _TableEdges:
     up to _STACK_CELLS cells, and each stack takes one log-sum-exp over x_j
     (log m, lo and up together) and one _segment_extremes. The log of each
     marginal is written straight into the stack with x_j leading, so a large
-    set, whose slices fill stacks alone, pays no copy beyond that. A wide
-    x_j (_PAIRWISE values or more), whose sum depends on memory layout, is
-    summed in place along its own axis, one slice at a time.
+    set, whose slices fill stacks alone, pays no copy beyond that. This one
+    layout serves every width of x_j: each sum adds the values of x_j one by
+    one, in their order, whatever the marginal's layout or the number of
+    slices stacked, so the stack size moves no bit.
 
     On a miss, values() computes exactly the sets the call lacks, one batch
     per size class, so each set is computed once and only if some edge asks
@@ -239,11 +238,7 @@ class _TableEdges:
                 shape = p.shape[:pj] + p.shape[pj + 1:] + p.shape[pj : pj + 1]
                 groups.setdefault(shape, []).append((row, pj))
         for shape, slices in groups.items():
-            # numpy sums a contiguous last axis pairwise from _PAIRWISE values
-            # up and any other axis value by value, so the order of a wide
-            # x_j sum depends on memory layout: wide slices are summed in
-            # place, one at a time; narrower ones sum alike in any layout
-            step = max(1, _STACK_CELLS // math.prod(shape)) if shape[-1] < _PAIRWISE else 1
+            step = max(1, _STACK_CELLS // math.prod(shape))
             for c in range(0, len(slices), step):
                 chunk = slices[c : c + step]
                 ext = self._reduce(shape, chunk, probs, axes)
@@ -266,27 +261,20 @@ class _TableEdges:
         dims, s = shape[:-1], shape[-1]
         g = len(chunk)
         w = np.stack([self._y.domains[axes[row][pj]] for row, pj in chunk], axis=-1) / self._lam
+        # the log lands in a buffer with x_j leading, where each sum over x_j
+        # is one vector op along long runs that adds the values of x_j in
+        # order; numpy reduces a short innermost axis many times slower, and
+        # sums one of 8 or more values pairwise
+        lt = _SCRATCH.row("stack", (3, s, g) + dims)
+        views = [probs[row].transpose(_lead(pj, len(shape))) for row, pj in chunk]
         with np.errstate(divide="ignore"):
-            if s < _PAIRWISE:
-                # the log lands in a buffer with x_j leading, where each sum
-                # over x_j is one vector op along long runs; numpy reduces a
-                # short innermost axis many times slower
-                lt = _SCRATCH.row("stack", (3, s, g) + dims)
-                views = [probs[row].transpose(_lead(pj, len(shape))) for row, pj in chunk]
-                np.log(np.stack(views, axis=1, out=lt[0]), out=lt[0])
-                w = w.reshape((s, g) + (1,) * len(dims))
-                axis = 1
-            else:
-                (row, pj), = chunk
-                lt = _SCRATCH.row("stack", (3,) + probs[row].shape)
-                np.log(probs[row], out=lt[0])
-                w = w.reshape((s,) + (1,) * (len(dims) - pj))
-                axis = pj + 1
+            np.log(np.stack(views, axis=1, out=lt[0]), out=lt[0])
+        w = w.reshape((s, g) + (1,) * len(dims))
         np.subtract(lt[0], w, out=lt[1])
         np.add(lt[0], w, out=lt[2])
         # log m and log sum_xj Pr(x_T) e^{-+ xj/lam} over the axes T \ {j};
         # the joint mass m cancels the conditional normalization
-        lse = logsumexp(lt, axis=axis).reshape((3, g) + dims)
+        lse = logsumexp(lt, axis=1)
         feasible = lse[0] >= _LOG_FLOOR
         with np.errstate(invalid="ignore"):
             # zero-mass rows yield -inf - -inf = nan; 'feasible' masks them out

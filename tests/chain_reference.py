@@ -254,13 +254,19 @@ def edge_candidates(
     table = np.transpose(sub.probs, rest + [pos_i, pos_j])
     table = table.reshape(-1, table.shape[-2], table.shape[-1])
     with np.errstate(divide="ignore"):
-        log_t = np.log(table)
-    xj = np.asarray(y.domains[j])
-    log_m = logsumexp(log_t, axis=2)
+        # x_j leading, as the package lays out its stacks: each sum over x_j
+        # adds the values in order, whatever their number, where numpy would
+        # sum a contiguous last axis of 8 or more values pairwise
+        lt = np.log(np.moveaxis(table, 2, 0))
+    xj = (np.asarray(y.domains[j]) / lam)[:, None, None]
+    lse = logsumexp(
+        np.ascontiguousarray(np.stack([lt, lt - xj, lt + xj])[:, :, None]), axis=1
+    )[:, 0]
+    log_m = lse[0]
     feasible = log_m >= _LOG_FLOOR
     with np.errstate(invalid="ignore"):
-        lo = logsumexp(log_t - xj / lam, axis=2) - log_m
-        up = logsumexp(log_t + xj / lam, axis=2) - log_m
+        lo = lse[1] - log_m
+        up = lse[2] - log_m
     cands: list[float] = []
     s = table.shape[1]
     if s == 1:

@@ -10,10 +10,10 @@ exactly. The file is rewritten only for a deliberate change of results.
 What it holds, floats as float.hex so that signed zeros and the last bit
 count:
 - tables: binary, ternary and mixed domain sizes, zero cells, signed and
-  zero query coefficients, a one-value domain, a wide domain (at least
-  _PAIRWISE values, summed in place), and a domain whose centers lie exactly
-  at and one ulp past the oracle's 1e-12 merge rule, each at lambda 0.3, 1
-  and 3. Per table and lambda: the full and fast reports (leakage,
+  zero query coefficients, a one-value domain, a wide domain (10 values,
+  where numpy's pairwise sum and a sum in order could part), and a domain
+  whose centers lie exactly at and one ulp past the oracle's 1e-12 merge
+  rule, each at lambda 0.3, 1 and 3. Per table and lambda: the full and fast reports (leakage,
   layer_max, argmax, node_count), each with the sha256 of its nodes, and
   for n <= 7 every pdp_exact_all row (leakage, witness, kinks_evaluated),
   its adversary (i, K) written "i:k1,k2,...".

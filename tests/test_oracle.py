@@ -373,6 +373,42 @@ class TestBatchedMatchesReference:
             want = oracle_reference.pdp_exact_discrete(dist, query, 1.0, i, ())
             assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want)), i
 
+    def test_merge_rows_equals_merge_centers(self):
+        # values x + g with |x|, |x + g| below 2^-39 are whole numbers of
+        # 2^-92, as 1e-12 is, so each gap g lands exactly: a tie, one unit
+        # below, at and one unit above the 1e-12 rule
+        rng = np.random.default_rng(71)
+        unit = 2.0 ** -92
+        gaps = np.array([0.0, 1e-12 - unit, 1e-12, 1e-12 + unit])
+        rows = []
+        for _ in range(60):
+            # one pair x, x + g near 0, and pairs at multiples of 1/8, where
+            # the gaps round
+            x = unit * rng.integers(-(2 ** 50), 2 ** 49)
+            far = 0.125 * rng.choice(np.arange(1, 9), size=3, replace=False)
+            row = np.concatenate([[x, x + rng.choice(gaps)], far, far + rng.choice(gaps, size=3)])
+            rows.append(rng.permutation(row)[: rng.integers(1, row.size + 1)])
+        # a row that starts less than 1e-12 above the end of the one before
+        rows += [np.array([0.5, 0.75]), np.array([0.9, 0.75 + 5e-13])]
+        lengths = np.array([r.size for r in rows])
+        values = np.concatenate(rows)
+        weights = rng.random(values.size)
+        sorted_gaps = np.concatenate([np.diff(np.sort(r)) for r in rows])
+        for g in gaps:
+            assert (sorted_gaps == g).any()
+        out, out_w, off = oracle._merge_rows(values, lengths, 1e-12, weights)
+        plain, none, plain_off = oracle._merge_rows(values, lengths, 0.0)
+        assert none is None
+        start = oracle._starts(lengths)
+        for r in range(len(rows)):
+            c, w = oracle_reference._merge_centers(
+                values[start[r] : start[r + 1]], weights[start[r] : start[r + 1]]
+            )
+            assert out[off[r] : off[r + 1]].tobytes() == c.tobytes(), r
+            assert out_w[off[r] : off[r + 1]].tobytes() == w.tobytes(), r
+            assert plain[plain_off[r] : plain_off[r + 1]].tobytes() == np.unique(rows[r]).tobytes()
+        assert off[-1] == out.size and plain_off[-1] == plain.size
+
 
 # _STACK_CELLS budgets at which, on an 81-cell table, a batch of 5
 # adversaries splits layer |K| = 1, or a batch of 16 holds layers 0 and 1

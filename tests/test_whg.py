@@ -445,15 +445,25 @@ class TestKernelMatchesReference:
             sized_table(rng, 5, 2, zero_frac=0.2),
             sized_table(rng, 4, 3),
             mixed_table(rng, (3, 2, 4, 2), 0.2),
-            # wide domains are summed in place whatever the stack size
             mixed_table(rng, (9, 2, 3), 0.0),
             mixed_table(rng, (8, 8, 2), 0.3),
         ]
         before = [search_repr(d) for d in cases]
         monkeypatch.setattr(whg, "_STACK_CELLS", cells)
         assert [search_repr(d) for d in cases] == before
-        for d in cases[:3]:
+        for d in cases:
             assert_matches_reference(d, QuerySpec.sum_query(d.n), 1.0)
+
+    def test_wide_domains(self):
+        # numpy sums 8 or more values along a contiguous last axis pairwise
+        # and along any other axis one by one, so a wide x_j is where a sum
+        # that followed the memory layout would part from the reference
+        rng = np.random.default_rng(59)
+        for sizes in ((2, 3, 10), (9, 9), (2, 2, 16), (2, 9, 2, 9)):
+            dist = mixed_table(rng, sizes, 0.1)
+            q = QuerySpec(tuple(rng.choice([-1.5, -1.0, 0.5, 1.0, 2.0], size=len(sizes))))
+            for lam in (0.05, 0.7, 3.0):
+                assert_matches_reference(dist, q, lam)
 
     def test_fill_computes_exactly_the_sets_asked_for(self, monkeypatch):
         rng = np.random.default_rng(58)
