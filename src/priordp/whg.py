@@ -173,7 +173,9 @@ class _TableEdges:
     set, whose slices fill stacks alone, pays no copy beyond that. This one
     layout serves every width of x_j: each sum adds the values of x_j one by
     one, in their order, whatever the marginal's layout or the number of
-    slices stacked, so the stack size moves no bit.
+    slices stacked, so the stack size moves no bit. (A lone slice whose
+    other axes hold one value each is summed pairwise, as numpy merges those
+    axes away, but its extremes are 0 whatever the sum.)
 
     On a miss, values() computes exactly the sets the call lacks, one batch
     per size class, so each set is computed once and only if some edge asks

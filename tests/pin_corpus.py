@@ -13,10 +13,10 @@ count:
   zero query coefficients, a one-value domain, a wide domain (10 values,
   where numpy's pairwise sum and a sum in order could part), and a domain
   whose centers lie exactly at and one ulp past the oracle's 1e-12 merge
-  rule, each at lambda 0.3, 1 and 3. Per table and lambda: the full and fast reports (leakage,
-  layer_max, argmax, node_count), each with the sha256 of its nodes, and
-  for n <= 7 every pdp_exact_all row (leakage, witness, kinks_evaluated),
-  its adversary (i, K) written "i:k1,k2,...".
+  rule, each at lambda 0.3, 1 and 3. Per table and lambda: the full and
+  fast reports (leakage, layer_max, argmax, node_count), each with the
+  sha256 of its nodes, and for n <= 7 every pdp_exact_all row (leakage,
+  witness, kinks_evaluated), its adversary (i, K) written "i:k1,k2,...".
 - synthetic: EdgeMap searches at n=10, averCorr +-0.5, alpha 2 and 512,
   scale 1 and 0.37, full and fast.
 - gaussian: max_leakage_gaussian enumerations at n <= 10.
