@@ -46,14 +46,17 @@ single row above that, along its kinks). Groups are never padded to a
 common shape: zero-weight terms change how numpy's pairwise summation
 groups the terms of a row longer than 8, and with it the last bits of the
 sum, whereas an unpadded stack reduces each row exactly as a call on that
-row alone would. Each ordered hypothesis pair gives one candidate, its
-first-argmax kink, in a fixed scan order (assignment, hypothesis x_i,
-hypothesis x_i'); the winner is the first candidate that reaches the
-supremum, and a NaN candidate never wins. The witness says "interior" when
-the winner beats its pair's tail, the larger of the pair's values at the
-first and last kink, by more than _TAIL_MARGIN relative; otherwise the
-supremum holds on a whole output ray and the witness says "tail". The
-results are bit for bit those of one adversary, one hypothesis at a time.
+row alone would. Each context gives one candidate, the first (hypothesis
+x_i, hypothesis x_i' != x_i, kink) in that scan order where the pair's
+log-ratio is largest, and an adversary's winner is the candidate of its
+first context that reaches the supremum. No candidate is NaN: under
+_noise_table every kink offset over lam is at most S/lam, which is finite,
+and every weight is > 0, so every log mixture is finite. The witness says
+"interior" when the winner beats its pair's tail, the larger of the pair's
+values at the first and last kink, by more than _TAIL_MARGIN relative;
+otherwise the supremum holds on a whole output ray and the witness says
+"tail". The results are bit for bit those of one adversary, one hypothesis
+at a time.
 """
 
 from __future__ import annotations
@@ -368,72 +371,68 @@ def _candidates(
     log_at: np.ndarray, at_off: np.ndarray,
     kinks: np.ndarray, k_off: np.ndarray, ctx_first: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The candidate of every ordered hypothesis pair, in scan order:
-    context, hypothesis x_i, hypothesis x_i' != x_i. Its value is the
-    pair's log-ratio at its best kink, the first argmax over the context's
-    kinks, so a NaN there makes the candidate NaN; its tail is the larger
-    of the pair's log-ratios at the first and last kink, which each hold on
-    the output ray beyond that kink. Returns (values, r, tails, cand_off):
-    a context of h rows has h (h - 1) candidates, from cand_off of it.
+    """The candidate of every context: the first (hypothesis x_i, hypothesis
+    x_i' != x_i, kink), in that scan order, where the pair's log-ratio is
+    largest. Returns (values, pair, r, tails), one entry per context: the
+    log-ratio, the rows of x_i and x_i' (pair[0] and pair[1]), the kink,
+    and the tail, the larger of the pair's log-ratios at the context's
+    first and last kink, which each hold on the output ray beyond that
+    kink. A context of fewer than two rows has no pair and the value -inf.
 
     Contexts of one shape (rows, kinks) are stacked, _STACK_CELLS cells at
-    a time.
+    a time, and each stack takes one argmax over its h x h x kinks
+    log-ratios, the diagonal x_i = x_i' set to -inf.
     """
     ctx_h = np.diff(ctx_first)
     ctx_nk = np.diff(k_off)
-    cand_off = _starts(ctx_h * (ctx_h - 1))
-    values = np.empty(cand_off[-1])
-    r_at = np.empty(cand_off[-1])
-    tails = np.empty(cand_off[-1])
+    values = np.full(ctx_h.size, -np.inf)
+    pair = np.zeros((2, ctx_h.size), dtype=np.intp)
+    r_at, tails = np.zeros(ctx_h.size), np.zeros(ctx_h.size)
     shapes = ctx_h * (ctx_nk.max(initial=0) + 1) + ctx_nk
     for key in np.unique(shapes[ctx_h > 1]).tolist():
         ids = np.flatnonzero(shapes == key)
         h, nk = int(ctx_h[ids[0]]), int(ctx_nk[ids[0]])
-        pairs = ~np.eye(h, dtype=bool)
-        block = np.arange(h * (h - 1))
         step = max(1, _STACK_CELLS // (h * h * nk))
         for s in range(0, ids.size, step):
             part = ids[s : s + step]
             rows = ctx_first[part, None] + np.arange(h)
             la = log_at[at_off[rows][:, :, None] + np.arange(nk)]
             diff = la[:, :, None, :] - la[:, None, :, :]
-            k_best = np.argmax(diff, axis=3)
-            dest = cand_off[part, None] + block
-            values[dest] = np.take_along_axis(diff, k_best[..., None], axis=3)[:, pairs, 0]
-            r_at[dest] = kinks[k_off[part, None, None] + k_best][:, pairs]
-            tails[dest] = np.maximum(diff[..., 0], diff[..., -1])[:, pairs]
-    return values, r_at, tails, cand_off
+            diff[:, np.arange(h), np.arange(h)] = -np.inf
+            a, b, k = np.unravel_index(np.argmax(diff.reshape(part.size, -1), axis=1), (h, h, nk))
+            c = np.arange(part.size)
+            values[part] = diff[c, a, b, k]
+            pair[:, part] = rows[c, a], rows[c, b]
+            r_at[part] = kinks[k_off[part] + k]
+            tails[part] = np.maximum(diff[c, a, b, 0], diff[c, a, b, -1])
+    return values, pair, r_at, tails
 
 
 def _exact(tab: _Table, lam: float, adversaries: list[tuple[int, tuple[int, ...]]]) -> list[OracleResult]:
-    """OracleResult of each adversary (i, K) of tab.y, K a sorted tuple."""
+    """OracleResult of each adversary (i, K) of tab.y, K a sorted tuple: the
+    candidate of its first context that reaches the supremum, or zero
+    leakage when no candidate is above 0."""
     y = tab.y
     centers, weights, m_off, hyp, ctx_cell, ctx_first, adv_ctx = _rows(tab, adversaries)
     # the kinks of a context are the union of its rows' centers
     kinks, _, k_off = _merge_rows(centers, np.diff(m_off[ctx_first]), 0.0)
     log_at, at_off = _log_mixtures(lam, centers, weights, m_off, kinks, k_off, ctx_first)
-    values, r_at, tails, cand_off = _candidates(log_at, at_off, kinks, k_off, ctx_first)
-    # the first candidate that reaches the supremum wins; a NaN candidate
-    # never does
-    ranked = np.where(np.isnan(values), -np.inf, values)
+    values, pair, r_at, tails = _candidates(log_at, at_off, kinks, k_off, ctx_first)
     kink_counts = np.diff(k_off[adv_ctx]).tolist()
     results = []
     for a, (i, ks) in enumerate(adversaries):
         best = OracleResult(0.0, None, None, 0.0, kinks_evaluated=kink_counts[a])
-        lo, hi = cand_off[adv_ctx[a]], cand_off[adv_ctx[a + 1]]
-        j = lo + int(np.argmax(ranked[lo:hi])) if hi > lo else lo
-        if hi > lo and values[j] > best.leakage:
-            c = int(np.searchsorted(cand_off, j, side="right")) - 1
-            ai, bi = divmod(j - cand_off[c], int(ctx_first[c + 1] - ctx_first[c]) - 1)
-            bi += bi >= ai
+        lo, hi = adv_ctx[a], adv_ctx[a + 1]
+        c = lo + int(np.argmax(values[lo:hi])) if hi > lo else lo
+        if hi > lo and values[c] > best.leakage:
             if ks and len(ks) + 1 < y.n:
                 k_pos = np.unravel_index(ctx_cell[c], tab.shape(ks))
                 best.assignment = {k: y.domains[k][p] for k, p in zip(ks, k_pos)}
-            best.leakage = float(values[j])
-            best.xi = y.domains[i][hyp[ctx_first[c] + ai]]
-            best.xi_prime = y.domains[i][hyp[ctx_first[c] + bi]]
-            best.r_star = float(r_at[j])
-            interior = best.leakage - tails[j] > _TAIL_MARGIN * max(1.0, best.leakage)
+            best.leakage = float(values[c])
+            best.xi = y.domains[i][hyp[pair[0, c]]]
+            best.xi_prime = y.domains[i][hyp[pair[1, c]]]
+            best.r_star = float(r_at[c])
+            interior = best.leakage - tails[c] > _TAIL_MARGIN * max(1.0, best.leakage)
             best.witness = "interior" if interior else "tail"
         results.append(best)
     return results

@@ -4,12 +4,14 @@ The package evaluates each adversary in one batched pass: table slices
 instead of conditional tables, and one log-sum-exp per mixture shape. This
 module is the earlier, direct formulation: one conditional table, one
 mixture and one log-sum-exp per (assignment, hypothesis), and feasibility
-read cell by cell. It scans the same candidates, one kink per hypothesis
-pair, and labels the witness by the same rule. Tests require the package
-to match it in every OracleResult field, bit for bit; nothing in the
-package imports it. It also holds `bayesian_gain`, the adversary's
-posterior log-odds gain, which tests check against the output log-density
-ratio.
+read cell by cell. It scans per hypothesis pair, the best kink of each,
+where the package scans per context, one argmax over every pair and kink;
+both take the first maximum in the order (assignment, x_i, x_i', kink), so
+both must name the same witness. It labels the witness by the same rule.
+Tests require the package to match it in every OracleResult field, bit for
+bit; nothing in the package imports it. It also holds `bayesian_gain`, the
+adversary's posterior log-odds gain, which tests check against the output
+log-density ratio.
 """
 
 from __future__ import annotations

@@ -442,8 +442,9 @@ class TestAllMatchesReference:
     @pytest.mark.parametrize("cells", [1, 7, BATCH_SPLITS_LAYER, BATCH_SPANS_LAYERS])
     def test_stack_bounds_move_no_bit(self, monkeypatch, cells):
         # stacks of one row, or split along their kinks, and scan stacks of
-        # one context: each row and pair still reduces on its own; at the
-        # last two budgets a batch splits a layer, or holds two whole layers
+        # one context: each row still reduces on its own, and each context
+        # still picks its own first maximum; at the last two budgets a
+        # batch splits a layer, or holds two whole layers
         monkeypatch.setattr(oracle, "_STACK_CELLS", cells)
         rng = np.random.default_rng(65)
         for n, size in ((3, 3), (4, 2), (4, 3)):

@@ -27,6 +27,7 @@ from priordp import (
 )
 from priordp.synth import EdgeMap
 
+import oracle_reference
 from chain_reference import (
     DictEdges,
     all_values,
@@ -236,6 +237,10 @@ class TestNoiseFloor:
         assert np.isfinite(graph.nodes["value"]).all() and math.isfinite(report.leakage)
         exact = pdp_exact_all(dist, query, 2 * s / big)
         assert all(math.isfinite(r.leakage) for r in exact.values())
+        # a NaN log-ratio would show first at the floor
+        for (i, K), r in exact.items():
+            want = oracle_reference.pdp_exact_discrete(dist, query, 2 * s / big, i, K)
+            assert repr(dataclasses.astuple(r)) == repr(dataclasses.astuple(want)), (i, K)
 
         def entered(*args):
             raise AssertionError("work started before the noise scale was checked")
