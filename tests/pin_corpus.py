@@ -16,14 +16,18 @@ count:
   rule, each at lambda 0.3, 1 and 3. Per table and lambda: the full and
   fast reports (leakage, layer_max, argmax, node_count), each with the
   sha256 of its nodes, and for n <= 7 every pdp_exact_all row (leakage,
-  witness, kinks_evaluated), its adversary (i, K) written "i:k1,k2,...".
+  witness, kinks_evaluated), its adversary (i, K) written "i:k1,k2,...",
+  with the sha256 of every row's witness values.
 - synthetic: EdgeMap searches at n=10, averCorr +-0.5, alpha 2 and 512,
   scale 1 and 0.37, full and fast.
 - gaussian: max_leakage_gaussian enumerations at n <= 10.
 
 The node digest is the sha256 of the text lines "i mask value.hex()" of
 every computed node, sorted, so it does not depend on how a search stores
-its nodes.
+its nodes. The witness digest is the sha256 of the sorted lines
+"i:K xi xi_prime r_star assignment" of every oracle row, floats as
+float.hex, a missing hypothesis as None and the assignment as "k=value"
+pairs joined by commas.
 """
 
 from __future__ import annotations
@@ -111,6 +115,19 @@ def node_digest(nodes) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def witness_digest(rows) -> str:
+    """sha256 of the sorted "i:K xi xi_prime r_star assignment" lines of
+    pdp_exact_all rows."""
+    def text(v):
+        return "None" if v is None else float(v).hex()
+    lines = sorted(
+        f"{i}:{','.join(map(str, K))} {text(r.xi)} {text(r.xi_prime)} {text(r.r_star)} "
+        + ",".join(f"{k}={text(v)}" for k, v in sorted(r.assignment.items()))
+        for (i, K), r in rows.items()
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def table_case(name, dist, query, lam) -> dict:
     case = {"name": name, "lambda": lam.hex()}
     for mode, search in (("full", full_space_search), ("fast", fast_search)):
@@ -123,6 +140,7 @@ def table_case(name, dist, query, lam) -> dict:
             "leakage": [r.leakage.hex() for r in rows.values()],
             "witness": [r.witness for r in rows.values()],
             "kinks": [r.kinks_evaluated for r in rows.values()],
+            "witness_digest": witness_digest(rows),
         }
     return case
 
