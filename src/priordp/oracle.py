@@ -28,17 +28,20 @@ pdp_exact_all evaluates every adversary of a table in batches ordered by
 cell, so each batch takes the next _STACK_CELLS // (table cells)
 adversaries, whatever their layer |K|: a small table runs in one or two
 batches, and a wide one keeps its memory near one adversary's.
-pdp_exact_discrete is the same kernel on a batch of one. Adversaries with
-the same T share their x_T slices: each slice is read once, for every i in
-T, and its mass is the sum of its row gathered from the table. The rows of
-a batch are laid out by array arithmetic on the x_T cell index: an
-adversary reads the cells of T in (context, hypothesis) order, its context
-the cell index with axis i removed and its hypothesis the coordinate on
-axis i. Each feasible (adversary, assignment of x_K, hypothesis x_i) triple
-gives one mixture row. Rows of one length are sorted together, one argsort
-along the row, and then every row merges its centers in one pass (the
-1e-12 rule, one np.add.at in sorted order); the rows of one assignment
-share its kinks, the union of their centers.
+pdp_exact_discrete is the same kernel on a batch of one. The output law
+given (x_i, x_K) depends on the x_T cell alone, so each x_T slice of the
+table gives one mixture row, shared by every adversary of T: its weights
+are Pr(x_U | x_T), U the tuples outside T, its mass the sum of its row
+gathered from the table, and each center the query sum of its table cell,
+added tuple by tuple from 0.0, T's tuples in sorted order first, then U's.
+Rows of one length are sorted together, one argsort along the row, and
+then every row of a batch merges its centers in one pass (the 1e-12 rule,
+one np.add.at in sorted order). An adversary reads the cells of T in
+(context, hypothesis) order, by array arithmetic on the x_T cell index:
+its context is the cell index with axis i removed and its hypothesis the
+coordinate on axis i, and each feasible (adversary, assignment of x_K,
+hypothesis x_i) triple names the row of its cell. The rows of one
+assignment share its kinks, the union of their centers.
 Rows are then grouped by shape (number of kinks, number of centers) across
 the batch, and each group takes one log-sum-exp over a (rows, kinks,
 centers) stack for the values at the kinks, split at _STACK_CELLS cells (a
@@ -64,7 +67,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -131,14 +133,13 @@ def _all_adversaries(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 class _Table:
     """A transformed table and what every batch reads from it per subset of
-    tuples: which cells of a marginal reach PROB_FLOOR, and the fsum of each
-    x_K assignment. Each is computed once, on first use."""
+    tuples: which cells of a marginal reach PROB_FLOOR, computed once, on
+    first use."""
 
     def __init__(self, y: JointDistribution):
         self.y = y
         self.doms = [np.asarray(d, dtype=float) for d in y.domains]
         self._live: dict[tuple[int, ...], np.ndarray] = {}
-        self._known: dict[tuple[int, ...], np.ndarray] = {}
 
     def shape(self, axes: Sequence[int]) -> tuple[int, ...]:
         return tuple(len(self.y.domains[t]) for t in axes)
@@ -148,14 +149,6 @@ class _Table:
         if axes not in self._live:
             self._live[axes] = marginal(self.y, axes).probs.ravel() >= PROB_FLOOR
         return self._live[axes]
-
-    def known(self, ks: tuple[int, ...]) -> np.ndarray:
-        """math.fsum of the values of each x_K assignment, in product order."""
-        if ks not in self._known:
-            self._known[ks] = np.array(
-                [math.fsum(c) for c in product(*[self.y.domains[k] for k in ks])]
-            )
-        return self._known[ks]
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -202,11 +195,13 @@ def _slices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mixture terms of every x_T slice of the table, T = ts.
 
-    Returns (slot, weights, sums, lengths). slot gives each x_T cell, in
+    Returns (slot, weights, centers, lengths). slot gives each x_T cell, in
     product order, its row of lengths, or -1 where Pr(x_T) is below
-    PROB_FLOOR or the slice itself sums below it. weights and sums hold,
-    slice after slice, Pr(x_U | x_T) and the sum of x_U over the cells of
-    the slice with positive weight, U the tuples outside T.
+    PROB_FLOOR or the slice itself sums below it. weights and centers hold,
+    slice after slice, Pr(x_U | x_T) and the query sum of each cell of the
+    slice with positive weight, U the tuples outside T. A center is its
+    cell's values added tuple by tuple from 0.0, T's in sorted order first,
+    then U's. The rows are not merged.
     """
     y = tab.y
     shape = tab.shape(ts)
@@ -223,69 +218,66 @@ def _slices(
     slot[cells[ok]] = np.arange(int(ok.sum()))
     w = rows[ok] / mass[ok, None]
     pos = w > 0.0
-    # x_U sums in product order, added axis by axis from 0.0
-    sums = functools.reduce(np.add.outer, [tab.doms[u] for u in unknown], 0.0).ravel()
-    return slot, w[pos], sums[np.nonzero(pos)[1]], pos.sum(axis=1)
+    sums = functools.reduce(np.add.outer, [tab.doms[t] for t in ts + unknown], 0.0)
+    return slot, w[pos], sums.reshape(table.shape)[cells[ok]][pos], pos.sum(axis=1)
 
 
 def _rows(tab: _Table, adversaries: list[tuple[int, tuple[int, ...]]]) -> tuple[np.ndarray, ...]:
     """The mixture rows of a batch, one per (adversary, assignment of x_K,
     hypothesis x_i), in that order; an assignment is one context.
 
-    Returns (centers, weights, m_off, hyp, ctx_cell, ctx_first, adv_ctx):
-    the merged terms of row r at m_off[r] : m_off[r + 1], its x_i index,
-    each context's x_K cell and first row, and each adversary's first
-    context; the offsets end with the total.
+    A row is the slice of its x_T cell, T = {i} u K, so the adversaries of
+    one T read the same rows: each slot row is built and merged once (the
+    1e-12 rule, one pass over the batch), and a row names its slot.
+    Returns (centers, weights, m_off, row_slot, hyp, ctx_cell, ctx_first,
+    adv_ctx): the merged terms of slot s at m_off[s] : m_off[s + 1], each
+    row's slot and x_i index, each context's x_K cell and first row, and
+    each adversary's first context; the offsets end with the total.
     """
     y, n = tab.y, tab.y.n
-    # slot 0 is the law of an adversary who knows every other tuple: the
-    # noise alone, one center at its base (adding -0.0 keeps every bit)
-    w_parts, s_parts, len_parts = [np.ones(1)], [np.full(1, -0.0)], [np.ones(1, dtype=np.intp)]
-    n_slots = 1
+    w_parts, c_parts, len_parts = [], [], []
+    n_slots = 0
     # each T = {i} u K once: Pr(x_T) >= PROB_FLOOR and the slot of each x_T
     # cell, from t_first[T] on in the concatenation of t_live and t_slot
     t_first: dict[object, int] = {}
     t_live, t_slot = [], []
     t_size = 0
     # each adversary: its cells of T, hypotheses, cells per hypothesis step
-    # along T, first x_T cell, and per x_K cell Pr(x_K) >= PROB_FLOOR and the
-    # fsum of the assignment
-    size, d, inner, t_off, k_live, known = [], [], [], [], [], []
-    one, zero = np.ones(1, dtype=bool), np.zeros(1)
+    # along T, first x_T cell, and per x_K cell Pr(x_K) >= PROB_FLOOR
+    size, d, inner, t_off, k_live = [], [], [], [], []
+    one = np.ones(1, dtype=bool)
     for i, ks in adversaries:
         ts = tuple(sorted((i,) + ks))
         d_i = len(y.domains[i])
+        # an adversary who knows every other tuple has one context with an
+        # empty assignment, and per hypothesis the noise alone: one center
+        # at x_i (adding 0.0 reads a -0.0 as 0.0, as a sum from 0.0 does)
+        key = i if len(ts) == n else ts
+        if key not in t_first:
+            if len(ts) == n:
+                live, slot, w = np.ones(d_i, dtype=bool), np.arange(d_i), np.ones(d_i)
+                c, lengths = tab.doms[i] + 0.0, np.ones(d_i, dtype=np.intp)
+            else:
+                live = tab.live(ts)
+                slot, w, c, lengths = _slices(tab, ts)
+            t_first[key] = t_size
+            t_size += slot.size
+            t_live.append(live)
+            t_slot.append(np.where(slot < 0, -1, slot + n_slots))
+            w_parts.append(w)
+            c_parts.append(c)
+            len_parts.append(lengths)
+            n_slots += lengths.size
         if len(ts) == n:
-            # assignment-independent: one context with an empty assignment,
-            # every hypothesis on slot 0
-            key: object = d_i
-            if key not in t_first:
-                t_first[key] = t_size
-                t_size += d_i
-                t_live.append(np.ones(d_i, dtype=bool))
-                t_slot.append(np.zeros(d_i, dtype=np.intp))
             size.append(d_i)
             inner.append(1)
             k_live.append(one)
-            known.append(zero)
         else:
-            key = ts
-            if key not in t_first:
-                slot, w, s, lengths = _slices(tab, ts)
-                t_first[key] = t_size
-                t_size += slot.size
-                t_live.append(tab.live(ts))
-                t_slot.append(np.where(slot < 0, -1, slot + n_slots))
-                w_parts.append(w)
-                s_parts.append(s)
-                len_parts.append(lengths)
-                n_slots += lengths.size
             shape = tab.shape(ts)
             size.append(math.prod(shape))
             inner.append(math.prod(shape[ts.index(i) + 1 :]))
             # Pr(x_K) gates the assignments
             k_live.append(tab.live(ks) if ks else one)
-            known.append(tab.known(ks))
         d.append(d_i)
         t_off.append(t_first[key])
 
@@ -308,32 +300,23 @@ def _rows(tab: _Table, adversaries: list[tuple[int, tuple[int, ...]]]) -> tuple[
     void[ctx[use & (slot < 0)]] = True
     use &= ~void[ctx]
     kept = np.flatnonzero(use)
-    adv, ctx, hyp = adv[kept], ctx[kept], hyp[kept]
-    row_base = (np.concatenate([tab.doms[i] for i, _ in adversaries])[_starts(d)[adv] + hyp]
-                + np.concatenate(known)[ctx])
+    ctx = ctx[kept]
     counts = np.bincount(ctx, minlength=k_first[-1])
     cells = np.flatnonzero(counts)
     owner = np.searchsorted(k_first, cells, side="right") - 1
-
-    # gather each row's terms from its slice, centers at sum(x_U) + base
-    slot_len = np.concatenate(len_parts)
-    row_slot = slot[kept]
-    lengths = slot_len[row_slot]
-    src = np.repeat(_starts(slot_len)[row_slot] - _starts(lengths)[:-1], lengths)
-    src += np.arange(src.size)
-    raw = np.concatenate(s_parts)[src]
-    raw += np.repeat(row_base, lengths)
-    centers, weights, m_off = _merge_rows(raw, lengths, 1e-12, np.concatenate(w_parts)[src])
-    return (centers, weights, m_off, hyp, cells - k_first[owner], _starts(counts[cells]),
-            _starts(np.bincount(owner, minlength=size.size)))
+    centers, weights, m_off = _merge_rows(
+        np.concatenate(c_parts), np.concatenate(len_parts), 1e-12, np.concatenate(w_parts))
+    return (centers, weights, m_off, slot[kept], hyp[kept], cells - k_first[owner],
+            _starts(counts[cells]), _starts(np.bincount(owner, minlength=size.size)))
 
 
 def _log_mixtures(
     lam: float, centers: np.ndarray, weights: np.ndarray, m_off: np.ndarray,
-    kinks: np.ndarray, k_off: np.ndarray, ctx_first: np.ndarray,
+    row_slot: np.ndarray, kinks: np.ndarray, k_off: np.ndarray, ctx_first: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log mixture of every row at each kink of its context: (log_at,
-    at_off), row r's values at log_at[at_off[r] : at_off[r + 1]].
+    at_off), row r's values at log_at[at_off[r] : at_off[r + 1]]. Row r
+    reads its centers and weights through its slot, row_slot[r].
 
     Rows of one shape (kinks, centers) are stacked, _STACK_CELLS cells at a
     time; a single row above that is reduced a slice of its kinks at a
@@ -341,7 +324,7 @@ def _log_mixtures(
     """
     row_ctx = np.repeat(np.arange(ctx_first.size - 1), np.diff(ctx_first))
     row_nk = np.diff(k_off)[row_ctx]
-    row_nc = np.diff(m_off)
+    row_nc = np.diff(m_off)[row_slot]
     at_off = _starts(row_nk)
     log_at = np.empty(at_off[-1])
     shapes = row_nk * (row_nc.max(initial=0) + 1) + row_nc
@@ -353,8 +336,8 @@ def _log_mixtures(
         for s in range(0, ids.size, step):
             part = ids[s : s + step]
             kk = kinks[k_off[row_ctx[part], None] + np.arange(nk)]
-            cc = centers[m_off[part, None] + np.arange(nc)]
-            ww = weights[m_off[part, None] + np.arange(nc)]
+            terms = m_off[row_slot[part], None] + np.arange(nc)
+            cc, ww = centers[terms], weights[terms]
             at = np.concatenate([
                 logsumexp(
                     -np.abs(kk[:, k : k + k_step, None] - cc[:, None, :]) / lam,
@@ -413,10 +396,14 @@ def _exact(tab: _Table, lam: float, adversaries: list[tuple[int, tuple[int, ...]
     candidate of its first context that reaches the supremum, or zero
     leakage when no candidate is above 0."""
     y = tab.y
-    centers, weights, m_off, hyp, ctx_cell, ctx_first, adv_ctx = _rows(tab, adversaries)
-    # the kinks of a context are the union of its rows' centers
-    kinks, _, k_off = _merge_rows(centers, np.diff(m_off[ctx_first]), 0.0)
-    log_at, at_off = _log_mixtures(lam, centers, weights, m_off, kinks, k_off, ctx_first)
+    centers, weights, m_off, row_slot, hyp, ctx_cell, ctx_first, adv_ctx = _rows(tab, adversaries)
+    # the kinks of a context are the union of its rows' centers, each row's
+    # gathered through its slot
+    lengths = np.diff(m_off)[row_slot]
+    row_first = _starts(lengths)
+    src = np.repeat(m_off[row_slot] - row_first[:-1], lengths) + np.arange(row_first[-1])
+    kinks, _, k_off = _merge_rows(centers[src], np.diff(row_first[ctx_first]), 0.0)
+    log_at, at_off = _log_mixtures(lam, centers, weights, m_off, row_slot, kinks, k_off, ctx_first)
     values, pair, r_at, tails = _candidates(log_at, at_off, kinks, k_off, ctx_first)
     kink_counts = np.diff(k_off[adv_ctx]).tolist()
     results = []

@@ -16,6 +16,7 @@ log-density ratio.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Mapping
 
@@ -57,13 +58,18 @@ def _hypothesis_mixture(
     unknown: list[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Centers and weights of Pr(sum | x_i, x_K), with x_i the value at index
-    hyp of its domain and each x_k the value at index cells[k] of its own."""
-    base = dist.domains[i][hyp] + math.fsum(dist.domains[k][p] for k, p in cells.items())
+    hyp of its domain and each x_k the value at index cells[k] of its own.
+    A center is the query sum of its cell, added tuple by tuple from 0.0:
+    T = {i} u K in sorted order first, then the unknown tuples."""
+    known = {i: hyp, **cells}
+    base = 0.0
+    for t in sorted(known):
+        base += dist.domains[t][known[t]]
     if not unknown:
         return np.array([base]), np.array([1.0])
-    cond = conditional_at(dist, unknown, {i: hyp, **cells})
+    cond = conditional_at(dist, unknown, known)
     grids = np.meshgrid(*[np.asarray(d) for d in cond.domains], indexing="ij")
-    sums = sum(grids).ravel() + base
+    sums = functools.reduce(np.add, grids, base).ravel()
     w = cond.probs.ravel()
     pos = w > 0.0
     return _merge_centers(sums[pos], w[pos])
