@@ -95,6 +95,13 @@ def random_instance(rng: np.random.Generator, n: int, domain_hi: float = 1.5):
     return JointDistribution(domains, probs.reshape(tuple(sizes)))
 
 
+def criterion_5_draw() -> list[JointDistribution]:
+    """The 200 instances of the criterion-5/8 survey, n 3-5, from one
+    seeded generator."""
+    rng = np.random.default_rng(20260815)
+    return [random_instance(rng, int(rng.integers(3, 6))) for _ in range(200)]
+
+
 def sized_table(rng: np.random.Generator, n: int, size: int, zero_frac: float = 0.0):
     """Random table with `size` values per tuple; a fraction of cells zeroed."""
     domains = [tuple(np.sort(rng.uniform(0.0, 1.5, size=size))) for _ in range(n)]

@@ -41,7 +41,7 @@ from conftest import (
     LEAK_E3A_WEAK,
     LEAK_E3B_WEAK,
     binary_table,
-    random_instance,
+    criterion_5_draw,
 )
 
 SUM = {n: QuerySpec.sum_query(n) for n in (2, 3, 4, 5)}
@@ -53,11 +53,9 @@ def domination_survey():
 
     Returns a list of per-node records shared by criteria 5 and 8.
     """
-    rng = np.random.default_rng(20260815)
     records = []
-    for idx in range(200):
-        n = int(rng.integers(3, 6))
-        dist = random_instance(rng, n)
+    for idx, dist in enumerate(criterion_5_draw()):
+        n = dist.n
         query = SUM[n]
         graph, _ = full_space_search(dist, query, 1.0)
         ls = [local_sensitivity(dist, query, j) for j in range(n)]
@@ -170,10 +168,13 @@ def test_criterion_4_bivariate_gaussian():
 
 @pytest.mark.acceptance(5, "oracle domination over 200 random instances")
 def test_criterion_5_oracle_domination(domination_survey):
-    # The ray-based increments do not certify an upper bound: the output
-    # supremum can sit at an interior kink above both rays. The assert is
-    # kept verbatim and the measured gap is reported either way; the notes
-    # ledger records the analysis (D24).
+    # The ray-based increments do not certify an upper bound, for two
+    # reasons: the output supremum can sit at an interior kink above both
+    # rays, and the chain's composition can undershoot a tail supremum, even
+    # on unit-width binary tables (test_whg's
+    # test_unit_binary_composition_undershoots). The first layer is exact.
+    # The assert is kept verbatim and the measured gap is reported either
+    # way; the notes ledger records the analysis (D24).
     gaps = np.asarray([r["chain"] - r["oracle"] for r in domination_survey])
     violations = gaps < -1e-9
     ACCEPTANCE_NOTES[5] = (

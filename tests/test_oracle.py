@@ -31,6 +31,7 @@ from priordp import oracle
 from priordp.model_discrete import PROB_FLOOR
 
 import oracle_reference
+import tail_reference
 from chain_reference import ImpossibleCondition
 from oracle_reference import bayesian_gain
 from conftest import (
@@ -44,6 +45,7 @@ from conftest import (
     LEAK_ZERO_COEF_WEAK,
     ZERO_COEF_TABLE,
     binary_table,
+    criterion_5_draw,
     sized_table,
 )
 
@@ -193,6 +195,23 @@ class TestWitnessConsistency:
                     assert res.witness == "interior"
                     assert res.leakage - ray > oracle._TAIL_MARGIN * max(1.0, res.leakage), (i, K)
         assert labels == {"interior", "tail"}
+
+    def test_tails_from_tilted_marginals(self):
+        # tail_reference.py takes each adversary's tail leakage from tilted
+        # marginals, with no kink and no mixture. On the criterion-5 draw it
+        # lies at most 2.2e-15 above the oracle, and a "tail" supremum within
+        # 2.2e-15 of it, at the parent of the shared-row layout and with it
+        bound = 4.5e-15
+        labels = {"interior": 0, "tail": 0}
+        for dist in criterion_5_draw():
+            query = QuerySpec.sum_query(dist.n)
+            tails = tail_reference.tail_all(dist, query, 1.0)
+            for key, res in pdp_exact_all(dist, query, 1.0).items():
+                labels[res.witness] += 1
+                assert res.leakage >= tails[key] - bound, key
+                if res.witness == "tail":
+                    assert abs(res.leakage - tails[key]) <= bound, key
+        assert labels == {"interior": 331, "tail": 8265}
 
     @pytest.mark.parametrize("fixture", ["table_a", "table_b", "table_e3b"])
     def test_no_output_beats_supremum(self, fixture, sum2, request):
