@@ -19,14 +19,16 @@ for asymmetric tables both orientations are needed to recover the exact
 value on two-tuple unit-width instances. Reports record this as
 metadata["edge_candidates"] = "two_sided".
 
-The increments sample the output-density ratio only on its two tails, but
-the true supremum over outputs can sit at an interior kink (an output equal
-to an attainable query sum), which no ray sees. On unit-width binary
-domains the ray values attain the supremum and the chain matches or bounds
-the exact leakage; on instances mixing unequal domain widths the exact
-supremum can exceed the chain value at any noise scale. The chain is the
-scalable surrogate, the brute-force oracle the ground truth, and the gap
-between them is a measured quantity, not an assumed sign.
+The increments sample the output-density ratio only on its two tails. The
+first layer is exact, but later layers can read below the exact leakage for
+two reasons: the true supremum over outputs can sit at an interior kink (an
+output equal to an attainable query sum), which no ray sees, and composing
+|l_child + IC| one tuple at a time can undershoot even a tail supremum. The
+second happens on unit-width binary domains too: on three tuples with
+domains {0, 1} a weak node can read 0.10 nats (12%) below the exact
+leakage, its witness "tail". The chain is the scalable surrogate, the brute-force
+oracle the ground truth, and the gap between them is a measured quantity,
+not an assumed sign.
 
 Node leakage quantifies over prior-knowledge *values*: the max over all
 positive-probability assignments of x_K' enters the candidate set.

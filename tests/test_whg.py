@@ -322,11 +322,11 @@ class TestDistributionSearch:
                 assert val == pytest.approx(min(cands), abs=1e-12)
 
     def test_chain_dominates_oracle_unit_binary(self, sum2):
-        # Ray-limit increment candidates certify the supremum on unit-width
-        # binary domains.  Skewed multi-width instances can place the exact
-        # supremum at an interior kink above every ray, so domination is
-        # asserted only on this family; the general chain-vs-oracle gap is
-        # measured, not assumed (see notes on the domination criterion).
+        # On two unit-width binary tuples the chain is one step from its
+        # exact first layer, and the ray-limit increments bound the exact
+        # leakage there. Three tuples can already undershoot, unit width or
+        # not (next test), so domination is asserted only on this family;
+        # the general chain-vs-oracle gap is measured, not assumed.
         rng = np.random.default_rng(37)
         for _ in range(60):
             cells = rng.dirichlet(np.ones(4)).reshape(2, 2) + 0.01
@@ -336,6 +336,25 @@ class TestDistributionSearch:
             for node, val in all_values(graph).items():
                 exact = pdp_exact_discrete(dist, sum2, 1.0, *node)
                 assert val >= exact.leakage - 1e-9
+
+    def test_unit_binary_composition_undershoots(self):
+        # A documented property, not a bound: on three unit-width binary
+        # tuples the first layer is exact, yet the weak nodes of tuples 0
+        # and 1 read below the exact leakage. Both oracle witnesses are
+        # "tail", so no interior kink is involved: the loss comes from how
+        # the chain composes its increments.
+        probs = [0.0095, 0.6489, 0.0821, 0.0361, 0.0555, 0.0913, 0.0639, 0.0127]
+        dist = JointDistribution([[0, 1]] * 3, np.array(probs).reshape(2, 2, 2))
+        q = QuerySpec.sum_query(3)
+        graph, _ = full_space_search(dist, q, 1.0)
+        exact = pdp_exact_all(dist, q, 1.0)
+        for i in range(3):
+            node = (i, tuple(t for t in range(3) if t != i))
+            assert graph.node_value(node) == pytest.approx(exact[node].leakage, abs=1e-12)
+        for node, chain, want in (((0, ()), 0.7690, 0.8691), ((1, ()), 0.5878, 0.6606)):
+            assert graph.node_value(node) == pytest.approx(chain, abs=5e-5)
+            assert exact[node].leakage == pytest.approx(want, abs=5e-5)
+            assert exact[node].witness == "tail"
 
     def test_chain_exact_on_strongest_adversaries(self):
         # layer 1 = single unknown tuple; the chain starts from the exact
