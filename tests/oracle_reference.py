@@ -1,10 +1,13 @@
 """The per-hypothesis brute-force oracle, kept as test-side reference code.
 
 The package evaluates each adversary in one batched pass: table slices
-instead of conditional tables, and one log-sum-exp per mixture shape. This
+instead of conditional tables, one mixture row per x_T cell shared by every
+adversary of T = {i} u K, and one log-sum-exp per mixture shape. This
 module is the earlier, direct formulation: one conditional table, one
 mixture and one log-sum-exp per (assignment, hypothesis), and feasibility
-read cell by cell. It scans per hypothesis pair, the best kink of each,
+read cell by cell. Both take a center as the query sum of its table cell,
+added tuple by tuple from 0.0, T's tuples in sorted order first, then the
+unknown ones. It scans per hypothesis pair, the best kink of each,
 where the package scans per context, one argmax over every pair and kink;
 both take the first maximum in the order (assignment, x_i, x_i', kink), so
 both must name the same witness. It labels the witness by the same rule.

@@ -32,15 +32,8 @@ from priordp import JointDistribution, QuerySpec, transform_linear_query
 from priordp.model_discrete import PROB_FLOOR
 
 
-def _log_tilted(probs: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """log sum_u probs[..., u] e^{exponent[u]}, the largest exponent
-    factored out."""
-    top = float(exponent.max())
-    with np.errstate(divide="ignore"):
-        return np.log((probs * np.exp(exponent - top)).sum(axis=-1)) + top
-
-
 def _tail(y: JointDistribution, lam: float, i: int, ks: tuple[int, ...]) -> float:
+    """The tail leakage of adversary (i, ks) on the transformed table y."""
     dom = np.asarray(y.domains[i], dtype=float)
     unknown = [u for u in range(y.n) if u != i and u not in ks]
     if not unknown:
@@ -54,8 +47,11 @@ def _tail(y: JointDistribution, lam: float, i: int, ks: tuple[int, ...]) -> floa
     feasible = (mass >= PROB_FLOOR) & (mass.sum(axis=0) >= PROB_FLOOR)
     best = 0.0
     for s in (-1.0, 1.0):
+        # log M^s, the largest exponent factored out
+        e = s * u_sum / lam
         with np.errstate(divide="ignore"):
-            v = _log_tilted(probs, s * u_sum / lam) - np.log(mass) + s * dom[:, None] / lam
+            log_tilted = np.log((probs * np.exp(e - e.max())).sum(axis=2)) + e.max()
+            v = log_tilted - np.log(mass) + s * dom[:, None] / lam
         for c in np.flatnonzero(feasible.sum(axis=0) >= 2):
             vc = v[feasible[:, c], c]
             best = max(best, float(vc.max() - vc.min()))
