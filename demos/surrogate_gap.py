@@ -2,9 +2,11 @@
 
 The layered chain rule prices one forgotten tuple at a time by looking at
 the output-density ratio on its two tails. On most instances that lands on
-or above the brute-force supremum, but the supremum can sit at an interior
-kink that no tail sees, so the surrogate is not a certified upper bound.
-This script quantifies the gap on random instances instead of trusting it.
+or above the brute-force supremum, but it can fall below for two reasons:
+the supremum can sit at an interior kink that no tail sees, and composing
+the increments can lose value even where the supremum is a tail. So the
+surrogate is not a certified upper bound. This script quantifies the gap
+on random instances instead of trusting it.
 """
 
 import numpy as np

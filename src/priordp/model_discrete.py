@@ -159,8 +159,8 @@ def logsumexp(a, axis=None, b=None) -> np.ndarray | float:
     summed as s, and the result is log1p(s/m) + log(m) + max, with the plain
     log(sum(b * exp(a))) taken wherever that is not finite. Results are
     bitwise equal to scipy's, at a fraction of its cost per call on the
-    small arrays the searches and the oracle reduce. Negative weights, which
-    no caller has, are not supported.
+    small arrays the searches and the oracle reduce. Inputs are non-empty,
+    and negative weights, which no caller has, are not supported.
     """
     a = np.asarray(a, dtype=float)
     if b is not None:
@@ -168,36 +168,33 @@ def logsumexp(a, axis=None, b=None) -> np.ndarray | float:
         b = np.atleast_1d(b)
     a = np.atleast_1d(a)
     axis = tuple(range(a.ndim)) if axis is None else axis
-    if a.size == 0:
-        out = np.full(np.sum(a, axis=axis, keepdims=True).shape, -np.inf)
-    else:
-        with np.errstate(all="ignore"):
-            x = a if b is None else np.where(b == 0, -np.inf, a)
-            x_max = np.max(x, axis=axis, keepdims=True)
-            i_max = x == x_max
-            # the maxima are split out by zeroing their terms, which equals
-            # exp(-inf - x_max) wherever x_max is finite; elsewhere the
-            # result is not finite either way and is recomputed below
-            e = np.subtract(x, x_max)
-            np.exp(e, out=e)
-            e *= ~i_max
-            if b is not None:
-                e *= b
-                i_max = i_max * b
-            # m counts the maxima by weight, and s >= 0 as the weights are
-            m = np.sum(i_max, axis=axis, keepdims=True, dtype=float)
-            s = np.sum(e, axis=axis, keepdims=True)
-            # log1p(where(s == 0, s, s / m)) + log(m) + x_max, in place
-            out = np.divide(s, m)
-            np.copyto(out, s, where=s == 0)
-            np.log1p(out, out=out)
-            out += np.log(m, out=m)
-            out += x_max
-            finite = np.isfinite(out)
-            if not finite.all():
-                b_exp_a = np.exp(a) if b is None else b * np.exp(a)
-                out_inf = np.log(np.sum(b_exp_a, axis=axis, keepdims=True))
-                out = np.where(finite, out, out_inf)
+    with np.errstate(all="ignore"):
+        x = a if b is None else np.where(b == 0, -np.inf, a)
+        x_max = np.max(x, axis=axis, keepdims=True)
+        i_max = x == x_max
+        # the maxima are split out by zeroing their terms, which equals
+        # exp(-inf - x_max) wherever x_max is finite; elsewhere the
+        # result is not finite either way and is recomputed below
+        e = np.subtract(x, x_max)
+        np.exp(e, out=e)
+        e *= ~i_max
+        if b is not None:
+            e *= b
+            i_max = i_max * b
+        # m counts the maxima by weight, and s >= 0 as the weights are
+        m = np.sum(i_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(e, axis=axis, keepdims=True)
+        # log1p(where(s == 0, s, s / m)) + log(m) + x_max, in place
+        out = np.divide(s, m)
+        np.copyto(out, s, where=s == 0)
+        np.log1p(out, out=out)
+        out += np.log(m, out=m)
+        out += x_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            b_exp_a = np.exp(a) if b is None else b * np.exp(a)
+            out_inf = np.log(np.sum(b_exp_a, axis=axis, keepdims=True))
+            out = np.where(finite, out, out_inf)
     out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 

@@ -40,8 +40,10 @@ one np.add.at in sorted order). An adversary reads the cells of T in
 (context, hypothesis) order, by array arithmetic on the x_T cell index:
 its context is the cell index with axis i removed and its hypothesis the
 coordinate on axis i, and each feasible (adversary, assignment of x_K,
-hypothesis x_i) triple names the row of its cell. The rows of one
-assignment share its kinks, the union of their centers.
+hypothesis x_i) triple names the row of its cell. An adversary who knows
+every other tuple faces the noise alone and reads as adversary (i, {}) of
+the one-tuple table {x_i}: one row of weight 1 per hypothesis, centered at
+x_i. The rows of one assignment share its kinks, the union of their centers.
 Rows are then grouped by shape (number of kinks, number of centers) across
 the batch, and each group takes one log-sum-exp over a (rows, kinks,
 centers) stack for the values at the kinks, split at _STACK_CELLS cells (a
@@ -196,8 +198,9 @@ def _slices(
     """Mixture terms of every x_T slice of the table, T = ts.
 
     Returns (slot, weights, centers, lengths). slot gives each x_T cell, in
-    product order, its row of lengths, or -1 where Pr(x_T) is below
-    PROB_FLOOR or the slice itself sums below it. weights and centers hold,
+    product order, its row of lengths; -1 where Pr(x_T) is below
+    PROB_FLOOR, a dead cell; -2 where Pr(x_T) reaches it but the slice
+    itself sums below it, a void cell. weights and centers hold,
     slice after slice, Pr(x_U | x_T) and the query sum of each cell of the
     slice with positive weight, U the tuples outside T. A center is its
     cell's values added tuple by tuple from 0.0, T's in sorted order first,
@@ -215,6 +218,7 @@ def _slices(
     mass = rows.sum(axis=1)
     ok = mass >= PROB_FLOOR
     slot = np.full(table.shape[0], -1)
+    slot[cells] = -2
     slot[cells[ok]] = np.arange(int(ok.sum()))
     w = rows[ok] / mass[ok, None]
     pos = w > 0.0
@@ -228,7 +232,9 @@ def _rows(tab: _Table, adversaries: list[tuple[int, tuple[int, ...]]]) -> tuple[
 
     A row is the slice of its x_T cell, T = {i} u K, so the adversaries of
     one T read the same rows: each slot row is built and merged once (the
-    1e-12 rule, one pass over the batch), and a row names its slot.
+    1e-12 rule, one pass over the batch), and a row names its slot; slot -1
+    drops its hypothesis and -2 its assignment. The adversary who knows
+    every other tuple is adversary (i, {}) of the table {x_i}, keyed by i.
     Returns (centers, weights, m_off, row_slot, hyp, ctx_cell, ctx_first,
     adv_ctx): the merged terms of slot s at m_off[s] : m_off[s + 1], each
     row's slot and x_i index, each context's x_K cell and first row, and
@@ -237,48 +243,40 @@ def _rows(tab: _Table, adversaries: list[tuple[int, tuple[int, ...]]]) -> tuple[
     y, n = tab.y, tab.y.n
     w_parts, c_parts, len_parts = [], [], []
     n_slots = 0
-    # each T = {i} u K once: Pr(x_T) >= PROB_FLOOR and the slot of each x_T
-    # cell, from t_first[T] on in the concatenation of t_live and t_slot
+    # each T = {i} u K once: the slot of each x_T cell, from t_first[T] on
+    # in the concatenation of t_slot
     t_first: dict[object, int] = {}
-    t_live, t_slot = [], []
+    t_slot = []
     t_size = 0
     # each adversary: its cells of T, hypotheses, cells per hypothesis step
     # along T, first x_T cell, and per x_K cell Pr(x_K) >= PROB_FLOOR
     size, d, inner, t_off, k_live = [], [], [], [], []
     one = np.ones(1, dtype=bool)
     for i, ks in adversaries:
-        ts = tuple(sorted((i,) + ks))
+        ts = key = tuple(sorted((i,) + ks))
         d_i = len(y.domains[i])
-        # an adversary who knows every other tuple has one context with an
-        # empty assignment, and per hypothesis the noise alone: one center
-        # at x_i (adding 0.0 reads a -0.0 as 0.0, as a sum from 0.0 does)
-        key = i if len(ts) == n else ts
+        if len(ts) == n:
+            ts, ks, key = (i,), (), i
         if key not in t_first:
-            if len(ts) == n:
-                live, slot, w = np.ones(d_i, dtype=bool), np.arange(d_i), np.ones(d_i)
-                c, lengths = tab.doms[i] + 0.0, np.ones(d_i, dtype=np.intp)
+            if key == i:
+                # adding 0.0 reads a -0.0 as 0.0, as a sum from 0.0 does
+                slot, w, c, lengths = (np.arange(d_i), np.ones(d_i), tab.doms[i] + 0.0,
+                                       np.ones(d_i, dtype=np.intp))
             else:
-                live = tab.live(ts)
                 slot, w, c, lengths = _slices(tab, ts)
             t_first[key] = t_size
             t_size += slot.size
-            t_live.append(live)
-            t_slot.append(np.where(slot < 0, -1, slot + n_slots))
+            t_slot.append(np.where(slot < 0, slot, slot + n_slots))
             w_parts.append(w)
             c_parts.append(c)
             len_parts.append(lengths)
             n_slots += lengths.size
-        if len(ts) == n:
-            size.append(d_i)
-            inner.append(1)
-            k_live.append(one)
-        else:
-            shape = tab.shape(ts)
-            size.append(math.prod(shape))
-            inner.append(math.prod(shape[ts.index(i) + 1 :]))
-            # Pr(x_K) gates the assignments
-            k_live.append(tab.live(ks) if ks else one)
+        shape = tab.shape(ts)
+        size.append(math.prod(shape))
         d.append(d_i)
+        inner.append(math.prod(shape[ts.index(i) + 1 :]))
+        # Pr(x_K) gates the assignments
+        k_live.append(tab.live(ks) if ks else one)
         t_off.append(t_first[key])
 
     # element q of adversary a is context q // d and hypothesis q % d, so
@@ -293,8 +291,8 @@ def _rows(tab: _Table, adversaries: list[tuple[int, tuple[int, ...]]]) -> tuple[
     k_first = _starts(size // d)
     ctx += k_first[adv]
     # Pr(x_i, x_K) gates the hypotheses
-    use = np.concatenate(t_live)[cell] & np.concatenate(k_live)[ctx]
     slot = np.concatenate(t_slot)[cell]
+    use = (slot != -1) & np.concatenate(k_live)[ctx]
     # a hypothesis whose slice sums below PROB_FLOOR voids the assignment
     void = np.zeros(k_first[-1], dtype=bool)
     void[ctx[use & (slot < 0)]] = True

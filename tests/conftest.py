@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from priordp import JointDistribution, QuerySpec
+from priordp import JointDistribution, QuerySpec, pdp_exact_all
 
 # binary tables over {0,1}^2, row index = tuple 0, column index = tuple 1
 CELLS_A = [[0.3, 0.2], [0.2, 0.3]]  # positively correlated, rho = 0.2
@@ -40,6 +40,10 @@ LEAK_E3B_WEAK = 0.046511333739
 ZERO_COEF_TABLE = {"domains": [[0, 1], [0, 2]], "probs": [0.4, 0.1, 0.2, 0.3]}
 ONE_VALUE_TABLE = {"domains": [[0, 1], [7]], "probs": [0.5, 0.5]}
 LEAK_ZERO_COEF_WEAK = 0.752342127094
+
+# Three perfectly correlated binary tuples (README's first caveat): no edge
+# out of the chain's first layer has a feasible hypothesis pair.
+DIAGONAL_TABLE_3 = {"domains": [[0, 1], [0, 1], [0, 1]], "probs": [0.5, 0, 0, 0, 0, 0, 0, 0.5]}
 
 
 def binary_table(cells, domains=((0.0, 1.0), (0.0, 1.0))) -> JointDistribution:
@@ -100,6 +104,15 @@ def criterion_5_draw() -> list[JointDistribution]:
     seeded generator."""
     rng = np.random.default_rng(20260815)
     return [random_instance(rng, int(rng.integers(3, 6))) for _ in range(200)]
+
+
+@pytest.fixture(scope="session")
+def criterion_5_oracle():
+    """(instance, pdp_exact_all of its sum query at lambda 1) for each
+    instance of criterion_5_draw(), in draw order: one oracle pass over the
+    draw, shared by every test that reads it."""
+    return [(dist, pdp_exact_all(dist, QuerySpec.sum_query(dist.n), 1.0))
+            for dist in criterion_5_draw()]
 
 
 def sized_table(rng: np.random.Generator, n: int, size: int, zero_frac: float = 0.0):

@@ -47,9 +47,10 @@ def _tail(y: JointDistribution, lam: float, i: int, ks: tuple[int, ...]) -> floa
     feasible = (mass >= PROB_FLOOR) & (mass.sum(axis=0) >= PROB_FLOOR)
     best = 0.0
     for s in (-1.0, 1.0):
-        # log M^s, the largest exponent factored out
+        # log M^s, the largest exponent factored out; a cell of zero mass
+        # reads log 0 - log 0, NaN, and is not feasible
         e = s * u_sum / lam
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_tilted = np.log((probs * np.exp(e - e.max())).sum(axis=2)) + e.max()
             v = log_tilted - np.log(mass) + s * dom[:, None] / lam
         for c in np.flatnonzero(feasible.sum(axis=0) >= 2):

@@ -23,7 +23,6 @@ from priordp import (
     leakage_gaussian,
     local_sensitivity,
     log_g,
-    pdp_exact_all,
     pdp_exact_discrete,
     pdp_numeric_gaussian,
     pearson_corr,
@@ -41,26 +40,24 @@ from conftest import (
     LEAK_E3A_WEAK,
     LEAK_E3B_WEAK,
     binary_table,
-    criterion_5_draw,
 )
 
 SUM = {n: QuerySpec.sum_query(n) for n in (2, 3, 4, 5)}
 
 
 @pytest.fixture(scope="session")
-def domination_survey():
+def domination_survey(criterion_5_oracle):
     """200 random instances, every node: chain value vs oracle value.
 
     Returns a list of per-node records shared by criteria 5 and 8.
     """
     records = []
-    for idx, dist in enumerate(criterion_5_draw()):
+    for idx, (dist, exact) in enumerate(criterion_5_oracle):
         n = dist.n
         query = SUM[n]
         graph, _ = full_space_search(dist, query, 1.0)
         ls = [local_sensitivity(dist, query, j) for j in range(n)]
         gs = global_sensitivity(dist, query)
-        exact = pdp_exact_all(dist, query, 1.0)
         for (i, K), chain in all_values(graph).items():
             oracle = exact[i, K].leakage
             unknown = [j for j in range(n) if j != i and j not in K]

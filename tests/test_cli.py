@@ -38,7 +38,14 @@ from priordp import (
 )
 from priordp.cli import main
 
-from conftest import CELLS_A, LEAK_A_WEAK, ONE_VALUE_TABLE, ZERO_COEF_TABLE, random_instance
+from conftest import (
+    CELLS_A,
+    DIAGONAL_TABLE_3,
+    LEAK_A_WEAK,
+    ONE_VALUE_TABLE,
+    ZERO_COEF_TABLE,
+    random_instance,
+)
 
 # n=3 instance whose exact weak-node leakage exceeds the chain value
 # (output-space supremum at an interior kink; see the graph module notes)
@@ -301,6 +308,17 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "4/4 adversaries pass" in out
         assert "missing" not in out
+
+    def test_starved_adversaries_reported_missing(self, tmp_path, capsys):
+        # README's first caveat: the chain drops every adversary that only
+        # edges with no feasible hypothesis pair reach, and oracle-check
+        # fails their rows
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(DIAGONAL_TABLE_3))
+        assert main(["oracle-check", str(path)]) == 4
+        out = capsys.readouterr().out
+        assert out.count("missing") == 9
+        assert "3/12 adversaries pass" in out
 
     def test_discrete_witness(self, table_a_file, tmp_path, capsys):
         out = tmp_path / "check.json"

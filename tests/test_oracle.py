@@ -31,6 +31,7 @@ from priordp import oracle
 from priordp.model_discrete import PROB_FLOOR
 
 import oracle_reference
+import pin_corpus
 import tail_reference
 from chain_reference import ImpossibleCondition
 from oracle_reference import bayesian_gain
@@ -45,7 +46,6 @@ from conftest import (
     LEAK_ZERO_COEF_WEAK,
     ZERO_COEF_TABLE,
     binary_table,
-    criterion_5_draw,
     sized_table,
 )
 
@@ -196,22 +196,47 @@ class TestWitnessConsistency:
                     assert res.leakage - ray > oracle._TAIL_MARGIN * max(1.0, res.leakage), (i, K)
         assert labels == {"interior", "tail"}
 
-    def test_tails_from_tilted_marginals(self):
+    def test_tails_from_tilted_marginals(self, criterion_5_oracle):
         # tail_reference.py takes each adversary's tail leakage from tilted
         # marginals, with no kink and no mixture. On the criterion-5 draw it
         # lies at most 2.2e-15 above the oracle, and a "tail" supremum within
         # 2.2e-15 of it, at the parent of the shared-row layout and with it
         bound = 4.5e-15
         labels = {"interior": 0, "tail": 0}
-        for dist in criterion_5_draw():
-            query = QuerySpec.sum_query(dist.n)
-            tails = tail_reference.tail_all(dist, query, 1.0)
-            for key, res in pdp_exact_all(dist, query, 1.0).items():
+        for dist, exact in criterion_5_oracle:
+            tails = tail_reference.tail_all(dist, QuerySpec.sum_query(dist.n), 1.0)
+            for key, res in exact.items():
                 labels[res.witness] += 1
                 assert res.leakage >= tails[key] - bound, key
                 if res.witness == "tail":
                     assert abs(res.leakage - tails[key]) <= bound, key
         assert labels == {"interior": 331, "tail": 8265}
+
+    def test_tails_on_pinned_corpus(self):
+        # The same two checks on every pinned table that holds oracle rows,
+        # at each pinned lambda. The tail lies at most 5.3e-15 above the
+        # oracle there, and a "tail" supremum within 7.1e-15 of it, both at
+        # lambda 0.3, apart from merge_rule_n3.
+        bound = 1.5e-14
+        for name, dist, query in pin_corpus.tables():
+            if dist.n > pin_corpus.ORACLE_N:
+                continue
+            for lam in pin_corpus.LAMBDAS:
+                slack = bound
+                if name == "merge_rule_n3":
+                    # Tuple 1 takes -past, 0 and 1e-12, so the oracle's 1e-12
+                    # rule merges runs of up to three centers and moves a
+                    # center by at most 2e-12 (measured 1.99996e-12). A log
+                    # mixture then moves by at most 2e-12 / lam and a
+                    # log-ratio by 4e-12 / lam, which the tail, built from
+                    # unmerged sums, does not see. Measured at lambda 0.3:
+                    # 7.8e-13 above the oracle, a "tail" supremum 6.4e-12 off.
+                    slack += 4e-12 / lam
+                tails = tail_reference.tail_all(dist, query, lam)
+                for key, res in pdp_exact_all(dist, query, lam).items():
+                    assert res.leakage >= tails[key] - slack, (name, lam, key)
+                    if res.witness == "tail":
+                        assert abs(res.leakage - tails[key]) <= slack, (name, lam, key)
 
     @pytest.mark.parametrize("fixture", ["table_a", "table_b", "table_e3b"])
     def test_no_output_beats_supremum(self, fixture, sum2, request):

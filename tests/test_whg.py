@@ -18,6 +18,7 @@ from priordp import (
     SearchSpaceExceeded,
     fast_search,
     full_space_search,
+    gen_discrete_corr,
     load_distribution,
     local_sensitivity,
     pdp_exact_all,
@@ -45,6 +46,7 @@ from chain_reference import (
     search_distribution,
 )
 from conftest import (
+    DIAGONAL_TABLE_3,
     IC_A,
     LEAK_A_WEAK,
     LEAK_B_WEAK,
@@ -356,6 +358,20 @@ class TestDistributionSearch:
             assert exact[node].leakage == pytest.approx(want, abs=5e-5)
             assert exact[node].witness == "tail"
 
+    @pytest.mark.parametrize("search", [full_space_search, fast_search])
+    def test_starved_adversaries_drop_out(self, search):
+        # A documented property, not a bound (README's first caveat): on three
+        # perfectly correlated tuples every edge out of the first layer has no
+        # feasible hypothesis pair, so the search computes no node past that
+        # layer and stops, while the oracle reads 3.0 at every (i, ()).
+        dist = load_distribution(DIAGONAL_TABLE_3)
+        q = QuerySpec.sum_query(3)
+        graph, report = search(dist, q, 1.0)
+        assert report.node_count == len(graph.nodes) == 3
+        assert report.leakage == 1.0 and report.layer_max == {1: 1.0}
+        exact = pdp_exact_all(dist, q, 1.0)
+        assert [exact[i, ()].leakage for i in range(3)] == [3.0] * 3
+
     def test_chain_exact_on_strongest_adversaries(self):
         # layer 1 = single unknown tuple; the chain starts from the exact
         # scaled sensitivity there, so chain and oracle must agree.
@@ -584,6 +600,15 @@ class TestGraphArrays:
             graph.node_value((2, ()))
         with pytest.raises(ValueError, match="prior set"):
             graph.node_value((1, (0, 1)))
+
+    def test_node_value_of_pruned_node(self):
+        # a fast search computes 188 of the 192 nodes here; a node it pruned
+        # is an adversary, but has no value
+        q = QuerySpec.sum_query(6)
+        graph, report = fast_search(gen_discrete_corr(6, 0.5, 2, seed=1), q, 1.0)
+        assert report.node_count == len(graph.nodes) == 188
+        with pytest.raises(KeyError):
+            graph.node_value((0, (2, 4)))
 
 
 class TestDegenerateTuples:
